@@ -16,7 +16,7 @@ import numpy as np
 
 from .analytics import METRIC_NAMES, metric_suite, run_backtest, training_slope, write_report
 from .baseline_factor import load_factor_csv, run_factor_backtest
-from .ddpg import TrainConfig, greedy_policy, train
+from .ddpg import TrainConfig, checkpoint_meta, greedy_policy, train
 from .errors import (
     AlignmentError,
     ConfigError,
@@ -33,6 +33,8 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_CONFIG = 4
 
+TRAIN_WINDOW = 50
+
 _DEFAULTS: dict[str, object] = {
     "market_dir": "",
     "factor_csv": "",
@@ -40,7 +42,9 @@ _DEFAULTS: dict[str, object] = {
     "out": "",
     "benchmark": "",
     "group": "experiment_1",
-    "window": 50,
+    # None unless a file or flag sets it: train falls back to TRAIN_WINDOW and
+    # a backtest takes the checkpoint's window.
+    "window": None,
     "episode_len": 252,
     "mu": 0.0025,
     "arbitrage": True,
@@ -71,6 +75,8 @@ class UsageError(Exception):
 
 def _coerce(key: str, raw: str) -> object:
     default = _DEFAULTS[key]
+    if default is None:
+        return int(raw)
     if isinstance(default, bool):
         low = raw.strip().lower()
         if low in ("1", "true", "on", "yes"):
@@ -104,8 +110,8 @@ def read_config_file(path: str | Path) -> dict[str, object]:
     return values
 
 
-def build_settings(args: argparse.Namespace) -> dict[str, object]:
-    settings = dict(_DEFAULTS)
+def build_settings(args: argparse.Namespace, **command_defaults: object) -> dict[str, object]:
+    settings = {**_DEFAULTS, **command_defaults}
     if getattr(args, "config", None):
         settings.update(read_config_file(args.config))
     for key in _DEFAULTS:
@@ -223,7 +229,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    settings = build_settings(args)
+    settings = build_settings(args, window=TRAIN_WINDOW)
     _check_out_of_sample(settings)
     out = _require_out(settings)
     market = _load_market_dir(str(settings["market_dir"]) or args.market_dir,
@@ -241,15 +247,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         checkpoint_dir=out if every else None,
         checkpoint_every=every or None,
     )
-    meta = {
-        "assets": list(market.asset_ids),
-        "benchmark": market.asset_ids[market.benchmark_index],
-        "window": env_config.window,
-        "mu": env_config.mu,
-        "arbitrage": env_config.arbitrage_enabled,
-        "seed": train_config.seed,
-    }
-    save_checkpoint(out / "checkpoint.json", actor, critic, meta)
+    save_checkpoint(out / "checkpoint.json", actor, critic,
+                    checkpoint_meta(market, env_config, train_config))
     log.write_csv(out / "trainlog.csv")
     print(f"episodes: {len(log.records)}")
     if len(log.records) >= 2:
@@ -261,10 +260,13 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def _backtest_drl(settings: dict[str, object], checkpoint: str):
     actor, _critic, meta = load_checkpoint(checkpoint)
+    missing = [key for key in ("assets", "benchmark", "window") if key not in meta]
+    if missing:
+        raise FormatError(f"checkpoint meta lacks {', '.join(missing)}")
     market = _load_market_dir(str(settings["market_dir"]), str(meta["benchmark"]),
                               only=list(meta["assets"]))
     window = int(meta["window"])
-    if int(settings["window"]) != _DEFAULTS["window"] and int(settings["window"]) != window:
+    if settings["window"] is not None and int(settings["window"]) != window:
         raise ConfigError(
             f"requested window {settings['window']} != checkpoint window {window}"
         )

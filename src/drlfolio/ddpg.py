@@ -93,37 +93,49 @@ def explore_action(raw: np.ndarray, rng: np.random.Generator,
 
 
 class Adam:
+    """Adam over one flat parameter vector, moments and work buffers preallocated."""
+
+    # Elements updated per pass. A block's slices of the parameters, gradient,
+    # moments and work buffers stay in cache across the fourteen array
+    # operations of a step instead of streaming from memory for each one.
+    BLOCK = 32_768
+
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self._m: list[np.ndarray] | None = None
-        self._v: list[np.ndarray] | None = None
+        self._m: np.ndarray | None = None
+        self._v: np.ndarray | None = None
+        self._work: np.ndarray | None = None
         self._t = 0
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, param: np.ndarray, grad: np.ndarray) -> None:
+        """In place: m, v <- moments; param -= lr * m_hat / (sqrt(v_hat) + eps)."""
         if self._m is None:
-            self._m = [np.zeros_like(p) for p in params]
-            self._v = [np.zeros_like(p) for p in params]
+            self._m, self._v = np.zeros_like(param), np.zeros_like(param)
+            self._work = np.empty((2, min(self.BLOCK, param.size)))
         self._t += 1
         b1t = 1.0 - self.beta1**self._t
         b2t = 1.0 - self.beta2**self._t
-        for p, g, m, v in zip(params, grads, self._m, self._v):
+        for lo in range(0, param.size, self.BLOCK):
+            block = slice(lo, lo + self.BLOCK)
+            p, g, m, v = param[block], grad[block], self._m[block], self._v[block]
+            s, r = self._work[:, : p.size]
             m *= self.beta1
-            m += (1 - self.beta1) * g
+            m += np.multiply(g, 1 - self.beta1, out=s)
             v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            np.multiply(g, 1 - self.beta2, out=s)
+            v += np.multiply(s, g, out=s)
+            np.sqrt(np.divide(v, b2t, out=s), out=s)
+            s += self.eps
+            np.multiply(np.divide(m, b1t, out=r), self.lr, out=r)
+            p -= np.divide(r, s, out=r)
 
 
 def soft_update(target: Network, online: Network, tau: float) -> None:
     """Blend online parameters into the target: theta_t <- tau*theta + (1-tau)*theta_t."""
-    t_params, o_params = target.params(), online.params()
-    if len(t_params) != len(o_params):
+    if target.spec() != online.spec():
         raise ValueError("networks do not share a parameter layout")
-    for tp, op in zip(t_params, o_params):
-        if tp.shape != op.shape:
-            raise ValueError(f"parameter shape mismatch {tp.shape} vs {op.shape}")
-        tp *= 1.0 - tau
-        tp += tau * op
+    target.flat *= 1.0 - tau
+    target.flat += tau * online.flat
 
 
 @dataclass(frozen=True)
@@ -192,7 +204,8 @@ class DDPG:
 
     # -- updates -----------------------------------------------------------
 
-    def critic_loss_and_grads(self, batch: list[Transition]) -> tuple[float, list[np.ndarray]]:
+    def _critic_loss(self, batch: list[Transition]) -> float:
+        """TD loss of the critic on a batch; its parameter gradient lands in ``critic.grad``."""
         states, actions, rewards, next_states, dones = _batch_arrays(batch)
         next_actions = self._policy_batch(self.actor_target, next_states)
         q_next = self.critic_target.forward(critic_input_batch(next_states, next_actions))
@@ -200,15 +213,20 @@ class DDPG:
         q = self.critic.forward(critic_input_batch(states, actions))
         diff = q - targets
         loss = float(np.mean(diff**2))
-        self.critic.backward(2.0 * diff / diff.shape[0])
+        self.critic.backward(2.0 * diff / diff.shape[0], input_grad=False)
+        return loss
+
+    def critic_loss_and_grads(self, batch: list[Transition]) -> tuple[float, list[np.ndarray]]:
+        loss = self._critic_loss(batch)
         return loss, [g.copy() for g in self.critic.grads()]
 
     def update_critic(self, batch: list[Transition]) -> float:
-        loss, grads = self.critic_loss_and_grads(batch)
-        self._adam_critic.step(self.critic.params(), grads)
+        loss = self._critic_loss(batch)
+        self._adam_critic.step(self.critic.flat, self.critic.grad)
         return loss
 
-    def actor_objective_and_grads(self, batch: list[Transition]) -> tuple[float, list[np.ndarray]]:
+    def _actor_objective(self, batch: list[Transition]) -> float:
+        """Mean Q of the deployed policy; its actor gradient lands in ``actor.grad``."""
         states = np.stack([tr.state.tensor.data for tr in batch])
         raw = self.actor.forward(states)
         weights, cache = minmax_forward_batch(raw)
@@ -217,18 +235,23 @@ class DDPG:
         q = self.critic.forward(critic_input_batch(states, weights))
         objective = float(np.mean(q))
 
-        d_input = self.critic.backward(np.full_like(q, 1.0 / q.shape[0]))
+        d_input = self.critic.backward(np.full_like(q, 1.0 / q.shape[0]), param_grads=False)
         d_weights = np.zeros_like(weights)
         d_weights[:, 1:] = d_input[:, 4, :, :].sum(axis=2)
         if self.arbitrage:
             d_weights[flipped, -1] = -d_weights[flipped, -1]
         d_raw = minmax_vjp_batch(cache, d_weights)
-        self.actor.backward(d_raw)
+        self.actor.backward(d_raw, input_grad=False)
+        return objective
+
+    def actor_objective_and_grads(self, batch: list[Transition]) -> tuple[float, list[np.ndarray]]:
+        objective = self._actor_objective(batch)
         return objective, [g.copy() for g in self.actor.grads()]
 
     def update_actor(self, batch: list[Transition]) -> float:
-        objective, grads = self.actor_objective_and_grads(batch)
-        self._adam_actor.step(self.actor.params(), [-g for g in grads])
+        objective = self._actor_objective(batch)
+        # Gradient ascent on the objective: step along the negated gradient.
+        self._adam_actor.step(self.actor.flat, np.negative(self.actor.grad, out=self.actor.grad))
         return objective
 
     def soft_update_targets(self) -> None:
@@ -247,6 +270,19 @@ def greedy_policy(actor: Network, arbitrage: bool = True):
         return weights
 
     return policy
+
+
+def checkpoint_meta(market: AlignedMarket, env_config: EnvConfig,
+                    train_config: TrainConfig) -> dict:
+    """The meta block every checkpoint of a training run carries; a backtest reads it back."""
+    return {
+        "assets": list(market.asset_ids),
+        "benchmark": market.asset_ids[market.benchmark_index],
+        "window": env_config.window,
+        "mu": env_config.mu,
+        "arbitrage": env_config.arbitrage_enabled,
+        "seed": train_config.seed,
+    }
 
 
 def train(
@@ -270,6 +306,7 @@ def train(
     env = TradingEnv(market, env_config)
     buffer = ReplayBuffer(train_config.buffer_capacity)
     log = TrainLog()
+    meta = checkpoint_meta(market, env_config, train_config)
 
     step = 0
     episode = 0
@@ -306,8 +343,6 @@ def train(
                     and episode % checkpoint_every == 0):
                 save_checkpoint(
                     Path(checkpoint_dir) / f"checkpoint_ep{episode:05d}.json",
-                    actor, critic,
-                    {"assets": list(market.asset_ids), "window": env_config.window,
-                     "episode": episode, "step": step},
+                    actor, critic, {**meta, "episode": episode, "step": step},
                 )
     return actor, critic, log

@@ -7,6 +7,18 @@ count stays a free dimension. The two trading networks:
     actor:  (N, 4, m, n) price block -> (N, m+1) raw weight logits
     critic: (N, 5, m, n) price block plus replicated-action channel -> (N, 1)
 
+Layout. The public shapes are NCHW: ``Conv2D.forward`` takes and returns
+``(N, C, H, W)`` arrays and a conv weight is ``(out, in, kh, kw)``. The memory
+underneath is channels-last: a conv output is a transposed view of an
+``(N, H, W, C)`` buffer, so the next conv reads it without a copy and gathers
+each ``kh x kw`` patch as ``kh`` runs of ``kw * C`` contiguous values.
+
+Parameters. A ``Network`` owns one contiguous parameter vector ``flat`` and
+one gradient vector ``grad``; every layer's ``weight``, ``bias``,
+``d_weight`` and ``d_bias`` are views into them, so an optimizer step, a
+soft target update or a clone is one vector operation. Checkpoints still
+store one array per parameter in the layer shapes above (format version 1).
+
 ``minmax_action`` turns raw logits into a valid signed weight vector and has
 a hand-derived vector-Jacobian product so policy gradients can flow through
 the full deployed policy.
@@ -15,15 +27,15 @@ the full deployed policy.
 from __future__ import annotations
 
 import base64
-import copy
 import json
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ProtocolError
+from .errors import FormatError, ProtocolError
 from .portfolio_math import initial_weights
+
+_F8 = np.dtype(np.float64).itemsize
 
 
 def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
@@ -32,7 +44,14 @@ def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int
 
 
 class Conv2D:
+    """Valid stride-1 cross-correlation as one GEMM over channels-last patches.
+
+    The patch matrix has one row per output pixel and columns ordered
+    ``(i, j, c)``: kernel row, kernel column, input channel.
+    """
+
     kind = "conv2d"
+    param_names = ("weight", "bias")
 
     def __init__(self, in_channels: int, out_channels: int, kh: int, kw: int,
                  rng: np.random.Generator | None = None):
@@ -46,49 +65,55 @@ class Conv2D:
         else:
             self.weight = glorot_uniform(rng, (out_channels, in_channels, kh, kw), fan_in, fan_out)
         self.bias = np.zeros(out_channels)
-        self._x = None
         self._cols = None
+        self._in_shape = None
         self.d_weight = np.zeros_like(self.weight)
         self.d_bias = np.zeros_like(self.bias)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ValueError(f"conv expects (N, {self.in_channels}, H, W), got {x.shape}")
-        if x.shape[2] < self.kh or x.shape[3] < self.kw:
-            raise ValueError(f"input {x.shape} smaller than kernel ({self.kh}, {self.kw})")
-        n = x.shape[0]
-        ho, wo = x.shape[2] - self.kh + 1, x.shape[3] - self.kw + 1
-        # im2col: one GEMM per forward instead of a slow many-axis contraction.
-        windows = sliding_window_view(x, (self.kh, self.kw), axis=(2, 3))
-        cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5))
-        cols = cols.reshape(n * ho * wo, -1)
-        self._x = x
+        n, c, h, w = x.shape
+        kh, kw = self.kh, self.kw
+        if h < kh or w < kw:
+            raise ValueError(f"input {x.shape} smaller than kernel ({kh}, {kw})")
+        ho, wo = h - kh + 1, w - kw + 1
+        # Free when x came from a conv; the network input is copied once here.
+        xl = np.ascontiguousarray(x.transpose(0, 2, 3, 1), dtype=np.float64)
+        # Patch (b, i, j) is kh rows of kw*c contiguous values starting at
+        # xl[b, i + r, j, 0]; the reshape copies those runs into the rows.
+        row = w * c * _F8
+        patches = np.ndarray((n, ho, wo, kh, kw * c), dtype=np.float64, buffer=xl,
+                             strides=(h * row, row, c * _F8, row, _F8))
+        cols = patches.reshape(n * ho * wo, kh * kw * c)
         self._cols = cols
-        out = cols @ self.weight.reshape(self.out_channels, -1).T + self.bias
+        self._in_shape = (n, h, w, c)
+        out = cols @ self.weight.transpose(2, 3, 1, 0).reshape(-1, self.out_channels)
+        out += self.bias
         return out.reshape(n, ho, wo, self.out_channels).transpose(0, 3, 1, 2)
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._x is None:
+    def backward(self, dout: np.ndarray, input_grad: bool = True,
+                 param_grads: bool = True) -> np.ndarray | None:
+        if self._cols is None:
             raise ProtocolError("backward before forward")
-        x = self._x
-        n, _, ho, wo = dout.shape
+        n, h, w, c = self._in_shape
+        kh, kw = self.kh, self.kw
+        _, _, ho, wo = dout.shape
         dmat = np.ascontiguousarray(dout.transpose(0, 2, 3, 1)).reshape(n * ho * wo, -1)
-        self.d_weight = (dmat.T @ self._cols).reshape(self.weight.shape)
-        self.d_bias = dmat.sum(axis=0)
-        dcols = (dmat @ self.weight.reshape(self.out_channels, -1))
-        dcols = dcols.reshape(n, ho, wo, self.in_channels, self.kh, self.kw)
-        dcols = dcols.transpose(0, 3, 1, 2, 4, 5)
-        dx = np.zeros_like(x)
-        for i in range(self.kh):
-            for j in range(self.kw):
-                dx[:, :, i : i + ho, j : j + wo] += dcols[:, :, :, :, i, j]
-        return dx
-
-    def params(self):
-        return [self.weight, self.bias]
-
-    def grads(self):
-        return [self.d_weight, self.d_bias]
+        if param_grads:
+            dw = dmat.T @ self._cols
+            self.d_weight[...] = dw.reshape(self.out_channels, kh, kw, c).transpose(0, 3, 1, 2)
+            np.sum(dmat, axis=0, out=self.d_bias)
+        if not input_grad:
+            return None
+        # One GEMM per kernel tap gives that tap's patch gradient as
+        # contiguous (ho, wo*c) rows, added into the (N, H, W*c) rows of dx.
+        dx = np.zeros((n, h, w * c))
+        for i in range(kh):
+            for j in range(kw):
+                tap = dmat @ self.weight[:, :, i, j]
+                dx[:, i : i + ho, j * c : (j + wo) * c] += tap.reshape(n, ho, wo * c)
+        return dx.reshape(n, h, w, c).transpose(0, 3, 1, 2)
 
     def spec(self):
         return {"kind": self.kind, "in_channels": self.in_channels,
@@ -97,6 +122,7 @@ class Conv2D:
 
 class Dense:
     kind = "dense"
+    param_names = ("weight", "bias")
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator | None = None):
         self.in_dim, self.out_dim = in_dim, out_dim
@@ -113,45 +139,47 @@ class Dense:
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ValueError(f"dense expects (N, {self.in_dim}), got {x.shape}")
         self._x = x
-        return x @ self.weight + self.bias
+        out = x @ self.weight
+        out += self.bias
+        return out
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray, input_grad: bool = True,
+                 param_grads: bool = True) -> np.ndarray | None:
         if self._x is None:
             raise ProtocolError("backward before forward")
-        self.d_weight = self._x.T @ dout
-        self.d_bias = dout.sum(axis=0)
-        return dout @ self.weight.T
-
-    def params(self):
-        return [self.weight, self.bias]
-
-    def grads(self):
-        return [self.d_weight, self.d_bias]
+        if param_grads:
+            np.matmul(self._x.T, dout, out=self.d_weight)
+            np.sum(dout, axis=0, out=self.d_bias)
+        return dout @ self.weight.T if input_grad else None
 
     def spec(self):
         return {"kind": self.kind, "in_dim": self.in_dim, "out_dim": self.out_dim}
 
 
 class ReLU:
+    """Rectifier that works in place.
+
+    ``forward`` overwrites its input and ``backward`` its upstream gradient,
+    so both must be arrays no one else reads: in a ``Network`` a ReLU
+    follows a Conv2D or Dense layer, whose outputs and input gradients are
+    fresh, and ``Network.backward`` copies the gradient it is handed.
+    """
+
     kind = "relu"
+    param_names = ()
 
     def __init__(self):
         self._mask = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        return np.maximum(x, 0.0, out=x)
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray, input_grad: bool = True,
+                 param_grads: bool = True) -> np.ndarray:
         if self._mask is None:
             raise ProtocolError("backward before forward")
-        return np.where(self._mask, dout, 0.0)
-
-    def params(self):
-        return []
-
-    def grads(self):
-        return []
+        return np.multiply(dout, self._mask, out=dout)
 
     def spec(self):
         return {"kind": self.kind}
@@ -159,6 +187,7 @@ class ReLU:
 
 class Flatten:
     kind = "flatten"
+    param_names = ()
 
     def __init__(self):
         self._shape = None
@@ -167,16 +196,15 @@ class Flatten:
         self._shape = x.shape
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray, input_grad: bool = True,
+                 param_grads: bool = True) -> np.ndarray:
         if self._shape is None:
             raise ProtocolError("backward before forward")
-        return dout.reshape(self._shape)
-
-    def params(self):
-        return []
-
-    def grads(self):
-        return []
+        grad = dout.reshape(self._shape)
+        if grad.ndim != 4:
+            return grad
+        # Hand an image gradient back channels-last, the layout Conv2D reads.
+        return np.ascontiguousarray(grad.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
 
     def spec(self):
         return {"kind": self.kind}
@@ -186,11 +214,28 @@ _LAYER_KINDS = {"conv2d": Conv2D, "dense": Dense, "relu": ReLU, "flatten": Flatt
 
 
 class Network:
-    """Plain sequential stack. Forward caches activations for one backward pass."""
+    """Plain sequential stack. Forward caches activations for one backward pass.
+
+    ``flat`` holds every parameter and ``grad`` every parameter gradient, in
+    layer order; the layers' arrays are views into them.
+    """
 
     def __init__(self, layers: list):
         self.layers = layers
         self._forward_done = False
+        owned = [(layer, name) for layer in layers for name in layer.param_names]
+        size = sum(getattr(layer, name).size for layer, name in owned)
+        self.flat = np.empty(size)
+        self.grad = np.zeros(size)
+        offset = 0
+        for layer, name in owned:
+            value = getattr(layer, name)
+            end = offset + value.size
+            view = self.flat[offset:end].reshape(value.shape)
+            view[...] = value
+            setattr(layer, name, view)
+            setattr(layer, "d_" + name, self.grad[offset:end].reshape(value.shape))
+            offset = end
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = np.asarray(x, dtype=np.float64)
@@ -203,22 +248,31 @@ class Network:
         self._forward_done = True
         return out
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray, *, input_grad: bool = True,
+                 param_grads: bool = True) -> np.ndarray | None:
+        """Gradient of the input; parameter gradients land in ``grad``.
+
+        ``input_grad=False`` skips the first layer's input gradient and
+        returns None; ``param_grads=False`` leaves ``grad`` untouched.
+        """
         if not self._forward_done:
             raise ProtocolError("backward before forward")
-        grad = np.asarray(dout, dtype=np.float64)
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
+        grad = np.array(dout, dtype=np.float64)  # layers may overwrite it
+        for k in reversed(range(len(self.layers))):
+            grad = self.layers[k].backward(grad, input_grad=input_grad or k > 0,
+                                           param_grads=param_grads)
         return grad
 
     def params(self) -> list[np.ndarray]:
-        return [p for layer in self.layers for p in layer.params()]
+        return [getattr(layer, name) for layer in self.layers for name in layer.param_names]
 
     def grads(self) -> list[np.ndarray]:
-        return [g for layer in self.layers for g in layer.grads()]
+        return [getattr(layer, "d_" + name) for layer in self.layers for name in layer.param_names]
 
     def clone(self) -> "Network":
-        return copy.deepcopy(self)
+        twin = Network.from_spec(self.spec())
+        twin.flat[...] = self.flat
+        return twin
 
     def spec(self) -> list[dict]:
         return [layer.spec() for layer in self.layers]
@@ -362,25 +416,26 @@ def _encode_array(arr: np.ndarray) -> dict:
     return {"shape": list(arr.shape), "data": base64.b64encode(data.tobytes()).decode("ascii")}
 
 
-def _decode_array(entry: dict) -> np.ndarray:
-    buf = base64.b64decode(entry["data"])
-    return np.frombuffer(buf, dtype="<f8").reshape(entry["shape"]).astype(np.float64)
-
-
 def _net_payload(net: Network) -> dict:
     return {"spec": net.spec(), "params": [_encode_array(p) for p in net.params()]}
 
 
-def _net_from_payload(payload: dict) -> Network:
-    net = Network.from_spec(payload["spec"])
-    params = net.params()
-    if len(params) != len(payload["params"]):
-        raise ValueError("parameter count does not match layer spec")
-    for target, entry in zip(params, payload["params"]):
-        arr = _decode_array(entry)
-        if arr.shape != target.shape:
-            raise ValueError(f"parameter shape {arr.shape} != expected {target.shape}")
-        target[...] = arr
+def _net_from_payload(payload: dict, name: str) -> Network:
+    """Rebuild a network from its spec and write each stored array into its view."""
+    try:
+        net = Network.from_spec(payload["spec"])
+        entries = payload["params"]
+        params = net.params()
+        if len(entries) != len(params):
+            raise FormatError(f"{len(entries)} parameter arrays for a spec with {len(params)}")
+        for target, entry in zip(params, entries):
+            arr = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8")
+            arr = arr.reshape(entry["shape"])
+            if arr.shape != target.shape:
+                raise FormatError(f"parameter shape {arr.shape} != expected {target.shape}")
+            target[...] = arr
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"malformed {name} network in checkpoint: {exc}") from exc
     return net
 
 
@@ -395,11 +450,21 @@ def save_checkpoint(path: str | Path, actor: Network, critic: Network, meta: dic
 
 
 def load_checkpoint(path: str | Path) -> tuple[Network, Network, dict]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format_version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {payload.get('format_version')!r}")
+    """Actor, critic and meta of a checkpoint; a malformed file raises FormatError."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise FormatError(f"{path} is not a JSON checkpoint: {exc}") from exc
+    version = payload.get("format_version") if isinstance(payload, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise FormatError(f"unsupported checkpoint version {version!r}")
+    missing = [key for key in ("actor", "critic", "meta") if key not in payload]
+    if missing:
+        raise FormatError(f"checkpoint lacks {', '.join(missing)}")
+    if not isinstance(payload["meta"], dict):
+        raise FormatError("checkpoint meta is not an object")
     return (
-        _net_from_payload(payload["actor"]),
-        _net_from_payload(payload["critic"]),
+        _net_from_payload(payload["actor"], "actor"),
+        _net_from_payload(payload["critic"], "critic"),
         payload["meta"],
     )

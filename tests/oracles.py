@@ -53,6 +53,28 @@ def conv2d_naive(x, weight, bias):
     return out
 
 
+def conv2d_backward_naive(x, weight, dout):
+    """Gradients of sum(dout * conv2d_naive(x, weight, bias)) for weight, bias and x, by loops."""
+    n, c_in, _, _ = x.shape
+    c_out, _, kh, kw = weight.shape
+    _, _, ho, wo = dout.shape
+    d_weight = np.zeros(weight.shape)
+    d_bias = np.zeros(c_out)
+    dx = np.zeros(x.shape)
+    for b in range(n):
+        for o in range(c_out):
+            for i in range(ho):
+                for j in range(wo):
+                    g = dout[b, o, i, j]
+                    d_bias[o] += g
+                    for c in range(c_in):
+                        for p in range(kh):
+                            for q in range(kw):
+                                d_weight[o, c, p, q] += g * x[b, c, i + p, j + q]
+                                dx[b, c, i + p, j + q] += g * weight[o, c, p, q]
+    return d_weight, d_bias, dx
+
+
 def dense_naive(x, weight, bias):
     n, d = x.shape
     _, u = weight.shape
@@ -111,3 +133,20 @@ def soft_update_elementwise(target, online, tau):
             flat_b[i] = tau * flat_o[i] + (1.0 - tau) * flat_t[i]
         out.append(blended)
     return out
+
+
+def adam_per_array(params, grad_steps, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam applied array by array to copies of ``params``, one step per gradient list."""
+    params = [p.copy() for p in params]
+    ms = [np.zeros_like(p) for p in params]
+    vs = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grad_steps, 1):
+        b1t = 1.0 - beta1**t
+        b2t = 1.0 - beta2**t
+        for p, g, m, v in zip(params, grads, ms, vs):
+            m *= beta1
+            m += (1 - beta1) * g
+            v *= beta2
+            v += (1 - beta2) * g * g
+            p -= lr * (m / b1t) / (np.sqrt(v / b2t) + eps)
+    return params

@@ -192,6 +192,42 @@ class TestBacktest:
                     "--test-start", market.dates[2], "--test-end", market.dates[50]])
         assert code == EXIT_CONFIG
 
+    def test_periodic_checkpoint_backtests(self, market_dir, tmp_path):
+        d, market = market_dir
+        out = tmp_path / "snap"
+        assert run(train_args(d, out, **{"checkpoint-every": 1})) == EXIT_OK
+        meta = json.loads((out / "checkpoint_ep00001.json").read_text())["meta"]
+        assert meta["episode"] == 1 and meta["step"] == 10
+        code = run(["backtest", out / "checkpoint_ep00001.json", "--market-dir", d,
+                    "--out", tmp_path / "bt",
+                    "--test-start", market.dates[40], "--test-end", market.dates[90]])
+        assert code == EXIT_OK
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda text: text[: len(text) // 2],
+        lambda text: text.replace('"format_version": 1', '"format_version": 7'),
+        lambda text: text.replace('"benchmark"', '"benchmark_id"'),
+    ], ids=["truncated", "version", "meta-key"])
+    def test_malformed_checkpoint_is_data_error(self, market_dir, tmp_path, capsys, corrupt):
+        d, market = market_dir
+        ckpt = fully_invested_checkpoint(tmp_path / "ckpt.json", market)
+        ckpt.write_text(corrupt(ckpt.read_text()))
+        code = run(["backtest", ckpt, "--market-dir", d, "--out", tmp_path / "bt",
+                    "--test-start", market.dates[40], "--test-end", market.dates[90]])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("window, expected", [("50", EXIT_CONFIG), ("7", EXIT_CONFIG),
+                                                  ("6", EXIT_OK)])
+    def test_explicit_window_must_match(self, market_dir, tmp_path, window, expected):
+        d, market = market_dir
+        ckpt = fully_invested_checkpoint(tmp_path / "ckpt.json", market, window=6)
+        code = run(["backtest", ckpt, "--market-dir", d, "--out", tmp_path / "bt",
+                    "--window", window,
+                    "--test-start", market.dates[40], "--test-end", market.dates[90]])
+        assert code == expected
+
     def test_market_dir_from_config(self, market_dir, tmp_path):
         d, market = market_dir
         ckpt = fully_invested_checkpoint(tmp_path / "ckpt.json", market)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drlfolio.ddpg import (
     DDPG,
@@ -11,10 +13,10 @@ from drlfolio.ddpg import (
     soft_update,
     train,
 )
-from drlfolio.neural import build_actor, build_critic
+from drlfolio.neural import build_actor, build_critic, load_checkpoint, save_checkpoint
 from drlfolio.synthetic import drift_market
 from drlfolio.trading_env import EnvConfig, TradingEnv
-from oracles import central_difference, relative_error, soft_update_elementwise
+from oracles import adam_per_array, central_difference, relative_error, soft_update_elementwise
 
 
 def fill_buffer(env, buffer, steps, rng):
@@ -114,6 +116,71 @@ class TestExploreAction:
         assert np.array_equal(a, b)
 
 
+def assert_flat_views(net):
+    """Every layer array is a view into the network's flat buffers, in layer order."""
+    for layer in net.layers:
+        for name in layer.param_names:
+            assert np.shares_memory(getattr(layer, name), net.flat)
+            assert np.shares_memory(getattr(layer, "d_" + name), net.grad)
+    assert np.array_equal(np.concatenate([p.ravel() for p in net.params()]), net.flat)
+    assert np.array_equal(np.concatenate([g.ravel() for g in net.grads()]), net.grad)
+
+
+class TestFlatBuffers:
+    @settings(max_examples=15, deadline=None)
+    @given(m=st.integers(1, 3), window=st.integers(5, 8), seed=st.integers(0, 2**32 - 1),
+           tau=st.floats(0.0, 1.0))
+    def test_views_survive_every_operation(self, tmp_path_factory, m, window, seed, tau):
+        rng = np.random.default_rng(seed)
+        net = build_actor(m, window, rng)
+        assert_flat_views(net)
+        twin = net.clone()
+        assert_flat_views(twin)
+        assert twin.flat.tobytes() == net.flat.tobytes()
+        assert not np.shares_memory(twin.flat, net.flat)
+
+        path = tmp_path_factory.mktemp("ckpt") / "ckpt.json"
+        save_checkpoint(path, net, build_critic(m, window, rng), {})
+        loaded, _, _ = load_checkpoint(path)
+        assert_flat_views(loaded)
+        assert loaded.flat.tobytes() == net.flat.tobytes()
+
+        Adam(1e-3).step(net.flat, rng.standard_normal(net.flat.size))
+        assert_flat_views(net)
+        soft_update(twin, net, tau)
+        assert_flat_views(twin)
+        assert_flat_views(net)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), lr=st.floats(1e-6, 1e-1), steps=st.integers(1, 4),
+           window=st.sampled_from([6, 30]))
+    def test_adam_matches_per_array_reference(self, seed, lr, steps, window):
+        rng = np.random.default_rng(seed)
+        net = build_critic(2, window, rng)  # window 30: more than one Adam block
+        grad_steps = [[rng.standard_normal(p.shape) for p in net.params()] for _ in range(steps)]
+        expected = adam_per_array(net.params(), grad_steps, lr)
+        opt = Adam(lr)
+        for grads in grad_steps:
+            opt.step(net.flat, np.concatenate([g.ravel() for g in grads]))
+        for p, e in zip(net.params(), expected):
+            assert p.tobytes() == e.tobytes()
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), tau=st.floats(0.0, 1.0))
+    def test_soft_update_matches_elementwise_oracle(self, seed, tau):
+        rng = np.random.default_rng(seed)
+        target, online = build_actor(2, 6, rng), build_actor(2, 6, rng)
+        expected = soft_update_elementwise([p.copy() for p in target.params()],
+                                           [p.copy() for p in online.params()], tau)
+        soft_update(target, online, tau)
+        for t, e in zip(target.params(), expected):
+            assert t.tobytes() == e.tobytes()
+
+    def test_soft_update_refuses_other_layout(self, rng):
+        with pytest.raises(ValueError, match="layout"):
+            soft_update(build_actor(2, 6, rng), build_actor(3, 6, rng), 0.5)
+
+
 class TestSoftUpdate:
     def test_tau_one_copies(self, rng):
         target, online = build_actor(2, 6, rng), build_actor(2, 6, rng)
@@ -198,6 +265,17 @@ class TestCriticUpdate:
                 checked += 1
         assert checked > 20
 
+    def test_returned_grads_are_not_overwritten(self, tiny_setup):
+        env, agent, buffer, _ = tiny_setup
+        batch = buffer.sample(8, np.random.default_rng(6))
+        _, critic_grads = agent.critic_loss_and_grads(batch)
+        _, actor_grads = agent.actor_objective_and_grads(batch)
+        kept = [g.copy() for g in critic_grads + actor_grads]
+        agent.update_critic(buffer.sample(8, np.random.default_rng(7)))
+        agent.update_actor(buffer.sample(8, np.random.default_rng(8)))
+        for g, k in zip(critic_grads + actor_grads, kept):
+            assert np.array_equal(g, k)
+
     def test_update_moves_loss_down(self, tiny_setup):
         env, agent, buffer, _ = tiny_setup
         batch = buffer.sample(8, np.random.default_rng(7))
@@ -241,6 +319,20 @@ class TestActorUpdate:
         history = [agent.update_actor(batch) for _ in range(30)]
         assert history[-1] > history[0]
 
+    def test_updates_step_along_public_grads(self, tiny_setup):
+        env, agent, buffer, config = tiny_setup
+        batch = buffer.sample(8, np.random.default_rng(13))
+        _, critic_grads = agent.critic_loss_and_grads(batch)
+        expected = adam_per_array(agent.critic.params(), [critic_grads], config.critic_lr)
+        agent.update_critic(batch)
+        assert [p.tobytes() for p in agent.critic.params()] == [e.tobytes() for e in expected]
+
+        _, actor_grads = agent.actor_objective_and_grads(batch)
+        ascent = [[-g for g in actor_grads]]
+        expected = adam_per_array(agent.actor.params(), ascent, config.actor_lr)
+        agent.update_actor(batch)
+        assert [p.tobytes() for p in agent.actor.params()] == [e.tobytes() for e in expected]
+
     def test_critic_parameters_untouched_by_actor_update(self, tiny_setup):
         env, agent, buffer, _ = tiny_setup
         before = [p.copy() for p in agent.critic.params()]
@@ -253,14 +345,14 @@ class TestAdam:
     def test_zero_gradient_no_step(self):
         opt = Adam(0.1)
         p = np.ones(3)
-        opt.step([p], [np.zeros(3)])
+        opt.step(p, np.zeros(3))
         assert np.array_equal(p, np.ones(3))
 
     def test_descends_quadratic(self):
         opt = Adam(0.05)
         p = np.array([3.0])
         for _ in range(400):
-            opt.step([p], [2.0 * p])
+            opt.step(p, 2.0 * p)
         assert abs(p[0]) < 1e-2
 
 

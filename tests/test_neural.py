@@ -1,7 +1,12 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from drlfolio.errors import ProtocolError
+from drlfolio.errors import FormatError, ProtocolError
 from drlfolio.neural import (
     Conv2D,
     Dense,
@@ -19,7 +24,15 @@ from drlfolio.neural import (
     minmax_vjp_batch,
     save_checkpoint,
 )
-from oracles import central_difference, conv2d_naive, dense_naive, relative_error
+from oracles import (
+    central_difference,
+    conv2d_backward_naive,
+    conv2d_naive,
+    dense_naive,
+    relative_error,
+)
+
+DATA = Path(__file__).parent / "data"
 
 
 def scalar_loss(net, x, probe):
@@ -119,6 +132,41 @@ class TestLayersForward:
             Dense(6, 2, rng).forward(rng.standard_normal((3, 5)))
 
 
+def channels_last(x):
+    """The same NCHW values held in channels-last memory."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+class TestConvProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 3), c=st.integers(1, 3), o=st.integers(1, 3),
+           kh=st.integers(1, 2), kw=st.integers(1, 4),
+           extra_h=st.integers(0, 2), extra_w=st.integers(0, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_loop_oracles(self, n, c, o, kh, kw, extra_h, extra_w, seed):
+        rng = np.random.default_rng(seed)
+        conv = Conv2D(c, o, kh, kw, rng)
+        conv.bias[...] = rng.standard_normal(o)
+        x = rng.standard_normal((n, c, kh + extra_h, kw + extra_w))
+        out = conv.forward(x)
+        assert out.shape == (n, o, extra_h + 1, extra_w + 1)
+        np.testing.assert_allclose(out, conv2d_naive(x, conv.weight, conv.bias), rtol=0, atol=1e-12)
+
+        dout = rng.standard_normal(out.shape)
+        dx = conv.backward(dout)
+        d_weight, d_bias, dx_ref = conv2d_backward_naive(x, conv.weight, dout)
+        np.testing.assert_allclose(conv.d_weight, d_weight, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(conv.d_bias, d_bias, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dx, dx_ref, rtol=0, atol=1e-12)
+
+        # The memory layout of the arguments does not change a single bit.
+        grads = (dx, conv.d_weight.copy(), conv.d_bias.copy())
+        assert np.array_equal(conv.forward(channels_last(x)), out)
+        again = conv.backward(channels_last(dout))
+        assert np.array_equal(again, grads[0])
+        assert np.array_equal(conv.d_weight, grads[1]) and np.array_equal(conv.d_bias, grads[2])
+
+
 class TestBackward:
     def test_backward_before_forward(self, rng):
         net = Network([Dense(3, 2, rng)])
@@ -172,6 +220,22 @@ class TestBackward:
         for i in rng.choice(flat.size, size=10, replace=False):
             fd = central_difference(lambda: scalar_loss(net, x, probe), flat, i)
             assert relative_error(fd, dx.reshape(-1)[i]) < 1e-4
+
+    def test_skipped_gradients(self, rng):
+        net = Network([Conv2D(2, 2, 1, 3, rng), ReLU(), Flatten(), Dense(2 * 3 * 4, 2, rng)])
+        x = rng.standard_normal((2, 2, 3, 6))
+        g = rng.standard_normal((2, 2))
+        net.forward(x)
+        dx = net.backward(g)
+        full = net.grad.copy()
+        net.grad[...] = 0.0
+        net.forward(x)
+        assert net.backward(g, input_grad=False) is None
+        assert np.array_equal(net.grad, full)
+        net.grad[...] = 7.0
+        net.forward(x)
+        assert np.array_equal(net.backward(g, param_grads=False), dx)
+        assert np.all(net.grad == 7.0)
 
     def test_full_actor_and_critic_gradcheck(self, rng):
         actor = build_actor(5, 50, rng)
@@ -283,4 +347,88 @@ class TestCheckpoint:
         mangled = path.read_text().replace('"format_version": 1', '"format_version": 99')
         path.write_text(mangled)
         with pytest.raises(ValueError, match="version"):
+            load_checkpoint(path)
+
+    def test_older_checkpoint_loads_bitwise(self, tmp_path):
+        """A checkpoint written before parameters moved into flat buffers loads bit for bit.
+
+        ``data/checkpoint_v1.json`` holds two small networks (a 1x2 and a 2x2
+        conv, then a dense head) drawn from default_rng(2024) as below, and
+        the actor's output on default_rng(7) input as the older code computed
+        it. The conv sums its taps in another order now, so that output agrees
+        to rounding; everything else agrees bit for bit, including the bytes
+        save_checkpoint writes.
+        """
+        def tiny_net(in_channels, rng):
+            return Network([Conv2D(in_channels, 3, 1, 2, rng), ReLU(), Conv2D(3, 2, 2, 2, rng),
+                            ReLU(), Flatten(), Dense(12, 3, rng)])
+
+        rng = np.random.default_rng(2024)
+        actor, critic = tiny_net(2, rng), tiny_net(3, rng)
+        for net in (actor, critic):
+            for p in net.params():
+                if p.ndim == 1:
+                    p[...] = rng.uniform(-0.1, 0.1, size=p.shape)
+
+        path = DATA / "checkpoint_v1.json"
+        loaded_actor, loaded_critic, meta = load_checkpoint(path)
+        for built, loaded in ((actor, loaded_actor), (critic, loaded_critic)):
+            assert loaded.spec() == built.spec()
+            assert loaded.flat.tobytes() == built.flat.tobytes()
+        x = np.random.default_rng(meta["input_seed"]).standard_normal((2, 2, 3, 5))
+        out = loaded_actor.forward(x)
+        assert out.tobytes() == actor.forward(x).tobytes()
+        np.testing.assert_allclose(out, meta["actor_output"], rtol=0, atol=1e-14)
+
+        save_checkpoint(tmp_path / "again.json", actor, critic, meta)
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+def _drop(key):
+    def mangle(payload):
+        del payload[key]
+    return mangle
+
+
+def _drop_last_actor_param(payload):
+    payload["actor"]["params"].pop()
+
+
+def _reshape_first_actor_param(payload):
+    entry = payload["actor"]["params"][0]
+    entry["shape"] = [int(np.prod(entry["shape"])), 1, 1, 1]
+
+
+def _truncate_first_critic_param(payload):
+    entry = payload["critic"]["params"][0]
+    entry["data"] = entry["data"][:8]
+
+
+class TestMalformedCheckpoint:
+    @pytest.fixture
+    def payload(self):
+        return json.loads((DATA / "checkpoint_v1.json").read_text())
+
+    def test_invalid_json(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        path.write_text('{"format_version": 1, "actor": ')
+        with pytest.raises(FormatError, match="not a JSON checkpoint"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("mangle, message", [
+        (lambda p: p.update(format_version=2), "version"),
+        (_drop("format_version"), "version"),
+        (_drop("actor"), "lacks actor"),
+        (_drop("critic"), "lacks critic"),
+        (_drop("meta"), "lacks meta"),
+        (_drop_last_actor_param, "parameter arrays for a spec"),
+        (_reshape_first_actor_param, "parameter shape"),
+        (_truncate_first_critic_param, "malformed critic"),
+    ], ids=["version", "no-version", "no-actor", "no-critic", "no-meta",
+            "param-count", "param-shape", "param-bytes"])
+    def test_rejected_with_format_error(self, tmp_path, payload, mangle, message):
+        mangle(payload)
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match=message):
             load_checkpoint(path)
