@@ -8,7 +8,7 @@ market value over the book's total absolute exposure.
 import numpy as np
 
 from drlfolio import (
-    enforce_arbitrage,
+    enforce_arbitrage_batch,
     evolve_weights,
     initial_weights,
     normalize_signed,
@@ -29,7 +29,8 @@ print("normalized:", np.round(w, 4), "| sum of |w| =", np.abs(w).sum())
 # a one-sided book gets its benchmark sign reversed.
 one_sided = normalize_signed(np.array([0.1, 0.5, 0.2, 0.2]))
 print("before sign rule:", np.round(one_sided, 4))
-print("after  sign rule:", np.round(enforce_arbitrage(one_sided), 4))
+flipped_book, flipped = enforce_arbitrage_batch(one_sided)
+print("after  sign rule:", np.round(flipped_book, 4), "| benchmark flipped:", bool(flipped))
 
 # Prices move, weights drift passively: values scale, then renormalize.
 w = normalize_signed(np.array([0.2, 0.5, -0.3]))

@@ -12,7 +12,7 @@ from .market_data import (
     relative_prices,
 )
 from .portfolio_math import (
-    enforce_arbitrage,
+    enforce_arbitrage_batch,
     evolve_weights,
     initial_weights,
     normalize_signed,
@@ -27,12 +27,22 @@ from .neural import (
     Network,
     build_actor,
     build_critic,
-    critic_input,
+    critic_input_batch,
     load_checkpoint,
-    minmax_action,
+    minmax_action_batch,
     save_checkpoint,
 )
-from .ddpg import DDPG, ReplayBuffer, TrainConfig, TrainLog, explore_action, greedy_policy, soft_update, train
+from .ddpg import (
+    DDPG,
+    ReplayBuffer,
+    TrainConfig,
+    TrainLog,
+    explore_action,
+    greedy_policy,
+    policy_weights,
+    soft_update,
+    train,
+)
 from .analytics import BacktestReport, max_drawdown, metric_suite, run_backtest, training_slope
 from .baseline_factor import FactorPanel, factor_score, run_factor_backtest, select_weights
 

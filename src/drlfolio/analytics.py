@@ -56,6 +56,25 @@ class BacktestReport:
         if np.any(self.values <= 0):
             raise ValueError("portfolio value must stay positive")
 
+    @classmethod
+    def from_days(cls, market: AlignedMarket, start: int, values: list[float],
+                  weights: list[np.ndarray], costs: list[float],
+                  log_returns: list[float]) -> "BacktestReport":
+        """Report of the decisions made on days start, start + 1, ...: one weight
+        vector, cost and log return per day, values with the starting 1.0 first."""
+        end = start + len(weights)
+        values = np.array(values)
+        return cls(
+            day_indices=tuple(range(start + 1, end + 1)),
+            dates=tuple(market.dates[start + 1 : end + 1]),
+            asset_ids=market.asset_ids,
+            values=values,
+            weights=np.stack(weights),
+            costs=np.array(costs),
+            log_returns=np.array(log_returns),
+            simple_returns=values[1:] / values[:-1] - 1.0,
+        )
+
 
 def run_backtest(
     policy: Callable[[EnvState], np.ndarray],
@@ -94,17 +113,7 @@ def run_backtest(
         state = transition.next_state
         done = transition.done
 
-    values = np.array(values)
-    return BacktestReport(
-        day_indices=tuple(range(start + 1, end + 1)),
-        dates=tuple(market.dates[start + 1 : end + 1]),
-        asset_ids=market.asset_ids,
-        values=values,
-        weights=np.stack(weights),
-        costs=np.array(costs),
-        log_returns=np.array(log_returns),
-        simple_returns=values[1:] / values[:-1] - 1.0,
-    )
+    return BacktestReport.from_days(market, start, values, weights, costs, log_returns)
 
 
 def max_drawdown(values: np.ndarray) -> float:

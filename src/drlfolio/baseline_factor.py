@@ -125,15 +125,5 @@ def run_factor_backtest(
         weights.append(w)
         log_returns.append(r)
 
-    values = np.array(values)
-    steps = end - start
-    return BacktestReport(
-        day_indices=tuple(range(start + 1, end + 1)),
-        dates=tuple(market.dates[start + 1 : end + 1]),
-        asset_ids=market.asset_ids,
-        values=values,
-        weights=np.stack(weights),
-        costs=np.zeros(steps),
-        log_returns=np.array(log_returns),
-        simple_returns=values[1:] / values[:-1] - 1.0,
-    )
+    return BacktestReport.from_days(market, start, values, weights, [0.0] * len(weights),
+                                    log_returns)

@@ -10,13 +10,21 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .analytics import METRIC_NAMES, metric_suite, run_backtest, training_slope, write_report
+from .analytics import (
+    METRIC_NAMES,
+    BacktestReport,
+    metric_suite,
+    run_backtest,
+    training_slope,
+    write_report,
+)
 from .baseline_factor import load_factor_csv, run_factor_backtest
-from .ddpg import TrainConfig, checkpoint_meta, greedy_policy, train
+from .ddpg import TrainConfig, check_checkpoint, checkpoint_meta, greedy_policy, train
 from .errors import (
     AlignmentError,
     ConfigError,
@@ -24,7 +32,7 @@ from .errors import (
     InsufficientUniverseError,
     WindowError,
 )
-from .market_data import AlignedMarket, align, load_csv
+from .market_data import AlignedMarket, PriceSeries, align, load_csv
 from .neural import load_checkpoint, save_checkpoint
 from .trading_env import EnvConfig
 
@@ -33,62 +41,63 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_CONFIG = 4
 
-TRAIN_WINDOW = 50
+# A training run without a configured window uses EnvConfig's.
+TRAIN_WINDOW = EnvConfig.window
 
-_DEFAULTS: dict[str, object] = {
-    "market_dir": "",
-    "factor_csv": "",
-    "checkpoint": "",
-    "out": "",
-    "benchmark": "",
-    "group": "experiment_1",
+_ALL = ("ingest", "train", "backtest", "compare")
+_TRAIN_FIELDS = {f.name: f.default for f in fields(TrainConfig)}
+
+# Every config key: its default, and the subcommands that also take it as a
+# --flag. The value type (int for a None default) parses both the config file
+# and the flag. TrainConfig keys and their defaults come from its fields.
+_KEYS: dict[str, tuple[object, tuple[str, ...]]] = {
+    "market_dir": ("", ("backtest", "compare")),
+    "factor_csv": ("", ()),
+    "checkpoint": ("", ()),
+    "out": ("", _ALL),
+    "benchmark": ("", _ALL),
+    "group": ("experiment_1", ("compare",)),
     # None unless a file or flag sets it: train falls back to TRAIN_WINDOW and
     # a backtest takes the checkpoint's window.
-    "window": None,
-    "episode_len": 252,
-    "mu": 0.0025,
-    "arbitrage": True,
-    "leverage": "",
-    "train_start": "",
-    "train_end": "",
-    "test_start": "",
-    "test_end": "",
-    "total_steps": 300_000,
-    "batch_size": 64,
-    "buffer_capacity": 600,
-    "critic_lr": 5e-4,
-    "actor_lr": 4e-5,
-    "noise_mean": 0.05,
-    "noise_var": 0.25,
-    "discount": 0.99,
-    "tau": 0.001,
-    "seed": 0,
-    "checkpoint_every": 0,
-    "long_n": 20,
-    "short_n": 20,
+    "window": (None, _ALL),
+    "episode_len": (EnvConfig.episode_len, _ALL),
+    "mu": (EnvConfig.mu, _ALL),
+    "arbitrage": (EnvConfig.arbitrage_enabled, ()),
+    "leverage": ("", ()),
+    "train_start": ("", _ALL),
+    "train_end": ("", _ALL),
+    "test_start": ("", _ALL),
+    "test_end": ("", _ALL),
+    **{name: (default, _ALL if name in ("total_steps", "seed") else ())
+       for name, default in _TRAIN_FIELDS.items()},
+    "checkpoint_every": (0, _ALL),
+    "long_n": (20, ("compare",)),
+    "short_n": (20, ("compare",)),
 }
+_DEFAULTS = {key: default for key, (default, _) in _KEYS.items()}
 
 
 class UsageError(Exception):
     pass
 
 
-def _coerce(key: str, raw: str) -> object:
+def _kind(key: str) -> type:
     default = _DEFAULTS[key]
-    if default is None:
-        return int(raw)
-    if isinstance(default, bool):
+    return int if default is None else type(default)
+
+
+def _coerce(key: str, raw: str) -> object:
+    kind = _kind(key)
+    if kind is bool:
         low = raw.strip().lower()
         if low in ("1", "true", "on", "yes"):
             return True
         if low in ("0", "false", "off", "no"):
             return False
         raise ConfigError(f"config key {key}: expected a boolean, got {raw!r}")
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    return raw.strip()
+    if kind is str:
+        return raw.strip()
+    return kind(raw)
 
 
 def read_config_file(path: str | Path) -> dict[str, object]:
@@ -123,7 +132,8 @@ def build_settings(args: argparse.Namespace, **command_defaults: object) -> dict
     return settings
 
 
-def _load_market_dir(market_dir: str, benchmark: str, only: list[str] | None = None) -> AlignedMarket:
+def _read_series(market_dir: str, only: list[str] | None = None) -> list[PriceSeries]:
+    """Parse the directory's CSV files in name order; with ``only``, just those assets'."""
     if not market_dir:
         raise UsageError("a market directory is required (positional, --market-dir or config)")
     root = Path(market_dir)
@@ -131,14 +141,23 @@ def _load_market_dir(market_dir: str, benchmark: str, only: list[str] | None = N
         raise UsageError(f"market directory {market_dir!r} does not exist")
     paths = sorted(root.glob("*.csv"))
     if only is not None:
-        wanted = set(only)
-        paths = [p for p in paths if p.stem in wanted]
-        missing = wanted - {p.stem for p in paths}
-        if missing:
-            raise FormatError(f"missing price files for assets: {sorted(missing)}")
+        paths = _select(paths, only, lambda p: p.stem)
     if not paths:
         raise UsageError(f"no CSV files in {market_dir!r}")
-    series = [load_csv(p) for p in paths]
+    return [load_csv(p) for p in paths]
+
+
+def _select(items: list, assets: list[str], name) -> list:
+    """The items whose ``name`` is one of ``assets``, in their order; none may be missing."""
+    wanted = set(assets)
+    kept = [item for item in items if name(item) in wanted]
+    missing = wanted - {name(item) for item in kept}
+    if missing:
+        raise FormatError(f"missing price files for assets: {sorted(missing)}")
+    return kept
+
+
+def _align(series: list[PriceSeries], benchmark: str) -> AlignedMarket:
     if not benchmark:
         benchmark = series[-1].asset_id
         print(f"note: no benchmark configured, defaulting to {benchmark!r}")
@@ -188,18 +207,7 @@ def _env_config(settings: dict[str, object]) -> EnvConfig:
 
 
 def _train_config(settings: dict[str, object]) -> TrainConfig:
-    return TrainConfig(
-        batch_size=int(settings["batch_size"]),
-        buffer_capacity=int(settings["buffer_capacity"]),
-        critic_lr=float(settings["critic_lr"]),
-        actor_lr=float(settings["actor_lr"]),
-        total_steps=int(settings["total_steps"]),
-        noise_mean=float(settings["noise_mean"]),
-        noise_var=float(settings["noise_var"]),
-        discount=float(settings["discount"]),
-        tau=float(settings["tau"]),
-        seed=int(settings["seed"]),
-    )
+    return TrainConfig(**{name: settings[name] for name in _TRAIN_FIELDS})
 
 
 def _require_out(settings: dict[str, object]) -> Path:
@@ -215,7 +223,7 @@ def _require_out(settings: dict[str, object]) -> Path:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     settings = build_settings(args)
-    market = _load_market_dir(args.market_dir, str(settings["benchmark"]))
+    market = _align(_read_series(str(settings["market_dir"])), str(settings["benchmark"]))
     print(f"assets: {market.n_assets}")
     print(f"benchmark: {market.asset_ids[market.benchmark_index]}")
     print(f"days: {len(market)} ({market.dates[0]} to {market.dates[-1]})")
@@ -232,8 +240,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     settings = build_settings(args, window=TRAIN_WINDOW)
     _check_out_of_sample(settings)
     out = _require_out(settings)
-    market = _load_market_dir(str(settings["market_dir"]) or args.market_dir,
-                              str(settings["benchmark"]))
+    market = _align(_read_series(str(settings["market_dir"])), str(settings["benchmark"]))
     if settings["train_start"] or settings["train_end"]:
         lo, hi = _resolve_range(market, str(settings["train_start"]),
                                 str(settings["train_end"]), "train")
@@ -258,13 +265,21 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _backtest_drl(settings: dict[str, object], checkpoint: str):
-    actor, _critic, meta = load_checkpoint(checkpoint)
-    missing = [key for key in ("assets", "benchmark", "window") if key not in meta]
-    if missing:
-        raise FormatError(f"checkpoint meta lacks {', '.join(missing)}")
-    market = _load_market_dir(str(settings["market_dir"]), str(meta["benchmark"]),
-                              only=list(meta["assets"]))
+def _backtest_drl(settings: dict[str, object],
+                  universe: list[PriceSeries] | None = None) -> BacktestReport:
+    """Greedy backtest of the configured checkpoint over its own assets.
+
+    The assets' series come from ``universe`` when the caller has parsed the
+    market directory already, and are read from it otherwise.
+    """
+    actor, _critic, meta = load_checkpoint(str(settings["checkpoint"]))
+    check_checkpoint(actor, meta)
+    assets = list(meta["assets"])
+    if universe is None:
+        series = _read_series(str(settings["market_dir"]), only=assets)
+    else:
+        series = _select(universe, assets, lambda s: s.asset_id)
+    market = _align(series, str(meta["benchmark"]))
     window = int(meta["window"])
     if settings["window"] is not None and int(settings["window"]) != window:
         raise ConfigError(
@@ -284,17 +299,14 @@ def _backtest_drl(settings: dict[str, object], checkpoint: str):
         arbitrage_enabled=bool(meta.get("arbitrage", True)),
     )
     policy = greedy_policy(actor, arbitrage=config.arbitrage_enabled)
-    report = run_backtest(policy, market, config, lo - 1, hi)
-    return report
+    return run_backtest(policy, market, config, lo - 1, hi)
 
 
 def cmd_backtest(args: argparse.Namespace) -> int:
     settings = build_settings(args)
     _check_out_of_sample(settings)
     out = _require_out(settings)
-    checkpoint = str(settings["checkpoint"]) or args.checkpoint
-    report = _backtest_drl(settings, checkpoint)
-    metrics = write_report(report, out)
+    metrics = write_report(_backtest_drl(settings), out)
     for name in METRIC_NAMES:
         print(f"{name} = {metrics[name]!r}")
     print(f"wrote report files to {out}")
@@ -306,11 +318,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     _check_out_of_sample(settings)
     out = _require_out(settings)
 
-    drl_report = _backtest_drl(settings, str(settings["checkpoint"]) or args.checkpoint)
-    drl_metrics = metric_suite(drl_report)
+    # Parse the directory once: the agent's assets are a subset of the universe.
+    universe = _read_series(str(settings["market_dir"]))
+    drl_metrics = metric_suite(_backtest_drl(settings, universe))
 
-    factor_market = _load_market_dir(str(settings["market_dir"]), str(settings["benchmark"]))
-    panel = load_factor_csv(str(settings["factor_csv"]) or args.factor_csv, factor_market)
+    factor_market = _align(universe, str(settings["benchmark"]))
+    panel = load_factor_csv(str(settings["factor_csv"]), factor_market)
     lo, hi = _resolve_range(factor_market, str(settings["test_start"]),
                             str(settings["test_end"]), "test")
     if lo < 1:
@@ -337,22 +350,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 # -- entry point --------------------------------------------------------------
 
-def _add_shared_flags(parser: argparse.ArgumentParser, market_dir_flag: bool = False) -> None:
+def _add_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    """--config, then a flag for every config key the command takes as one."""
     parser.add_argument("--config", help="flat key = value configuration file")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out", default=None, help="output directory")
-    if market_dir_flag:
-        parser.add_argument("--market-dir", dest="market_dir", default=None)
-    parser.add_argument("--window", type=int, default=None)
-    parser.add_argument("--mu", type=float, default=None)
-    parser.add_argument("--checkpoint-every", dest="checkpoint_every", type=int, default=None)
-    parser.add_argument("--benchmark", default=None)
-    parser.add_argument("--test-start", dest="test_start", default=None)
-    parser.add_argument("--test-end", dest="test_end", default=None)
-    parser.add_argument("--train-start", dest="train_start", default=None)
-    parser.add_argument("--train-end", dest="train_end", default=None)
-    parser.add_argument("--total-steps", dest="total_steps", type=int, default=None)
-    parser.add_argument("--episode-len", dest="episode_len", type=int, default=None)
+    for key, (_, commands) in _KEYS.items():
+        if command in commands:
+            kind = _kind(key)
+            parser.add_argument("--" + key.replace("_", "-"), type=None if kind is str else kind)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -361,23 +365,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ingest = sub.add_parser("ingest", help="load and align a directory of OHLC CSVs")
     p_ingest.add_argument("market_dir")
-    _add_shared_flags(p_ingest)
 
     p_train = sub.add_parser("train", help="train an agent and write checkpoint + log")
     p_train.add_argument("market_dir", nargs="?", default="")
-    _add_shared_flags(p_train)
 
     p_back = sub.add_parser("backtest", help="greedy rollout of a checkpoint")
     p_back.add_argument("checkpoint", nargs="?", default="")
-    _add_shared_flags(p_back, market_dir_flag=True)
 
     p_cmp = sub.add_parser("compare", help="checkpoint vs factor baseline on one range")
     p_cmp.add_argument("checkpoint", nargs="?", default="")
     p_cmp.add_argument("factor_csv", nargs="?", default="")
-    p_cmp.add_argument("--long-n", dest="long_n", type=int, default=None)
-    p_cmp.add_argument("--short-n", dest="short_n", type=int, default=None)
-    p_cmp.add_argument("--group", default=None)
-    _add_shared_flags(p_cmp, market_dir_flag=True)
+
+    for name, command in sub.choices.items():
+        _add_flags(command, name)
     return parser
 
 

@@ -1,8 +1,9 @@
 """Deterministic-policy actor-critic trainer with replay and soft targets.
 
-The policy as deployed is actor -> minmax_action -> benchmark sign rule; the
-actor update differentiates through that whole chain, so the critic is always
-evaluated on actions the environment could actually receive.
+The policy as deployed is actor -> min-max activation -> benchmark sign rule
+(``policy_weights``). Acting, the target policy and the actor update all go
+through that one chain, and the actor update differentiates through it, so
+the critic is always evaluated on actions the environment could receive.
 """
 
 from __future__ import annotations
@@ -13,19 +14,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 from .market_data import AlignedMarket
 from .neural import (
     Network,
     build_actor,
     build_critic,
     critic_input_batch,
-    minmax_action,
     minmax_forward_batch,
     minmax_vjp_batch,
     save_checkpoint,
 )
-from .portfolio_math import enforce_arbitrage, enforce_arbitrage_batch
+from .portfolio_math import enforce_arbitrage_batch
 from .trading_env import EnvConfig, EnvState, TradingEnv, Transition
 
 
@@ -90,6 +90,27 @@ def explore_action(raw: np.ndarray, rng: np.random.Generator,
     """Add i.i.d. Gaussian noise to raw actor logits before the action activation."""
     raw = np.asarray(raw, dtype=np.float64)
     return raw + rng.normal(noise_mean, np.sqrt(noise_var), size=raw.shape)
+
+
+def policy_weights(raw: np.ndarray, arbitrage: bool):
+    """Raw actor logits (N, m+1) to the weights the policy deploys.
+
+    Applies the min-max activation, then the benchmark sign rule when
+    ``arbitrage`` is set. Returns (weights, vjp): ``vjp`` maps a gradient
+    with respect to the weights to one with respect to the logits, and may
+    overwrite the array it is given.
+    """
+    weights, cache = minmax_forward_batch(raw)
+    flipped = None
+    if arbitrage:
+        weights, flipped = enforce_arbitrage_batch(weights)
+
+    def vjp(d_weights: np.ndarray) -> np.ndarray:
+        if flipped is not None:
+            d_weights[flipped, -1] = -d_weights[flipped, -1]
+        return minmax_vjp_batch(cache, d_weights)
+
+    return weights, vjp
 
 
 class Adam:
@@ -187,27 +208,18 @@ class DDPG:
 
     def act(self, state: EnvState, rng: np.random.Generator | None = None) -> np.ndarray:
         """Valid weight vector for a state; pass an rng to add exploration noise."""
-        raw = self.actor.forward(state.tensor.data[None])[0]
+        raw = self.actor.forward(state.tensor.data[None])
         if rng is not None:
             raw = explore_action(raw, rng, self.config.noise_mean, self.config.noise_var)
-        weights = minmax_action(raw)
-        if self.arbitrage:
-            weights = enforce_arbitrage(weights)
-        return weights
-
-    def _policy_batch(self, net: Network, states: np.ndarray) -> np.ndarray:
-        raw = net.forward(states)
-        weights = minmax_forward_batch(raw)[0]
-        if self.arbitrage:
-            weights = enforce_arbitrage_batch(weights)[0]
-        return weights
+        weights, _ = policy_weights(raw, self.arbitrage)
+        return weights[0]
 
     # -- updates -----------------------------------------------------------
 
-    def _critic_loss(self, batch: list[Transition]) -> float:
+    def critic_loss(self, batch: list[Transition]) -> float:
         """TD loss of the critic on a batch; its parameter gradient lands in ``critic.grad``."""
         states, actions, rewards, next_states, dones = _batch_arrays(batch)
-        next_actions = self._policy_batch(self.actor_target, next_states)
+        next_actions, _ = policy_weights(self.actor_target.forward(next_states), self.arbitrage)
         q_next = self.critic_target.forward(critic_input_batch(next_states, next_actions))
         targets = rewards + self.config.discount * (1.0 - dones) * q_next
         q = self.critic.forward(critic_input_batch(states, actions))
@@ -216,40 +228,26 @@ class DDPG:
         self.critic.backward(2.0 * diff / diff.shape[0], input_grad=False)
         return loss
 
-    def critic_loss_and_grads(self, batch: list[Transition]) -> tuple[float, list[np.ndarray]]:
-        loss = self._critic_loss(batch)
-        return loss, [g.copy() for g in self.critic.grads()]
-
     def update_critic(self, batch: list[Transition]) -> float:
-        loss = self._critic_loss(batch)
+        loss = self.critic_loss(batch)
         self._adam_critic.step(self.critic.flat, self.critic.grad)
         return loss
 
-    def _actor_objective(self, batch: list[Transition]) -> float:
+    def actor_objective(self, batch: list[Transition]) -> float:
         """Mean Q of the deployed policy; its actor gradient lands in ``actor.grad``."""
         states = np.stack([tr.state.tensor.data for tr in batch])
-        raw = self.actor.forward(states)
-        weights, cache = minmax_forward_batch(raw)
-        if self.arbitrage:
-            weights, flipped = enforce_arbitrage_batch(weights)
+        weights, weights_vjp = policy_weights(self.actor.forward(states), self.arbitrage)
         q = self.critic.forward(critic_input_batch(states, weights))
         objective = float(np.mean(q))
 
         d_input = self.critic.backward(np.full_like(q, 1.0 / q.shape[0]), param_grads=False)
         d_weights = np.zeros_like(weights)
         d_weights[:, 1:] = d_input[:, 4, :, :].sum(axis=2)
-        if self.arbitrage:
-            d_weights[flipped, -1] = -d_weights[flipped, -1]
-        d_raw = minmax_vjp_batch(cache, d_weights)
-        self.actor.backward(d_raw, input_grad=False)
+        self.actor.backward(weights_vjp(d_weights), input_grad=False)
         return objective
 
-    def actor_objective_and_grads(self, batch: list[Transition]) -> tuple[float, list[np.ndarray]]:
-        objective = self._actor_objective(batch)
-        return objective, [g.copy() for g in self.actor.grads()]
-
     def update_actor(self, batch: list[Transition]) -> float:
-        objective = self._actor_objective(batch)
+        objective = self.actor_objective(batch)
         # Gradient ascent on the objective: step along the negated gradient.
         self._adam_actor.step(self.actor.flat, np.negative(self.actor.grad, out=self.actor.grad))
         return objective
@@ -263,11 +261,8 @@ def greedy_policy(actor: Network, arbitrage: bool = True):
     """Noise-free policy closure for backtesting a trained actor."""
 
     def policy(state: EnvState) -> np.ndarray:
-        raw = actor.forward(state.tensor.data[None])[0]
-        weights = minmax_action(raw)
-        if arbitrage:
-            weights = enforce_arbitrage(weights)
-        return weights
+        weights, _ = policy_weights(actor.forward(state.tensor.data[None]), arbitrage)
+        return weights[0]
 
     return policy
 
@@ -283,6 +278,24 @@ def checkpoint_meta(market: AlignedMarket, env_config: EnvConfig,
         "arbitrage": env_config.arbitrage_enabled,
         "seed": train_config.seed,
     }
+
+
+def check_checkpoint(actor: Network, meta: dict) -> None:
+    """Raise FormatError unless the meta names what a backtest reads and fits the actor.
+
+    The meta must hold ``assets``, ``benchmark`` and ``window``, and the actor
+    must map one (4, len(assets), window) price block to len(assets) + 1 logits.
+    """
+    missing = [key for key in ("assets", "benchmark", "window") if key not in meta]
+    if missing:
+        raise FormatError(f"checkpoint meta lacks {', '.join(missing)}")
+    try:
+        m, window = len(meta["assets"]), int(meta["window"])
+        out = actor.forward(np.zeros((1, 4, m, window)))
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"checkpoint actor does not fit its meta: {exc}") from exc
+    if out.shape != (1, m + 1):
+        raise FormatError(f"checkpoint actor gives {out.shape[1]} weights for {m} assets")
 
 
 def train(

@@ -153,12 +153,6 @@ class AlignedMarket:
     def feature(self, name: str) -> np.ndarray:
         return getattr(self, name)
 
-    def date_position(self, date: str) -> int:
-        i = bisect_left(self.dates, date)
-        if i == len(self.dates) or self.dates[i] != date:
-            raise KeyError(f"date {date} not in market")
-        return i
-
     def position_range(self, start_date: str, end_date: str) -> tuple[int, int]:
         """Inclusive positions of the first/last trading day inside [start, end]."""
         lo = bisect_left(self.dates, start_date)

@@ -19,9 +19,9 @@ one gradient vector ``grad``; every layer's ``weight``, ``bias``,
 soft target update or a clone is one vector operation. Checkpoints still
 store one array per parameter in the layer shapes above (format version 1).
 
-``minmax_action`` turns raw logits into a valid signed weight vector and has
-a hand-derived vector-Jacobian product so policy gradients can flow through
-the full deployed policy.
+``minmax_forward_batch`` turns rows of raw logits into valid signed weight
+vectors and ``minmax_vjp_batch`` is its hand-derived vector-Jacobian
+product, so policy gradients can flow through the full deployed policy.
 """
 
 from __future__ import annotations
@@ -329,6 +329,7 @@ def build_critic(num_assets: int, window: int, rng: np.random.Generator) -> Netw
 # the exact vector-Jacobian product at generic points.
 
 def minmax_forward_batch(raw: np.ndarray):
+    """(weights, cache) for rows of raw logits; the cache feeds ``minmax_vjp_batch``."""
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim != 2 or raw.shape[1] < 2:
         raise ValueError(f"raw actions must be (N, k>=2), got {raw.shape}")
@@ -373,24 +374,13 @@ def minmax_vjp_batch(cache, dw: np.ndarray) -> np.ndarray:
 
 
 def minmax_action_batch(raw: np.ndarray) -> np.ndarray:
+    """Rows of raw logits to valid signed weight rows; all-equal rows fall back to all-cash."""
     w, _ = minmax_forward_batch(raw)
     return w
 
 
-def minmax_action(raw: np.ndarray) -> np.ndarray:
-    """Raw logits to a valid signed weight vector; all-equal logits fall back to all-cash."""
-    raw = np.asarray(raw, dtype=np.float64)
-    if raw.ndim != 1:
-        raise ValueError("minmax_action takes a single vector; use minmax_action_batch")
-    return minmax_action_batch(raw[None])[0]
-
-
-def critic_input(tensor_data: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Insert the action as a fifth channel: risky weight i fills row i of the block."""
-    return critic_input_batch(tensor_data[None], np.asarray(weights)[None])[0]
-
-
 def critic_input_batch(tensors: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Insert each action as a fifth channel: risky weight i fills row i of its block."""
     tensors = np.asarray(tensors, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     if tensors.ndim != 4 or tensors.shape[1] != 4:

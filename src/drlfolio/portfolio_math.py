@@ -66,39 +66,26 @@ def shorted_weight(short_value: float, other_values_abs_sum: float) -> float:
     return -short_value / denom
 
 
-def enforce_arbitrage(w: np.ndarray) -> np.ndarray:
+def enforce_arbitrage_batch(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Forbid the benchmark from siding with the rest of the risky book.
 
-    When the benchmark weight is nonzero, some other risky weight is nonzero,
+    Works on the last axis, so ``w`` is one weight vector or a batch of rows.
+    Where the benchmark weight is nonzero, some other risky weight is nonzero,
     and all nonzero risky weights share one sign, the benchmark's sign is
-    reversed. The absolute-value sum is untouched (sign flip only).
+    reversed; the absolute-value sum is untouched. Returns (weights, flipped),
+    with ``flipped`` true where the benchmark's sign was reversed.
     """
     w = np.asarray(w, dtype=np.float64)
-    risky = w[1:]
-    if risky[-1] == 0 or not np.any(risky[:-1] != 0):
-        return w
-    has_pos = bool(np.any(risky > 0))
-    has_neg = bool(np.any(risky < 0))
-    if has_pos and has_neg:
-        return w
-    out = w.copy()
-    out[-1] = -out[-1]
-    return out
-
-
-def enforce_arbitrage_batch(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise enforce_arbitrage. Returns (weights, flipped-row mask)."""
-    w = np.asarray(w, dtype=np.float64)
-    risky = w[:, 1:]
-    has_pos = np.any(risky > 0, axis=1)
-    has_neg = np.any(risky < 0, axis=1)
+    risky = w[..., 1:]
+    has_pos = np.any(risky > 0, axis=-1)
+    has_neg = np.any(risky < 0, axis=-1)
     flip = (
-        (risky[:, -1] != 0)
-        & np.any(risky[:, :-1] != 0, axis=1)
+        (risky[..., -1] != 0)
+        & np.any(risky[..., :-1] != 0, axis=-1)
         & ~(has_pos & has_neg)
     )
     out = w.copy()
-    out[flip, -1] = -out[flip, -1]
+    np.negative(out[..., -1], out=out[..., -1], where=flip)
     return out, flip
 
 

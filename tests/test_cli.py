@@ -1,10 +1,22 @@
+import argparse
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from drlfolio.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from drlfolio.cli import (
+    EXIT_CONFIG,
+    EXIT_DATA,
+    EXIT_OK,
+    EXIT_USAGE,
+    TRAIN_WINDOW,
+    build_parser,
+    build_settings,
+    main,
+)
+from drlfolio import cli
+from drlfolio.market_data import load_csv
 from drlfolio.neural import build_actor, build_critic, save_checkpoint
 from drlfolio.synthetic import (
     drift_market,
@@ -228,6 +240,22 @@ class TestBacktest:
                     "--test-start", market.dates[40], "--test-end", market.dates[90]])
         assert code == expected
 
+    @pytest.mark.parametrize("meta_change", [
+        {"assets": ["alpha", "bench"]},
+        {"window": 7},
+    ], ids=["asset-count", "window"])
+    def test_networks_must_fit_meta(self, market_dir, tmp_path, capsys, meta_change):
+        d, market = market_dir
+        ckpt = fully_invested_checkpoint(tmp_path / "ckpt.json", market, window=6)
+        payload = json.loads(ckpt.read_text())
+        payload["meta"].update(meta_change)
+        ckpt.write_text(json.dumps(payload))
+        code = run(["backtest", ckpt, "--market-dir", d, "--out", tmp_path / "bt",
+                    "--test-start", market.dates[40], "--test-end", market.dates[90]])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
+
     def test_market_dir_from_config(self, market_dir, tmp_path):
         d, market = market_dir
         ckpt = fully_invested_checkpoint(tmp_path / "ckpt.json", market)
@@ -262,6 +290,21 @@ class TestCompare:
         # Ranked universe: the factor book earns one percent per day.
         assert float(factor[2]) == pytest.approx(0.01, abs=1e-12)
 
+    def test_parses_each_csv_once(self, tmp_path, monkeypatch):
+        market, panel = ranked_factor_universe(n_long=3, n_short=3, n_days=120)
+        d = tmp_path / "universe"
+        write_market_csvs(market, d)
+        factor_csv = write_factor_csv(panel, tmp_path / "factors.csv")
+        book = drift_market(120, [0.0, 0.0, 0.0], asset_ids=["stock00", "stock03", "benchmark"])
+        ckpt = fully_invested_checkpoint(tmp_path / "ckpt.json", book, window=6)
+        parsed = []
+        monkeypatch.setattr(cli, "load_csv", lambda path: parsed.append(path) or load_csv(path))
+        code = run(["compare", ckpt, factor_csv, "--market-dir", d, "--out", tmp_path / "cmp",
+                    "--benchmark", "benchmark", "--long-n", "3", "--short-n", "3",
+                    "--test-start", market.dates[40], "--test-end", market.dates[100]])
+        assert code == EXIT_OK
+        assert sorted(parsed) == sorted(d.glob("*.csv")) and len(parsed) == 7
+
     def test_missing_factor_file_is_data_error(self, tmp_path):
         market, panel = ranked_factor_universe(n_long=3, n_short=3, n_days=120)
         d = tmp_path / "universe"
@@ -272,3 +315,77 @@ class TestCompare:
                     "--test-start", market.dates[40], "--test-end", market.dates[100],
                     "--long-n", "3", "--short-n", "3"])
         assert code == EXIT_DATA
+
+
+# The flags every subcommand takes, with the type each value is parsed as.
+SHARED_FLAGS = {
+    "--config": "str", "--seed": "int", "--out": "str", "--window": "int", "--mu": "float",
+    "--checkpoint-every": "int", "--benchmark": "str", "--test-start": "str",
+    "--test-end": "str", "--train-start": "str", "--train-end": "str",
+    "--total-steps": "int", "--episode-len": "int",
+}
+
+CLI_SURFACE = {
+    "ingest": (["market_dir"], SHARED_FLAGS),
+    "train": (["market_dir"], SHARED_FLAGS),
+    "backtest": (["checkpoint"], {**SHARED_FLAGS, "--market-dir": "str"}),
+    "compare": (["checkpoint", "factor_csv"],
+                {**SHARED_FLAGS, "--market-dir": "str", "--long-n": "int", "--short-n": "int",
+                 "--group": "str"}),
+}
+
+TRAIN_DEFAULT_SETTINGS = """\
+config actor_lr = 4e-05
+config arbitrage = True
+config batch_size = 64
+config benchmark = 
+config buffer_capacity = 600
+config checkpoint = 
+config checkpoint_every = 0
+config critic_lr = 0.0005
+config discount = 0.99
+config episode_len = 252
+config factor_csv = 
+config group = experiment_1
+config leverage = 
+config long_n = 20
+config market_dir = 
+config mu = 0.0025
+config noise_mean = 0.05
+config noise_var = 0.25
+config out = 
+config seed = 0
+config short_n = 20
+config tau = 0.001
+config test_end = 
+config test_start = 
+config total_steps = 300000
+config train_end = 
+config train_start = 
+config window = 50
+"""
+
+
+class TestCliSurface:
+    """The flags and config keys users rely on; a refactor of the parser keeps them."""
+
+    def test_subcommand_options(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert sorted(sub.choices) == sorted(CLI_SURFACE)
+        for name, (positionals, flags) in CLI_SURFACE.items():
+            actions = sub.choices[name]._actions
+            assert [a.dest for a in actions if not a.option_strings] == positionals
+            seen = {}
+            for action in actions:
+                if action.option_strings and action.dest != "help":
+                    (option,) = action.option_strings
+                    assert action.dest == option[2:].replace("-", "_")
+                    assert action.default is None
+                    seen[option] = getattr(action.type, "__name__", "str")
+            assert seen == flags, name
+
+    def test_train_default_settings(self, capsys):
+        args = build_parser().parse_args(["train"])
+        build_settings(args, window=TRAIN_WINDOW)
+        assert capsys.readouterr().out == TRAIN_DEFAULT_SETTINGS

@@ -15,10 +15,8 @@ from drlfolio.neural import (
     ReLU,
     build_actor,
     build_critic,
-    critic_input,
     critic_input_batch,
     load_checkpoint,
-    minmax_action,
     minmax_action_batch,
     minmax_forward_batch,
     minmax_vjp_batch,
@@ -246,12 +244,17 @@ class TestBackward:
         assert check_gradients(critic, xc, rng) < 1e-4
 
 
+def minmax_row(raw):
+    """The min-max activation of one row of logits, through the batch function."""
+    return minmax_action_batch(np.asarray(raw, dtype=np.float64)[None])[0]
+
+
 class TestMinmaxAction:
     def test_two_element_chain(self):
-        assert minmax_action(np.array([1.0, 0.0])).tolist() == [0.5, -0.5]
+        assert minmax_row([1.0, 0.0]).tolist() == [0.5, -0.5]
 
     def test_all_equal_falls_back_to_cash(self):
-        w = minmax_action(np.array([0.3, 0.3, 0.3, 0.3]))
+        w = minmax_row([0.3, 0.3, 0.3, 0.3])
         assert w.tolist() == [1, 0, 0, 0]
 
     def test_output_is_always_valid(self, rng):
@@ -266,13 +269,14 @@ class TestMinmaxAction:
             raw = rng.standard_normal(5)
             a = float(rng.uniform(0.1, 10))
             b = float(rng.uniform(-5, 5))
-            assert np.allclose(minmax_action(raw), minmax_action(a * raw + b), atol=1e-12)
+            assert np.allclose(minmax_row(raw), minmax_row(a * raw + b), atol=1e-12)
 
-    def test_batch_agrees_with_single(self, rng):
+    def test_row_alone_agrees_with_batch(self, rng):
         raws = rng.standard_normal((200, 4))
+        raws[:10] = raws[:10, :1]  # all-equal rows take the all-cash fallback
         batch = minmax_action_batch(raws)
         for k in range(200):
-            assert np.allclose(batch[k], minmax_action(raws[k]), atol=0)
+            assert minmax_row(raws[k]).tobytes() == batch[k].tobytes()
 
     def test_vjp_matches_fd(self, rng):
         for _ in range(20):
@@ -285,27 +289,32 @@ class TestMinmaxAction:
                 rp, rm = raw.copy(), raw.copy()
                 rp[i] += h
                 rm[i] -= h
-                fd = (minmax_action(rp) @ dw - minmax_action(rm) @ dw) / (2 * h)
+                fd = (minmax_row(rp) @ dw - minmax_row(rm) @ dw) / (2 * h)
                 assert relative_error(fd, analytic[i], floor=1e-4) < 1e-4
+
+
+def critic_input_row(x, w):
+    """The critic input for one price block and one weight vector."""
+    return critic_input_batch(x[None], np.asarray(w)[None])[0]
 
 
 class TestCriticInput:
     def test_zero_risky_weights_zero_channel(self, rng):
         x = rng.standard_normal((4, 3, 10))
-        out = critic_input(x, np.array([1.0, 0, 0, 0]))
+        out = critic_input_row(x, [1.0, 0, 0, 0])
         assert out.shape == (5, 3, 10)
         assert np.all(out[4] == 0)
 
     def test_channel_columns_identical(self, rng):
         x = rng.standard_normal((4, 3, 50))
         w = np.array([0.1, 0.4, -0.3, 0.2])
-        out = critic_input(x, w)
+        out = critic_input_row(x, w)
         assert np.all(out[4] == out[4][:, :1])
 
     def test_rows_carry_risky_weights(self, rng):
         x = rng.standard_normal((4, 4, 7))
         w = np.array([0.05, 0.4, -0.3, 0.2, -0.05])
-        out = critic_input(x, w)
+        out = critic_input_row(x, w)
         for i in range(4):
             for k in range(7):
                 assert out[4, i, k] == w[i + 1]
@@ -315,8 +324,8 @@ class TestCriticInput:
         x = rng.standard_normal((4, 4, 7))
         w = np.array([0.05, 0.4, -0.3, 0.2, -0.05])
         perm = np.array([2, 0, 3, 1])
-        direct = critic_input(x[:, perm, :], np.concatenate([[w[0]], w[1:][perm]]))
-        assert np.array_equal(direct, critic_input(x, w)[:, :, :][:, perm, :])
+        direct = critic_input_row(x[:, perm, :], np.concatenate([[w[0]], w[1:][perm]]))
+        assert np.array_equal(direct, critic_input_row(x, w)[:, :, :][:, perm, :])
 
     def test_length_mismatch(self, rng):
         with pytest.raises(ValueError):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drlfolio.errors import DegenerateActionError, RuinError
 from drlfolio.portfolio_math import (
-    enforce_arbitrage,
     enforce_arbitrage_batch,
     evolve_weights,
     initial_weights,
@@ -76,46 +77,63 @@ class TestShortedWeight:
             shorted_weight(100.0, -1.0)
 
 
+def sign_rule(w):
+    """The benchmark sign rule on one weight vector."""
+    out, _ = enforce_arbitrage_batch(w)
+    return out
+
+
+# Signed weight books with many exact zeros, so every branch of the sign rule
+# (no benchmark, benchmark only, one-sided, mixed) is drawn.
+weight_books = st.integers(3, 6).flatmap(lambda k: st.lists(
+    st.lists(st.sampled_from([0.0, 0.25, -0.25, 0.5, -0.125]), min_size=k, max_size=k),
+    min_size=1, max_size=8))
+
+
 class TestEnforceArbitrage:
     def test_flip_when_book_is_one_sided(self):
-        w = enforce_arbitrage(np.array([0.2, 0.3, 0.5]))
+        w = sign_rule(np.array([0.2, 0.3, 0.5]))
         assert w.tolist() == [0.2, 0.3, -0.5]
 
     def test_mixed_signs_untouched(self):
         w = np.array([0.2, 0.3, -0.5])
-        assert enforce_arbitrage(w).tolist() == w.tolist()
+        assert sign_rule(w).tolist() == w.tolist()
 
     def test_benchmark_only_book_untouched(self):
         w = np.array([0.0, 0.0, 1.0])
-        assert enforce_arbitrage(w).tolist() == w.tolist()
+        assert sign_rule(w).tolist() == w.tolist()
 
     def test_all_short_book_flips_benchmark_positive(self):
-        w = enforce_arbitrage(np.array([0.0, -0.5, -0.5]))
+        w = sign_rule(np.array([0.0, -0.5, -0.5]))
         assert w.tolist() == [0.0, -0.5, 0.5]
 
     def test_idempotent_and_sum_preserving(self, rng):
         for _ in range(5_000):
             w = random_weights(rng, rng.integers(2, 7))
-            once = enforce_arbitrage(w)
+            once = sign_rule(w)
             assert np.abs(once).sum() == pytest.approx(np.abs(w).sum(), abs=0)
-            assert enforce_arbitrage(once).tolist() == once.tolist()
+            assert sign_rule(once).tolist() == once.tolist()
 
     def test_post_condition_sign_mix(self, rng):
         # After enforcement: benchmark and some other nonzero risky weight
         # implies the risky book cannot be single-signed.
         for _ in range(5_000):
-            w = enforce_arbitrage(random_weights(rng, rng.integers(2, 7)))
+            w = sign_rule(random_weights(rng, rng.integers(2, 7)))
             risky = w[1:]
             if risky[-1] != 0 and np.any(risky[:-1] != 0):
                 assert np.abs(risky).sum() != abs(risky.sum())
 
-    def test_batch_agrees_with_single(self, rng):
-        batch = np.stack([random_weights(rng, 4) for _ in range(500)])
+    @settings(max_examples=300, deadline=None)
+    @given(rows=weight_books)
+    def test_rows_alone_agree_with_batch(self, rows):
+        batch = np.array(rows)
         out, flipped = enforce_arbitrage_batch(batch)
-        for k in range(500):
-            single = enforce_arbitrage(batch[k])
-            assert np.array_equal(out[k], single)
-            assert flipped[k] == (single[-1] != batch[k][-1])
+        assert out.shape == batch.shape and flipped.shape == (len(rows),)
+        for k, row in enumerate(batch):
+            alone, row_flipped = enforce_arbitrage_batch(row)
+            assert alone.tobytes() == out[k].tobytes()
+            assert bool(row_flipped) == flipped[k] == (np.sign(alone[-1]) != np.sign(row[-1]))
+            assert np.array_equal(np.abs(alone), np.abs(row))
 
 
 class TestEvolveWeights:
