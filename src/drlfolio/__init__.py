@@ -12,6 +12,7 @@ from .market_data import (
     relative_prices,
 )
 from .portfolio_math import (
+    enforce_arbitrage,
     enforce_arbitrage_batch,
     evolve_weights,
     initial_weights,
@@ -29,6 +30,7 @@ from .neural import (
     build_critic,
     critic_input_batch,
     load_checkpoint,
+    minmax_action,
     minmax_action_batch,
     save_checkpoint,
 )

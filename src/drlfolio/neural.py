@@ -379,6 +379,11 @@ def minmax_action_batch(raw: np.ndarray) -> np.ndarray:
     return w
 
 
+def minmax_action(raw: np.ndarray) -> np.ndarray:
+    """The min-max activation of one vector of raw logits, through the batch function."""
+    return minmax_action_batch(np.asarray(raw, dtype=np.float64)[None])[0]
+
+
 def critic_input_batch(tensors: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Insert each action as a fifth channel: risky weight i fills row i of its block."""
     tensors = np.asarray(tensors, dtype=np.float64)

@@ -89,6 +89,11 @@ def enforce_arbitrage_batch(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, flip
 
 
+def enforce_arbitrage(w: np.ndarray) -> np.ndarray:
+    """The sign rule on one weight vector: ``enforce_arbitrage_batch`` without the mask."""
+    return enforce_arbitrage_batch(w)[0]
+
+
 def evolve_weights(w_prev: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Passive weight drift under a day's price relatives.
 

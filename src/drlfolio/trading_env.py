@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateActionError, ProtocolError
 from .market_data import AlignedMarket, PriceTensor, price_tensor, relative_prices
 from .portfolio_math import (
-    enforce_arbitrage_batch,
+    enforce_arbitrage,
     evolve_weights,
     initial_weights,
     normalize_signed,
@@ -148,7 +148,7 @@ class TradingEnv:
         except DegenerateActionError:
             target = initial_weights(self.market.n_assets)
         if self.config.arbitrage_enabled:
-            target, _ = enforce_arbitrage_batch(target)
+            target = enforce_arbitrage(target)
         validate_weights(target)
 
         cost = transaction_cost(self._drift, target, self.config.mu)

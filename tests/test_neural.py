@@ -17,6 +17,7 @@ from drlfolio.neural import (
     build_critic,
     critic_input_batch,
     load_checkpoint,
+    minmax_action,
     minmax_action_batch,
     minmax_forward_batch,
     minmax_vjp_batch,
@@ -244,17 +245,12 @@ class TestBackward:
         assert check_gradients(critic, xc, rng) < 1e-4
 
 
-def minmax_row(raw):
-    """The min-max activation of one row of logits, through the batch function."""
-    return minmax_action_batch(np.asarray(raw, dtype=np.float64)[None])[0]
-
-
 class TestMinmaxAction:
     def test_two_element_chain(self):
-        assert minmax_row([1.0, 0.0]).tolist() == [0.5, -0.5]
+        assert minmax_action([1.0, 0.0]).tolist() == [0.5, -0.5]
 
     def test_all_equal_falls_back_to_cash(self):
-        w = minmax_row([0.3, 0.3, 0.3, 0.3])
+        w = minmax_action([0.3, 0.3, 0.3, 0.3])
         assert w.tolist() == [1, 0, 0, 0]
 
     def test_output_is_always_valid(self, rng):
@@ -269,14 +265,14 @@ class TestMinmaxAction:
             raw = rng.standard_normal(5)
             a = float(rng.uniform(0.1, 10))
             b = float(rng.uniform(-5, 5))
-            assert np.allclose(minmax_row(raw), minmax_row(a * raw + b), atol=1e-12)
+            assert np.allclose(minmax_action(raw), minmax_action(a * raw + b), atol=1e-12)
 
-    def test_row_alone_agrees_with_batch(self, rng):
+    def test_batch_agrees_with_single(self, rng):
         raws = rng.standard_normal((200, 4))
         raws[:10] = raws[:10, :1]  # all-equal rows take the all-cash fallback
         batch = minmax_action_batch(raws)
         for k in range(200):
-            assert minmax_row(raws[k]).tobytes() == batch[k].tobytes()
+            assert minmax_action(raws[k]).tobytes() == batch[k].tobytes()
 
     def test_vjp_matches_fd(self, rng):
         for _ in range(20):
@@ -289,7 +285,7 @@ class TestMinmaxAction:
                 rp, rm = raw.copy(), raw.copy()
                 rp[i] += h
                 rm[i] -= h
-                fd = (minmax_row(rp) @ dw - minmax_row(rm) @ dw) / (2 * h)
+                fd = (minmax_action(rp) @ dw - minmax_action(rm) @ dw) / (2 * h)
                 assert relative_error(fd, analytic[i], floor=1e-4) < 1e-4
 
 

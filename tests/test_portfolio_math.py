@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from drlfolio.errors import DegenerateActionError, RuinError
 from drlfolio.portfolio_math import (
+    enforce_arbitrage,
     enforce_arbitrage_batch,
     evolve_weights,
     initial_weights,
@@ -77,12 +78,6 @@ class TestShortedWeight:
             shorted_weight(100.0, -1.0)
 
 
-def sign_rule(w):
-    """The benchmark sign rule on one weight vector."""
-    out, _ = enforce_arbitrage_batch(w)
-    return out
-
-
 # Signed weight books with many exact zeros, so every branch of the sign rule
 # (no benchmark, benchmark only, one-sided, mixed) is drawn.
 weight_books = st.integers(3, 6).flatmap(lambda k: st.lists(
@@ -92,48 +87,48 @@ weight_books = st.integers(3, 6).flatmap(lambda k: st.lists(
 
 class TestEnforceArbitrage:
     def test_flip_when_book_is_one_sided(self):
-        w = sign_rule(np.array([0.2, 0.3, 0.5]))
+        w = enforce_arbitrage(np.array([0.2, 0.3, 0.5]))
         assert w.tolist() == [0.2, 0.3, -0.5]
 
     def test_mixed_signs_untouched(self):
         w = np.array([0.2, 0.3, -0.5])
-        assert sign_rule(w).tolist() == w.tolist()
+        assert enforce_arbitrage(w).tolist() == w.tolist()
 
     def test_benchmark_only_book_untouched(self):
         w = np.array([0.0, 0.0, 1.0])
-        assert sign_rule(w).tolist() == w.tolist()
+        assert enforce_arbitrage(w).tolist() == w.tolist()
 
     def test_all_short_book_flips_benchmark_positive(self):
-        w = sign_rule(np.array([0.0, -0.5, -0.5]))
+        w = enforce_arbitrage(np.array([0.0, -0.5, -0.5]))
         assert w.tolist() == [0.0, -0.5, 0.5]
 
     def test_idempotent_and_sum_preserving(self, rng):
         for _ in range(5_000):
             w = random_weights(rng, rng.integers(2, 7))
-            once = sign_rule(w)
+            once = enforce_arbitrage(w)
             assert np.abs(once).sum() == pytest.approx(np.abs(w).sum(), abs=0)
-            assert sign_rule(once).tolist() == once.tolist()
+            assert enforce_arbitrage(once).tolist() == once.tolist()
 
     def test_post_condition_sign_mix(self, rng):
         # After enforcement: benchmark and some other nonzero risky weight
         # implies the risky book cannot be single-signed.
         for _ in range(5_000):
-            w = sign_rule(random_weights(rng, rng.integers(2, 7)))
+            w = enforce_arbitrage(random_weights(rng, rng.integers(2, 7)))
             risky = w[1:]
             if risky[-1] != 0 and np.any(risky[:-1] != 0):
                 assert np.abs(risky).sum() != abs(risky.sum())
 
     @settings(max_examples=300, deadline=None)
     @given(rows=weight_books)
-    def test_rows_alone_agree_with_batch(self, rows):
+    def test_batch_agrees_with_single(self, rows):
         batch = np.array(rows)
         out, flipped = enforce_arbitrage_batch(batch)
         assert out.shape == batch.shape and flipped.shape == (len(rows),)
         for k, row in enumerate(batch):
-            alone, row_flipped = enforce_arbitrage_batch(row)
-            assert alone.tobytes() == out[k].tobytes()
-            assert bool(row_flipped) == flipped[k] == (np.sign(alone[-1]) != np.sign(row[-1]))
-            assert np.array_equal(np.abs(alone), np.abs(row))
+            single = enforce_arbitrage(row)
+            assert single.tobytes() == out[k].tobytes()
+            assert flipped[k] == (np.sign(single[-1]) != np.sign(row[-1]))
+            assert np.array_equal(np.abs(single), np.abs(row))
 
 
 class TestEvolveWeights:
