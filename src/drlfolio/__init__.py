@@ -34,17 +34,8 @@ from .neural import (
     minmax_action_batch,
     save_checkpoint,
 )
-from .ddpg import (
-    DDPG,
-    ReplayBuffer,
-    TrainConfig,
-    TrainLog,
-    explore_action,
-    greedy_policy,
-    policy_weights,
-    soft_update,
-    train,
-)
+from .ddpg import (DDPG, ReplayBuffer, TrainConfig, TrainLog, explore_action, greedy_policy,
+                   policy_weights, soft_update, train)
 from .analytics import BacktestReport, max_drawdown, metric_suite, run_backtest, training_slope
 from .baseline_factor import FactorPanel, factor_score, run_factor_backtest, select_weights
 

@@ -15,14 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytics import (
-    METRIC_NAMES,
-    BacktestReport,
-    metric_suite,
-    run_backtest,
-    training_slope,
-    write_report,
-)
+from .analytics import (METRIC_NAMES, BacktestReport, metric_suite, run_backtest, training_slope,
+                        write_report)
 from .baseline_factor import load_factor_csv, run_factor_backtest
 from .ddpg import TrainConfig, check_checkpoint, checkpoint_meta, greedy_policy, train
 from .errors import (

@@ -21,7 +21,7 @@ from .neural import (
     build_actor,
     build_critic,
     critic_input_batch,
-    minmax_action,  # the one-vector form, importable from here as before
+    minmax_action,  # re-exported; acting goes through policy_weights
     minmax_forward_batch,
     minmax_vjp_batch,
     save_checkpoint,

@@ -76,14 +76,10 @@ def enforce_arbitrage_batch(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with ``flipped`` true where the benchmark's sign was reversed.
     """
     w = np.asarray(w, dtype=np.float64)
-    risky = w[..., 1:]
-    has_pos = np.any(risky > 0, axis=-1)
-    has_neg = np.any(risky < 0, axis=-1)
-    flip = (
-        (risky[..., -1] != 0)
-        & np.any(risky[..., :-1] != 0, axis=-1)
-        & ~(has_pos & has_neg)
-    )
+    # The other risky weights times the benchmark's sign (exact: a factor of
+    # -1, 0 or 1): the rule applies where one is positive and none negative.
+    aligned = w[..., 1:-1] * np.sign(w[..., -1])[..., None]
+    flip = (aligned > 0).any(axis=-1) & ~(aligned < 0).any(axis=-1)
     out = w.copy()
     np.negative(out[..., -1], out=out[..., -1], where=flip)
     return out, flip

@@ -28,6 +28,19 @@ def dot_log_return(w, y, lam=None):
     return sum(l * np.log(yi) * wi for l, yi, wi in zip(lam, y, w))
 
 
+def sign_rule_by_cases(w):
+    """The benchmark sign rule case by case: (weights, flipped) for one vector."""
+    risky = list(w[1:])
+    others = [x for x in risky[:-1] if x != 0]
+    if risky[-1] == 0 or not others:
+        return np.array(w, dtype=np.float64), False
+    if any(x > 0 for x in risky) and any(x < 0 for x in risky):
+        return np.array(w, dtype=np.float64), False
+    out = np.array(w, dtype=np.float64)
+    out[-1] = -out[-1]
+    return out, True
+
+
 def single_long_asset_bookkeeping(prices, value0=1.0):
     """Fully invested long in one asset: constant share count, cash zero."""
     shares = value0 / prices[0]

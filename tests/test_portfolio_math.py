@@ -17,7 +17,7 @@ from drlfolio.portfolio_math import (
     weighted_log_return,
 )
 from conftest import random_weights
-from oracles import cost_by_sum, dot_log_return, evolve_by_value_accounting
+from oracles import cost_by_sum, dot_log_return, evolve_by_value_accounting, sign_rule_by_cases
 
 
 class TestNormalizeSigned:
@@ -81,7 +81,8 @@ class TestShortedWeight:
 # Signed weight books with many exact zeros, so every branch of the sign rule
 # (no benchmark, benchmark only, one-sided, mixed) is drawn.
 weight_books = st.integers(3, 6).flatmap(lambda k: st.lists(
-    st.lists(st.sampled_from([0.0, 0.25, -0.25, 0.5, -0.125]), min_size=k, max_size=k),
+    st.lists(st.sampled_from([0.0, -0.0, 0.25, -0.25, 0.5, -0.125, 1e-300]),
+             min_size=k, max_size=k),
     min_size=1, max_size=8))
 
 
@@ -126,8 +127,9 @@ class TestEnforceArbitrage:
         assert out.shape == batch.shape and flipped.shape == (len(rows),)
         for k, row in enumerate(batch):
             single = enforce_arbitrage(row)
-            assert single.tobytes() == out[k].tobytes()
-            assert flipped[k] == (np.sign(single[-1]) != np.sign(row[-1]))
+            expected, expected_flip = sign_rule_by_cases(row)
+            assert single.tobytes() == out[k].tobytes() == expected.tobytes()
+            assert flipped[k] == expected_flip == (np.sign(single[-1]) != np.sign(row[-1]))
             assert np.array_equal(np.abs(single), np.abs(row))
 
 
