@@ -18,7 +18,8 @@ import numpy as np
 from .analytics import (METRIC_NAMES, BacktestReport, metric_suite, run_backtest, training_slope,
                         write_report)
 from .baseline_factor import load_factor_csv, run_factor_backtest
-from .ddpg import TrainConfig, check_checkpoint, checkpoint_meta, greedy_policy, train
+from .ddpg import (TrainConfig, TrainingDiverged, check_checkpoint, checkpoint_meta, greedy_policy,
+                   train)
 from .errors import (
     AlignmentError,
     ConfigError,
@@ -38,33 +39,36 @@ EXIT_CONFIG = 4
 # A training run without a configured window uses EnvConfig's.
 TRAIN_WINDOW = EnvConfig.window
 
-_ALL = ("ingest", "train", "backtest", "compare")
 _TRAIN_FIELDS = {f.name: f.default for f in fields(TrainConfig)}
 
-# Every config key: its default, and the subcommands that also take it as a
-# --flag. The value type (int for a None default) parses both the config file
-# and the flag. TrainConfig keys and their defaults come from its fields.
+# Every config key: its default, and the subcommands whose cmd_* reads it and
+# so take it as a --flag. The value type (int for a None default) parses both
+# the config file and the flag. TrainConfig keys and their defaults come from
+# its fields. _RUNS are the commands that check the train and test ranges
+# against each other (_check_out_of_sample).
+_RUNS = ("train", "backtest", "compare")
 _KEYS: dict[str, tuple[object, tuple[str, ...]]] = {
     "market_dir": ("", ("backtest", "compare")),
     "factor_csv": ("", ()),
     "checkpoint": ("", ()),
-    "out": ("", _ALL),
-    "benchmark": ("", _ALL),
+    "out": ("", _RUNS),
+    # A backtest takes its benchmark from the checkpoint.
+    "benchmark": ("", ("ingest", "train", "compare")),
     "group": ("experiment_1", ("compare",)),
     # None unless a file or flag sets it: train falls back to TRAIN_WINDOW and
     # a backtest takes the checkpoint's window.
-    "window": (None, _ALL),
-    "episode_len": (EnvConfig.episode_len, _ALL),
-    "mu": (EnvConfig.mu, _ALL),
+    "window": (None, _RUNS),
+    "episode_len": (EnvConfig.episode_len, ("train",)),
+    "mu": (EnvConfig.mu, _RUNS),
     "arbitrage": (EnvConfig.arbitrage_enabled, ()),
     "leverage": ("", ()),
-    "train_start": ("", _ALL),
-    "train_end": ("", _ALL),
-    "test_start": ("", _ALL),
-    "test_end": ("", _ALL),
-    **{name: (default, _ALL if name in ("total_steps", "seed") else ())
+    "train_start": ("", _RUNS),
+    "train_end": ("", _RUNS),
+    "test_start": ("", _RUNS),
+    "test_end": ("", _RUNS),
+    **{name: (default, ("train",) if name in ("total_steps", "seed") else ())
        for name, default in _TRAIN_FIELDS.items()},
-    "checkpoint_every": (0, _ALL),
+    "checkpoint_every": (0, ("train",)),
     "long_n": (20, ("compare",)),
     "short_n": (20, ("compare",)),
 }
@@ -243,11 +247,17 @@ def cmd_train(args: argparse.Namespace) -> int:
     train_config = _train_config(settings)
 
     every = int(settings["checkpoint_every"])
-    actor, critic, log = train(
-        market, env_config, train_config,
-        checkpoint_dir=out if every else None,
-        checkpoint_every=every or None,
-    )
+    try:
+        # Divergence is reported by the network's non-finite output check.
+        with np.errstate(over="ignore", invalid="ignore"):
+            actor, critic, log = train(
+                market, env_config, train_config,
+                checkpoint_dir=out if every else None,
+                checkpoint_every=every or None,
+            )
+    except TrainingDiverged as exc:
+        exc.log.write_csv(out / "trainlog.csv")
+        raise
     save_checkpoint(out / "checkpoint.json", actor, critic,
                     checkpoint_meta(market, env_config, train_config))
     log.write_csv(out / "trainlog.csv")

@@ -20,6 +20,7 @@ from .neural import (
     Network,
     build_actor,
     build_critic,
+    critic_action_grad,
     critic_input_batch,
     minmax_action,  # re-exported; acting goes through policy_weights
     minmax_forward_batch,
@@ -54,6 +55,15 @@ class TrainConfig:
             raise ConfigError("discount must be in [0, 1]")
         if self.total_steps < 1:
             raise ConfigError("total_steps must be positive")
+
+
+class TrainingDiverged(ConfigError):
+    """A network gave non-finite output during training; ``log`` holds the finished episodes."""
+
+    def __init__(self, episode: int, step: int, log: TrainLog):
+        super().__init__(f"training diverged at episode {episode}, step {step} "
+                         "(non-finite network output)")
+        self.episode, self.step, self.log = episode, step, log
 
 
 class ReplayBuffer:
@@ -241,9 +251,8 @@ class DDPG:
         q = self.critic.forward(critic_input_batch(states, weights))
         objective = float(np.mean(q))
 
-        d_input = self.critic.backward(np.full_like(q, 1.0 / q.shape[0]), param_grads=False)
         d_weights = np.zeros_like(weights)
-        d_weights[:, 1:] = d_input[:, 4, :, :].sum(axis=2)
+        d_weights[:, 1:] = critic_action_grad(self.critic, np.full_like(q, 1.0 / q.shape[0]))
         self.actor.backward(weights_vjp(d_weights), input_grad=False)
         return objective
 
@@ -308,7 +317,8 @@ def train(
 ) -> tuple[Network, Network, TrainLog]:
     """Episode loop: sampled windows, per-step replay insert and update pair.
 
-    Fully deterministic for a given (market, configs, seed).
+    Fully deterministic for a given (market, configs, seed). A non-finite
+    network output raises TrainingDiverged, which carries the log so far.
     """
     seeds = np.random.SeedSequence(train_config.seed).spawn(4)
     rng_init, rng_env, rng_noise, rng_sample = (np.random.default_rng(s) for s in seeds)
@@ -324,39 +334,42 @@ def train(
 
     step = 0
     episode = 0
-    while step < train_config.total_steps:
-        state = env.reset(rng_env)
-        start_step = step
-        rewards: list[float] = []
-        costs: list[float] = []
-        done = False
-        while not done and step < train_config.total_steps:
-            action = agent.act(state, rng_noise)
-            transition = env.step(action)
-            buffer.add(transition)
-            rewards.append(transition.reward)
-            costs.append(env.last_cost)
-            if buffer.ready(train_config.batch_size):
-                batch = buffer.sample(train_config.batch_size, rng_sample)
-                agent.update_critic(batch)
-                agent.update_actor(batch)
-                agent.soft_update_targets()
-            state = transition.next_state
-            done = transition.done
-            step += 1
-        if done:
-            log.records.append(EpisodeRecord(
-                episode=episode,
-                start_step=start_step,
-                mean_daily_return=float(np.mean(rewards)),
-                final_value=state.value,
-                mean_cost=float(np.mean(costs)),
-            ))
-            episode += 1
-            if (checkpoint_dir is not None and checkpoint_every
-                    and episode % checkpoint_every == 0):
-                save_checkpoint(
-                    Path(checkpoint_dir) / f"checkpoint_ep{episode:05d}.json",
-                    actor, critic, {**meta, "episode": episode, "step": step},
-                )
+    try:
+        while step < train_config.total_steps:
+            state = env.reset(rng_env)
+            start_step = step
+            rewards: list[float] = []
+            costs: list[float] = []
+            done = False
+            while not done and step < train_config.total_steps:
+                action = agent.act(state, rng_noise)
+                transition = env.step(action)
+                buffer.add(transition)
+                rewards.append(transition.reward)
+                costs.append(env.last_cost)
+                if buffer.ready(train_config.batch_size):
+                    batch = buffer.sample(train_config.batch_size, rng_sample)
+                    agent.update_critic(batch)
+                    agent.update_actor(batch)
+                    agent.soft_update_targets()
+                state = transition.next_state
+                done = transition.done
+                step += 1
+            if done:
+                log.records.append(EpisodeRecord(
+                    episode=episode,
+                    start_step=start_step,
+                    mean_daily_return=float(np.mean(rewards)),
+                    final_value=state.value,
+                    mean_cost=float(np.mean(costs)),
+                ))
+                episode += 1
+                if (checkpoint_dir is not None and checkpoint_every
+                        and episode % checkpoint_every == 0):
+                    save_checkpoint(
+                        Path(checkpoint_dir) / f"checkpoint_ep{episode:05d}.json",
+                        actor, critic, {**meta, "episode": episode, "step": step},
+                    )
+    except FloatingPointError as exc:
+        raise TrainingDiverged(episode, step, log) from exc
     return actor, critic, log

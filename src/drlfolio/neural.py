@@ -11,13 +11,20 @@ Layout. The public shapes are NCHW: ``Conv2D.forward`` takes and returns
 ``(N, C, H, W)`` arrays and a conv weight is ``(out, in, kh, kw)``. The memory
 underneath is channels-last: a conv output is a transposed view of an
 ``(N, H, W, C)`` buffer, so the next conv reads it without a copy and gathers
-each ``kh x kw`` patch as ``kh`` runs of ``kw * C`` contiguous values.
+each ``kh x kw`` patch as ``kh`` runs of ``kw * C`` contiguous values. A conv
+is one GEMM of a patch matrix whose last column is ones with its weight matrix
+whose last row is the bias, so the bias is added, and its gradient summed, by
+BLAS. ``Flatten`` flattens channels-last, (H, W, C), so it is a reshape view
+in both directions, and the head Dense after it keeps its weight rows in that
+(H, W, C) order in memory.
 
 Parameters. A ``Network`` owns one contiguous parameter vector ``flat`` and
 one gradient vector ``grad``; every layer's ``weight``, ``bias``,
 ``d_weight`` and ``d_bias`` are views into them, so an optimizer step, a
 soft target update or a clone is one vector operation. Checkpoints still
-store one array per parameter in the layer shapes above (format version 1).
+store one array per parameter in the layer shapes above, with head rows in
+(C, H, W) order (format version 1); ``Network.stored_params`` and
+``Network.load_stored`` are the only crossings between the two row orders.
 
 ``minmax_forward_batch`` turns rows of raw logits into valid signed weight
 vectors and ``minmax_vjp_batch`` is its hand-derived vector-Jacobian
@@ -47,7 +54,8 @@ class Conv2D:
     """Valid stride-1 cross-correlation as one GEMM over channels-last patches.
 
     The patch matrix has one row per output pixel and columns ordered
-    ``(i, j, c)``: kernel row, kernel column, input channel.
+    ``(i, j, c)``: kernel row, kernel column, input channel, then a column of
+    ones that meets the bias row of the weight matrix.
     """
 
     kind = "conv2d"
@@ -65,8 +73,7 @@ class Conv2D:
         else:
             self.weight = glorot_uniform(rng, (out_channels, in_channels, kh, kw), fan_in, fan_out)
         self.bias = np.zeros(out_channels)
-        self._cols = None
-        self._in_shape = None
+        self._cols = self._patch_rows = self._in_shape = None
         self.d_weight = np.zeros_like(self.weight)
         self.d_bias = np.zeros_like(self.bias)
 
@@ -78,18 +85,28 @@ class Conv2D:
         if h < kh or w < kw:
             raise ValueError(f"input {x.shape} smaller than kernel ({kh}, {kw})")
         ho, wo = h - kh + 1, w - kw + 1
+        k = kh * kw * c
         # Free when x came from a conv; the network input is copied once here.
         xl = np.ascontiguousarray(x.transpose(0, 2, 3, 1), dtype=np.float64)
+        if self._in_shape != (n, h, w, c):
+            # A patch matrix for this input shape, kept while the shape holds:
+            # k columns of patch values, then a column of ones that makes the
+            # bias a row of the GEMM. Its rows seen as (kh, kw*c) blocks are
+            # the view each forward copies patches into.
+            col = (k + 1) * _F8
+            self._cols = np.empty((n * ho * wo, k + 1))
+            self._cols[:, k] = 1.0
+            self._patch_rows = np.ndarray((n, ho, wo, kh, kw * c), dtype=np.float64,
+                                          buffer=self._cols,
+                                          strides=(ho * wo * col, wo * col, col, kw * c * _F8, _F8))
+            self._in_shape = (n, h, w, c)
         # Patch (b, i, j) is kh rows of kw*c contiguous values starting at
-        # xl[b, i + r, j, 0]; the reshape copies those runs into the rows.
+        # xl[b, i + r, j, 0].
         row = w * c * _F8
-        patches = np.ndarray((n, ho, wo, kh, kw * c), dtype=np.float64, buffer=xl,
-                             strides=(h * row, row, c * _F8, row, _F8))
-        cols = patches.reshape(n * ho * wo, kh * kw * c)
-        self._cols = cols
-        self._in_shape = (n, h, w, c)
-        out = cols @ self.weight.transpose(2, 3, 1, 0).reshape(-1, self.out_channels)
-        out += self.bias
+        self._patch_rows[...] = np.ndarray((n, ho, wo, kh, kw * c), dtype=np.float64, buffer=xl,
+                                           strides=(h * row, row, c * _F8, row, _F8))
+        gemm = np.concatenate((self.weight.transpose(2, 3, 1, 0).reshape(k, -1), self.bias[None]))
+        out = self._cols @ gemm
         return out.reshape(n, ho, wo, self.out_channels).transpose(0, 3, 1, 2)
 
     def backward(self, dout: np.ndarray, input_grad: bool = True,
@@ -101,9 +118,10 @@ class Conv2D:
         _, _, ho, wo = dout.shape
         dmat = np.ascontiguousarray(dout.transpose(0, 2, 3, 1)).reshape(n * ho * wo, -1)
         if param_grads:
-            dw = dmat.T @ self._cols
-            self.d_weight[...] = dw.reshape(self.out_channels, kh, kw, c).transpose(0, 3, 1, 2)
-            np.sum(dmat, axis=0, out=self.d_bias)
+            # The ones column of cols makes the last row the bias gradient.
+            dw = self._cols.T @ dmat
+            self.d_weight[...] = dw[:-1].reshape(kh, kw, c, self.out_channels).transpose(3, 2, 0, 1)
+            self.d_bias[...] = dw[-1]
         if not input_grad:
             return None
         # One GEMM per kernel tap gives that tap's patch gradient as
@@ -186,6 +204,8 @@ class ReLU:
 
 
 class Flatten:
+    """Rows of an image flattened channels-last, (H, W, C): a view of a conv's output."""
+
     kind = "flatten"
     param_names = ()
 
@@ -193,6 +213,8 @@ class Flatten:
         self._shape = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        if x.ndim == 4:
+            x = x.transpose(0, 2, 3, 1)
         self._shape = x.shape
         return x.reshape(x.shape[0], -1)
 
@@ -201,10 +223,7 @@ class Flatten:
         if self._shape is None:
             raise ProtocolError("backward before forward")
         grad = dout.reshape(self._shape)
-        if grad.ndim != 4:
-            return grad
-        # Hand an image gradient back channels-last, the layout Conv2D reads.
-        return np.ascontiguousarray(grad.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        return grad.transpose(0, 3, 1, 2) if grad.ndim == 4 else grad
 
     def spec(self):
         return {"kind": self.kind}
@@ -213,29 +232,57 @@ class Flatten:
 _LAYER_KINDS = {"conv2d": Conv2D, "dense": Dense, "relu": ReLU, "flatten": Flatten}
 
 
+def _head_channels(layers: list) -> list[int | None]:
+    """Per parameter in layer order: C for the weight of a Dense fed by the
+    Flatten of a C-channel conv output, None for every other parameter."""
+    result, channels, flattened = [], None, None
+    for layer in layers:
+        head = flattened if isinstance(layer, Dense) else None
+        result += [head if name == "weight" else None for name in layer.param_names]
+        if isinstance(layer, Conv2D):
+            channels = layer.out_channels
+        elif isinstance(layer, Flatten):
+            flattened = channels
+        elif isinstance(layer, Dense):
+            flattened = None
+    return result
+
+
+def _head_rows(weight: np.ndarray, channels: int | None, to_memory: bool) -> np.ndarray:
+    """Reorder a head weight's rows: (C, H, W) as stored to (H, W, C) in memory, or back."""
+    if channels is None:
+        return weight
+    rows, out = weight.shape
+    split = (channels, rows // channels) if to_memory else (rows // channels, channels)
+    return weight.reshape(*split, out).transpose(1, 0, 2).reshape(rows, out)
+
+
 class Network:
     """Plain sequential stack. Forward caches activations for one backward pass.
 
     ``flat`` holds every parameter and ``grad`` every parameter gradient, in
-    layer order; the layers' arrays are views into them.
+    layer order; the layers' arrays are views into them. A head Dense (one fed
+    by the Flatten of a conv output) keeps its rows in the (H, W, C) order
+    Flatten produces; the values its constructor draws, ``stored_params`` and
+    ``load_stored`` hold them in (C, H, W) order, as checkpoints do.
     """
 
     def __init__(self, layers: list):
         self.layers = layers
         self._forward_done = False
+        self._head = _head_channels(layers)
         owned = [(layer, name) for layer in layers for name in layer.param_names]
-        size = sum(getattr(layer, name).size for layer, name in owned)
+        initial = [getattr(layer, name) for layer, name in owned]
+        size = sum(value.size for value in initial)
         self.flat = np.empty(size)
         self.grad = np.zeros(size)
         offset = 0
-        for layer, name in owned:
-            value = getattr(layer, name)
+        for (layer, name), value in zip(owned, initial):
             end = offset + value.size
-            view = self.flat[offset:end].reshape(value.shape)
-            view[...] = value
-            setattr(layer, name, view)
+            setattr(layer, name, self.flat[offset:end].reshape(value.shape))
             setattr(layer, "d_" + name, self.grad[offset:end].reshape(value.shape))
             offset = end
+        self.load_stored(initial)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = np.asarray(x, dtype=np.float64)
@@ -249,17 +296,19 @@ class Network:
         return out
 
     def backward(self, dout: np.ndarray, *, input_grad: bool = True,
-                 param_grads: bool = True) -> np.ndarray | None:
+                 param_grads: bool = True, down_to: int = 0) -> np.ndarray | None:
         """Gradient of the input; parameter gradients land in ``grad``.
 
         ``input_grad=False`` skips the first layer's input gradient and
         returns None; ``param_grads=False`` leaves ``grad`` untouched.
+        ``down_to=k`` stops after ``layers[k]`` and returns the gradient of
+        its input, leaving the layers before it alone.
         """
         if not self._forward_done:
             raise ProtocolError("backward before forward")
         grad = np.array(dout, dtype=np.float64)  # layers may overwrite it
-        for k in reversed(range(len(self.layers))):
-            grad = self.layers[k].backward(grad, input_grad=input_grad or k > 0,
+        for k in reversed(range(down_to, len(self.layers))):
+            grad = self.layers[k].backward(grad, input_grad=input_grad or k > down_to,
                                            param_grads=param_grads)
         return grad
 
@@ -268,6 +317,15 @@ class Network:
 
     def grads(self) -> list[np.ndarray]:
         return [getattr(layer, "d_" + name) for layer in self.layers for name in layer.param_names]
+
+    def stored_params(self) -> list[np.ndarray]:
+        """The parameters as a checkpoint stores them: head rows in (C, H, W) order."""
+        return [_head_rows(p, c, to_memory=False) for p, c in zip(self.params(), self._head)]
+
+    def load_stored(self, arrays: list[np.ndarray]) -> None:
+        """Write parameters given as a checkpoint stores them into ``flat``."""
+        for target, value, c in zip(self.params(), arrays, self._head, strict=True):
+            target[...] = _head_rows(value, c, to_memory=True)
 
     def clone(self) -> "Network":
         twin = Network.from_spec(self.spec())
@@ -399,6 +457,26 @@ def critic_input_batch(tensors: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.concatenate([tensors, channel[:, None, :, :]], axis=1)
 
 
+def critic_action_grad(critic: Network, d_q: np.ndarray) -> np.ndarray:
+    """Gradient of a critic's output w.r.t. the risky weights of its action channel.
+
+    ``d_q`` is the upstream gradient of the last forward's (N, 1) output. Every
+    tap of the first conv reads action channel 4, which is constant along
+    time, so the gradient is that conv's output gradient summed over time and
+    contracted with the channel's tap sums ``W[:, 4, 0, :].sum(1)``: one GEMV
+    in place of the five-channel input gradient. Only the 1 x k first conv of
+    ``build_critic`` is accepted. Parameter gradients are left untouched.
+    """
+    conv = critic.layers[0]
+    if not isinstance(conv, Conv2D) or conv.in_channels != 5 or conv.kh != 1:
+        raise ValueError("critic_action_grad needs a first 1 x k conv over five channels")
+    d_out = critic.backward(d_q, param_grads=False, down_to=1)
+    n, _, m, wo = d_out.shape
+    taps = conv.weight[:, 4, 0, :].sum(axis=1)
+    d_rows = np.ascontiguousarray(d_out.transpose(0, 2, 3, 1)).reshape(n * m, -1)
+    return (d_rows @ np.tile(taps, wo)).reshape(n, m)
+
+
 # ---------------------------------------------------------------------------
 # Checkpoints: a versioned JSON manifest with base64 float64 buffers, so the
 # exact parameter bits round-trip.
@@ -412,7 +490,7 @@ def _encode_array(arr: np.ndarray) -> dict:
 
 
 def _net_payload(net: Network) -> dict:
-    return {"spec": net.spec(), "params": [_encode_array(p) for p in net.params()]}
+    return {"spec": net.spec(), "params": [_encode_array(p) for p in net.stored_params()]}
 
 
 def _net_from_payload(payload: dict, name: str) -> Network:
@@ -423,12 +501,14 @@ def _net_from_payload(payload: dict, name: str) -> Network:
         params = net.params()
         if len(entries) != len(params):
             raise FormatError(f"{len(entries)} parameter arrays for a spec with {len(params)}")
+        arrays = []
         for target, entry in zip(params, entries):
             arr = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8")
             arr = arr.reshape(entry["shape"])
             if arr.shape != target.shape:
                 raise FormatError(f"parameter shape {arr.shape} != expected {target.shape}")
-            target[...] = arr
+            arrays.append(arr)
+        net.load_stored(arrays)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed {name} network in checkpoint: {exc}") from exc
     return net

@@ -7,6 +7,9 @@ code paths it checks.
 
 import numpy as np
 
+from drlfolio.ddpg import policy_weights
+from drlfolio.neural import critic_input_batch
+
 
 def evolve_by_value_accounting(w, y):
     """Track signed position values through one day, then re-read the weights."""
@@ -99,6 +102,22 @@ def dense_naive(x, weight, bias):
                 acc += x[b, i] * weight[i, k]
             out[b, k] = acc + bias[k]
     return out
+
+
+def actor_grad_by_critic_input(actor, critic, states, arbitrage):
+    """Actor gradient of the deployed policy's mean Q, through the critic's input.
+
+    The critic's full five-channel input gradient, its action channel summed
+    over time, then the policy's VJP and the actor's backward pass. Returns
+    a copy of the actor's gradient buffer.
+    """
+    weights, weights_vjp = policy_weights(actor.forward(states), arbitrage)
+    q = critic.forward(critic_input_batch(states, weights))
+    d_input = critic.backward(np.full_like(q, 1.0 / q.shape[0]), param_grads=False)
+    d_weights = np.zeros_like(weights)
+    d_weights[:, 1:] = d_input[:, 4, :, :].sum(axis=2)
+    actor.backward(weights_vjp(d_weights), input_grad=False)
+    return actor.grad.copy()
 
 
 def central_difference(f, arr, index, h=1e-4):

@@ -257,7 +257,6 @@ def test_criterion_10_cli_determinism(tmp_path):
     def run_backtest_cli(out):
         code = main(["backtest", str(tmp_path / "t1" / "checkpoint.json"),
                      "--market-dir", str(market_dir), "--out", str(out),
-                     "--seed", "11",
                      "--test-start", market.dates[40], "--test-end", market.dates[100]])
         assert code == EXIT_OK
 

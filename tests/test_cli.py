@@ -142,6 +142,23 @@ class TestTrain:
         snaps = sorted(p.name for p in out.glob("checkpoint_ep*.json"))
         assert snaps == ["checkpoint_ep00001.json", "checkpoint_ep00002.json"]
 
+    def test_divergence_exits_cleanly(self, market_dir, tmp_path, capsys):
+        d, _ = market_dir
+        cfg = tmp_path / "wild.cfg"
+        cfg.write_text("critic_lr = 1e100\nactor_lr = 1e100\nbatch_size = 16\n")
+        out = tmp_path / "wild"
+        code = run(train_args(d, out, **{"total-steps": 60}) + ["--config", cfg])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "config error: training diverged at episode 1, step 15 (non-finite network output)"
+        ]
+        # The episode that finished before the updates began is logged.
+        log = (out / "trainlog.csv").read_text().splitlines()
+        assert log[0] == "episode,step,mean_daily_return,final_value,mean_cost"
+        assert [row.split(",")[:2] for row in log[1:]] == [["0", "0"]]
+        assert not (out / "checkpoint.json").exists()
+
     def test_input_files_not_mutated(self, market_dir, tmp_path):
         d, _ = market_dir
         before = {p.name: p.read_bytes() for p in sorted(d.glob("*.csv"))}
@@ -317,21 +334,22 @@ class TestCompare:
         assert code == EXIT_DATA
 
 
-# The flags every subcommand takes, with the type each value is parsed as.
-SHARED_FLAGS = {
-    "--config": "str", "--seed": "int", "--out": "str", "--window": "int", "--mu": "float",
-    "--checkpoint-every": "int", "--benchmark": "str", "--test-start": "str",
-    "--test-end": "str", "--train-start": "str", "--train-end": "str",
-    "--total-steps": "int", "--episode-len": "int",
+# The flags of the commands that check the train range against the test range.
+RANGE_FLAGS = {
+    "--config": "str", "--out": "str", "--window": "int", "--mu": "float",
+    "--test-start": "str", "--test-end": "str", "--train-start": "str", "--train-end": "str",
 }
 
+# Each subcommand takes only the flags its command reads.
 CLI_SURFACE = {
-    "ingest": (["market_dir"], SHARED_FLAGS),
-    "train": (["market_dir"], SHARED_FLAGS),
-    "backtest": (["checkpoint"], {**SHARED_FLAGS, "--market-dir": "str"}),
+    "ingest": (["market_dir"], {"--config": "str", "--benchmark": "str"}),
+    "train": (["market_dir"],
+              {**RANGE_FLAGS, "--benchmark": "str", "--seed": "int", "--total-steps": "int",
+               "--episode-len": "int", "--checkpoint-every": "int"}),
+    "backtest": (["checkpoint"], {**RANGE_FLAGS, "--market-dir": "str"}),
     "compare": (["checkpoint", "factor_csv"],
-                {**SHARED_FLAGS, "--market-dir": "str", "--long-n": "int", "--short-n": "int",
-                 "--group": "str"}),
+                {**RANGE_FLAGS, "--market-dir": "str", "--benchmark": "str", "--long-n": "int",
+                 "--short-n": "int", "--group": "str"}),
 }
 
 TRAIN_DEFAULT_SETTINGS = """\
@@ -384,6 +402,30 @@ class TestCliSurface:
                     assert action.default is None
                     seen[option] = getattr(action.type, "__name__", "str")
             assert seen == flags, name
+
+    @pytest.mark.parametrize("command, flags", [
+        ("ingest", ["--total-steps", "5", "--checkpoint-every", "3",
+                    "--train-start", "1990-01-01"]),
+        ("ingest", ["--out", "x"]),
+        ("backtest", ["--seed", "11"]),
+        ("backtest", ["--benchmark", "bench"]),
+        ("compare", ["--total-steps", "5"]),
+        ("compare", ["--episode-len", "10"]),
+    ], ids=["ingest-train-flags", "ingest-out", "backtest-seed", "backtest-benchmark",
+            "compare-total-steps", "compare-episode-len"])
+    def test_unread_flag_is_usage_error(self, market_dir, capsys, command, flags):
+        d, _ = market_dir
+        with pytest.raises(SystemExit) as exc:
+            run([command, d, *flags])
+        assert exc.value.code == EXIT_USAGE
+        assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
+
+    def test_config_file_still_takes_every_key(self, market_dir, tmp_path):
+        d, _ = market_dir
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("total_steps = 5\ncheckpoint_every = 3\ntrain_start = 1990-01-01\n"
+                       "seed = 4\nepisode_len = 10\nout = unused\n")
+        assert run(["ingest", d, "--config", cfg, "--benchmark", "bench"]) == EXIT_OK
 
     def test_train_default_settings(self, capsys):
         args = build_parser().parse_args(["train"])

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,13 +12,20 @@ from drlfolio.ddpg import (
     TrainConfig,
     explore_action,
     greedy_policy,
+    policy_weights,
     soft_update,
     train,
 )
 from drlfolio.neural import build_actor, build_critic, load_checkpoint, save_checkpoint
 from drlfolio.synthetic import drift_market
 from drlfolio.trading_env import EnvConfig, TradingEnv
-from oracles import adam_per_array, central_difference, relative_error, soft_update_elementwise
+from oracles import (
+    actor_grad_by_critic_input,
+    adam_per_array,
+    central_difference,
+    relative_error,
+    soft_update_elementwise,
+)
 
 
 def fill_buffer(env, buffer, steps, rng):
@@ -114,6 +123,29 @@ class TestExploreAction:
         a = explore_action(raw, np.random.default_rng(21))
         b = explore_action(raw, np.random.default_rng(21))
         assert np.array_equal(a, b)
+
+    def test_noise_mean_does_not_move_the_policy(self):
+        """The min-max activation is shift invariant, so the noise mean (0.05 in
+        the paper) moves the deployed weights by rounding only: within 1e-15 at
+        the paper's 11 assets, and in general within a few ulps of the logits'
+        magnitude over their span, which is larger where the span is small."""
+        eps = np.finfo(np.float64).eps
+        rng = np.random.default_rng(23)
+        for m in (1, 3, 11):
+            raw = rng.standard_normal((20_000, m + 1))
+            # Twin generators: both calls add the same standard-normal draws.
+            shifted = explore_action(raw, np.random.default_rng(m), noise_mean=0.05)
+            centred = explore_action(raw, np.random.default_rng(m), noise_mean=0.0)
+            assert np.allclose(shifted - centred, 0.05, rtol=0, atol=1e-12)
+            span = centred.max(axis=1) - centred.min(axis=1)
+            ulps = eps * np.abs(np.concatenate([shifted, centred], axis=1)).max(axis=1) / span
+            for arbitrage in (True, False):
+                a, _ = policy_weights(shifted, arbitrage)
+                b, _ = policy_weights(centred, arbitrage)
+                diff = np.abs(a - b).max(axis=1)
+                assert np.all(diff <= 16 * ulps)
+                if m == 11:
+                    assert diff.max() <= 1e-15
 
 
 def assert_flat_views(net):
@@ -303,6 +335,25 @@ class TestActorUpdate:
                 fd = central_difference(
                     lambda: agent.actor_objective(batch), flat, i, h=1e-5)
                 assert relative_error(fd, gflat[i], floor=1e-5) < 1e-4
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(1, 4), window=st.integers(5, 12), batch=st.integers(1, 5),
+           arbitrage=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_gradient_matches_full_critic_input_gradient(self, m, window, batch, arbitrage, seed):
+        rng = np.random.default_rng(seed)
+        agent = DDPG(build_actor(m, window, rng), build_critic(m, window, rng),
+                     TrainConfig(batch_size=1, buffer_capacity=1), arbitrage=arbitrage)
+        states = 1.0 + 0.05 * rng.standard_normal((batch, 4, m, window))
+        # actor_objective reads only each transition's state.tensor.data.
+        transitions = [SimpleNamespace(state=SimpleNamespace(tensor=SimpleNamespace(data=x)))
+                       for x in states]
+        agent.actor_objective(transitions)
+        got = agent.actor.grad.copy()
+        expected = actor_grad_by_critic_input(agent.actor, agent.critic, states, arbitrage)
+        # Where the deployed weights are locally constant in the logits (one
+        # risky asset, or two with cash clamped) the gradient is zero up to
+        # rounding in the min-max VJP, hence the absolute floor.
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected) + 1e-15
 
     def test_ascent_improves_objective(self, tiny_setup):
         env, agent, buffer, _ = tiny_setup

@@ -1,9 +1,11 @@
+import base64
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from drlfolio.errors import FormatError, ProtocolError
@@ -15,6 +17,7 @@ from drlfolio.neural import (
     ReLU,
     build_actor,
     build_critic,
+    critic_action_grad,
     critic_input_batch,
     load_checkpoint,
     minmax_action,
@@ -115,7 +118,8 @@ class TestLayersForward:
         x = rng.standard_normal((3, 2, 4, 8))
         conv_out = conv2d_naive(x, net.layers[0].weight, net.layers[0].bias)
         relu_out = np.maximum(conv_out, 0.0)
-        expected = dense_naive(relu_out.reshape(3, -1),
+        # The head's rows in memory follow the channels-last flatten, (H, W, C).
+        expected = dense_naive(relu_out.transpose(0, 2, 3, 1).reshape(3, -1),
                                net.layers[3].weight, net.layers[3].bias)
         assert np.max(np.abs(net.forward(x) - expected)) < 1e-6
 
@@ -327,6 +331,13 @@ class TestCriticInput:
         with pytest.raises(ValueError):
             critic_input_batch(rng.standard_normal((1, 4, 3, 10)), np.ones((1, 3)))
 
+    @pytest.mark.parametrize("first", [Conv2D(5, 4, 2, 2), Conv2D(4, 4, 1, 3), Dense(5, 4)],
+                             ids=["2x2-kernel", "four-channels", "dense"])
+    def test_action_grad_needs_the_critic_first_conv(self, first):
+        critic = Network([first, ReLU(), Flatten(), Dense(4, 1)])
+        with pytest.raises(ValueError, match="first 1 x k conv"):
+            critic_action_grad(critic, np.ones((1, 1)))
+
 
 class TestCheckpoint:
     def test_round_trip_is_bitwise(self, tmp_path, rng):
@@ -387,6 +398,57 @@ class TestCheckpoint:
 
         save_checkpoint(tmp_path / "again.json", actor, critic, meta)
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+def stored_arrays(net_payload):
+    """A network's parameter arrays exactly as the checkpoint file holds them."""
+    return [np.frombuffer(base64.b64decode(e["data"]), dtype="<f8").reshape(e["shape"])
+            for e in net_payload["params"]]
+
+
+def forward_from_stored(arrays, x):
+    """conv, ReLU, conv, ReLU, NCHW flatten, dense, ReLU, dense, by the loop oracles."""
+    w1, b1, w2, b2, w3, b3, w4, b4 = arrays
+    h = np.maximum(conv2d_naive(x, w1, b1), 0.0)
+    h = np.maximum(conv2d_naive(h, w2, b2), 0.0)
+    h = np.maximum(dense_naive(h.reshape(h.shape[0], -1), w3, b3), 0.0)
+    return dense_naive(h, w4, b4)
+
+
+class TestStoredHeadRows:
+    """In memory a head Dense keeps its rows in the channels-last order of the
+    Flatten before it; a checkpoint keeps them in (C, H, W) order."""
+
+    @settings(max_examples=8, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(m=st.integers(1, 4), window=st.integers(5, 9), seed=st.integers(0, 2**32 - 1))
+    def test_file_arrays_compute_the_loaded_forward(self, tmp_path, m, window, seed):
+        rng = np.random.default_rng(seed)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, build_actor(m, window, rng), build_critic(m, window, rng), {})
+        payload = json.loads(path.read_text())
+        actor, critic, _ = load_checkpoint(path)
+        x = 1.0 + 0.05 * rng.standard_normal((2, 5, m, window))
+        np.testing.assert_allclose(actor.forward(x[:, :4]),
+                                   forward_from_stored(stored_arrays(payload["actor"]), x[:, :4]),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(critic.forward(x),
+                                   forward_from_stored(stored_arrays(payload["critic"]), x),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("m, window, seed, sha256", [
+        (3, 7, 5, "6923e55fd34cb361d50c364eaae49d93a6761a437779aecb16dada5166ec5a3b"),
+        (5, 12, 6, "20c7b8d5efc74184afee8c8fe8c6456a8be31d1d1cac2c18c07f38c1baba5217"),
+    ])
+    def test_same_seed_checkpoint_bytes(self, tmp_path, m, window, seed, sha256):
+        """The SHA-256 values are those of the files written while head rows
+        were still stored in (C, H, W) order in memory too."""
+        rng = np.random.default_rng(seed)
+        actor, critic = build_actor(m, window, rng), build_critic(m, window, rng)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, actor, critic,
+                        {"assets": [f"a{i}" for i in range(m)], "window": window})
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
 def _drop(key):
