@@ -63,7 +63,7 @@ class TrainingDiverged(ConfigError):
     def __init__(self, episode: int, step: int, log: TrainLog):
         super().__init__(f"training diverged at episode {episode}, step {step} "
                          "(non-finite network output)")
-        self.episode, self.step, self.log = episode, step, log
+        self.log = log
 
 
 class ReplayBuffer:

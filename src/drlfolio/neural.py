@@ -248,13 +248,13 @@ def _head_channels(layers: list) -> list[int | None]:
     return result
 
 
-def _head_rows(weight: np.ndarray, channels: int | None, to_memory: bool) -> np.ndarray:
-    """Reorder a head weight's rows: (C, H, W) as stored to (H, W, C) in memory, or back."""
+def _stored_rows(weight: np.ndarray, channels: int | None) -> np.ndarray:
+    """``weight`` with its rows in stored order. For a head weight, whose rows
+    are (H, W, C) in memory, a (C, H*W, out) view; any other parameter as is."""
     if channels is None:
         return weight
     rows, out = weight.shape
-    split = (channels, rows // channels) if to_memory else (rows // channels, channels)
-    return weight.reshape(*split, out).transpose(1, 0, 2).reshape(rows, out)
+    return weight.reshape(rows // channels, channels, out).transpose(1, 0, 2)
 
 
 class Network:
@@ -320,12 +320,14 @@ class Network:
 
     def stored_params(self) -> list[np.ndarray]:
         """The parameters as a checkpoint stores them: head rows in (C, H, W) order."""
-        return [_head_rows(p, c, to_memory=False) for p, c in zip(self.params(), self._head)]
+        return [np.ascontiguousarray(_stored_rows(p, c)).reshape(p.shape)
+                for p, c in zip(self.params(), self._head)]
 
     def load_stored(self, arrays: list[np.ndarray]) -> None:
         """Write parameters given as a checkpoint stores them into ``flat``."""
         for target, value, c in zip(self.params(), arrays, self._head, strict=True):
-            target[...] = _head_rows(value, c, to_memory=True)
+            view = _stored_rows(target, c)
+            view[...] = np.reshape(value, view.shape)
 
     def clone(self) -> "Network":
         twin = Network.from_spec(self.spec())
