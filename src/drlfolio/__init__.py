@@ -8,6 +8,7 @@ from .market_data import (
     PriceTensor,
     align,
     load_csv,
+    price_block,
     price_tensor,
     relative_prices,
 )

@@ -173,6 +173,15 @@ def _resolve_range(market: AlignedMarket, start: str, end: str, what: str) -> tu
         raise ConfigError(str(exc)) from exc
 
 
+def _test_range(market: AlignedMarket, settings: dict[str, object]) -> tuple[int, int]:
+    """Positions of the configured test range; the metrics need two days of returns."""
+    start, end = str(settings["test_start"]), str(settings["test_end"])
+    lo, hi = _resolve_range(market, start, end, "test")
+    if hi == lo:
+        raise ConfigError(f"test range [{start}, {end}] holds one trading day, need at least two")
+    return lo, hi
+
+
 def _check_out_of_sample(settings: dict[str, object]) -> None:
     tr_s, tr_e = str(settings["train_start"]), str(settings["train_end"])
     te_s, te_e = str(settings["test_start"]), str(settings["test_end"])
@@ -276,8 +285,8 @@ def _backtest_drl(settings: dict[str, object],
     The assets' series come from ``universe`` when the caller has parsed the
     market directory already, and are read from it otherwise.
     """
-    actor, _critic, meta = load_checkpoint(str(settings["checkpoint"]))
-    check_checkpoint(actor, meta)
+    actor, critic, meta = load_checkpoint(str(settings["checkpoint"]))
+    check_checkpoint(actor, critic, meta)
     assets = list(meta["assets"])
     if universe is None:
         series = _read_series(str(settings["market_dir"]), only=assets)
@@ -289,15 +298,14 @@ def _backtest_drl(settings: dict[str, object],
         raise ConfigError(
             f"requested window {settings['window']} != checkpoint window {window}"
         )
-    lo, hi = _resolve_range(market, str(settings["test_start"]),
-                            str(settings["test_end"]), "test")
+    lo, hi = _test_range(market, settings)
     if lo < window:
         raise ConfigError(
             f"test range starts on day {lo}, need {window} days of history before it"
         )
     config = EnvConfig(
         window=window,
-        episode_len=max(hi - lo, 1),
+        episode_len=hi - lo,
         mu=float(settings["mu"]),
         leverage=_parse_leverage(str(settings["leverage"])),
         arbitrage_enabled=bool(meta.get("arbitrage", True)),
@@ -328,8 +336,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     factor_market = _align(universe, str(settings["benchmark"]))
     panel = load_factor_csv(str(settings["factor_csv"]), factor_market)
-    lo, hi = _resolve_range(factor_market, str(settings["test_start"]),
-                            str(settings["test_end"]), "test")
+    lo, hi = _test_range(factor_market, settings)
     if lo < 1:
         raise ConfigError("test range must start after the first day for factor scoring")
     factor_report = run_factor_backtest(

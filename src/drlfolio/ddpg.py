@@ -267,12 +267,30 @@ class DDPG:
         soft_update(self.critic_target, self.critic, self.config.tau)
 
 
+# Days of a run's observation block the greedy policy evaluates per actor forward.
+GREEDY_BLOCK = 64
+
+
 def greedy_policy(actor: Network, arbitrage: bool = True):
-    """Noise-free policy closure for backtesting a trained actor."""
+    """Noise-free policy closure for backtesting a trained actor.
+
+    On a state whose weights it does not hold yet, the policy runs the actor
+    on that state's row of its run's observation block and the next rows, up
+    to GREEDY_BLOCK in all, and serves the following states of the run from
+    the result. The memo belongs to one block, so the policy can be reused on
+    another run or market; the actor must not change while a run is served.
+    """
+    block, first, weights = None, 0, None
 
     def policy(state: EnvState) -> np.ndarray:
-        weights, _ = policy_weights(actor.forward(state.tensor.data[None]), arbitrage)
-        return weights[0]
+        nonlocal block, first, weights
+        row = state.steps_done
+        if state.block is not block or not first <= row < first + len(weights):
+            block, first = state.block, row
+            weights, _ = policy_weights(actor.forward(block[row : row + GREEDY_BLOCK]),
+                                        arbitrage)
+        # A copy: the caller owns what it gets, and the memo may serve this row again.
+        return weights[row - first].copy()
 
     return policy
 
@@ -290,12 +308,16 @@ def checkpoint_meta(market: AlignedMarket, env_config: EnvConfig,
     }
 
 
-def check_checkpoint(actor: Network, meta: dict) -> None:
-    """Raise FormatError unless the meta names what a backtest reads and fits the actor.
+def check_checkpoint(actor: Network, critic: Network, meta: dict) -> None:
+    """Raise FormatError unless the networks are finite and the meta names what a
+    backtest reads and fits the actor.
 
     The meta must hold ``assets``, ``benchmark`` and ``window``, and the actor
     must map one (4, len(assets), window) price block to len(assets) + 1 logits.
     """
+    for name, net in (("actor", actor), ("critic", critic)):
+        if not np.all(np.isfinite(net.flat)):
+            raise FormatError(f"checkpoint {name} has non-finite parameters")
     missing = [key for key in ("assets", "benchmark", "window") if key not in meta]
     if missing:
         raise FormatError(f"checkpoint meta lacks {', '.join(missing)}")

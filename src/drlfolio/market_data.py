@@ -6,6 +6,12 @@ CSV schema (one file per asset):
 
 After alignment the date axis is an opaque ordinal index; positions are what
 the rest of the package works with.
+
+Observations: ``price_block`` builds the normalized windows of a run of
+consecutive days in one vectorized pass, as one read-only
+(days, 4, m, window) array; ``price_tensor`` is its one-day case, so the
+normalization has one implementation. Row k of a block is bit for bit the
+``price_tensor`` of its first day + k.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AlignmentError, FormatError, WindowError
 
@@ -216,7 +223,7 @@ def align(series: list[PriceSeries], benchmark: str) -> AlignedMarket:
 
 @dataclass(frozen=True)
 class PriceTensor:
-    """Normalized observation block of shape (4 features, m assets, window)."""
+    """One day's normalized observation window of shape (4 features, m assets, window)."""
 
     data: np.ndarray
     t: int
@@ -230,30 +237,39 @@ class PriceTensor:
         object.__setattr__(self, "data", _freeze(self.data))
 
 
-def price_tensor(market: AlignedMarket, t: int, window: int) -> PriceTensor:
-    """Window of per-asset prices ending at day t, divided by each asset's close at t.
+def price_block(market: AlignedMarket, first: int, last: int, window: int) -> np.ndarray:
+    """Read-only (last - first + 1, 4, m, window) windows of days first..last.
 
-    Missing (zero) prices yield ratio 1, so an untradeable asset-day reads as flat.
-    The close feature's final column is exactly all ones.
+    Row k is the window of per-asset prices ending at day first + k, divided
+    by each asset's close on that day. Missing (zero) prices yield ratio 1,
+    so an untradeable asset-day reads as flat. The close feature's final
+    column is exactly all ones.
     """
     if window < 2:
         raise WindowError(f"window must be >= 2, got {window}")
-    if t < window - 1:
-        raise WindowError(f"day {t} has only {t + 1} days of history, window needs {window}")
-    if t >= len(market):
-        raise WindowError(f"day {t} beyond market length {len(market)}")
+    if first < window - 1:
+        raise WindowError(f"day {first} has only {first + 1} days of history, window needs {window}")
+    if last >= len(market):
+        raise WindowError(f"day {last} beyond market length {len(market)}")
+    if last < first:
+        raise WindowError(f"empty day range [{first}, {last}]")
 
-    lo = t - window + 1
-    denom = market.close[:, t]
-    data = np.ones((len(FEATURES), market.n_assets, window))
+    denom = market.close[:, first : last + 1].T[:, :, None]  # (days, m, 1)
     tradeable = denom > 0
+    data = np.ones((last - first + 1, len(FEATURES), market.n_assets, window))
     for f, name in enumerate(FEATURES):
-        block = market.feature(name)[:, lo : t + 1]
-        valid = tradeable[:, None] & (block > 0)
-        np.divide(block, denom[:, None], out=data[f], where=valid)
-    # Anchor column of the close feature is part of the contract: exactly one.
-    data[0, :, -1] = 1.0
-    return PriceTensor(data=data, t=t, window=window)
+        prices = market.feature(name)[:, first - window + 1 : last + 1]
+        windows = sliding_window_view(prices, window, axis=1).transpose(1, 0, 2)
+        np.divide(windows, denom, out=data[:, f], where=tradeable & (windows > 0))
+    # The close feature's last column, the anchor, is c / c or a missing 1:
+    # exactly one either way.
+    data.flags.writeable = False
+    return data
+
+
+def price_tensor(market: AlignedMarket, t: int, window: int) -> PriceTensor:
+    """The normalized window ending at day t: one row of ``price_block``."""
+    return PriceTensor(data=price_block(market, t, t, window)[0], t=t, window=window)
 
 
 def relative_prices(market: AlignedMarket, t: int) -> np.ndarray:

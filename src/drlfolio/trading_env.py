@@ -8,6 +8,12 @@ return including the cost term, so rewards telescope into log(final/initial).
 
 Training episodes start on a uniformly sampled day with a full observation
 window behind it; backtests use the same stepping over a fixed range.
+
+Observations: ``start_at`` builds the read-only observation block of the
+whole run at once (``price_block``, one row per state: the start day and
+every day a step lands on). Each state's ``tensor`` is a view of its row and
+the state carries the block, so replay holds views rather than copies and a
+policy may evaluate upcoming rows in one batch (``ddpg.greedy_policy``).
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DegenerateActionError, ProtocolError
-from .market_data import AlignedMarket, PriceTensor, price_tensor, relative_prices
+from .market_data import AlignedMarket, PriceTensor, price_block, relative_prices
 from .portfolio_math import (
     enforce_arbitrage,
     evolve_weights,
@@ -49,11 +55,15 @@ class EnvConfig:
 
 @dataclass(frozen=True)
 class EnvState:
+    """One day of a run. ``tensor.data`` is row ``steps_done`` of ``block``, the
+    run's observation block, which is left out of repr and equality."""
+
     tensor: PriceTensor
     weights: np.ndarray
     value: float
     t: int
     steps_done: int
+    block: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self):
         if self.tensor.t != self.t:
@@ -112,7 +122,10 @@ class TradingEnv:
         return self.start_at(t0, ep)
 
     def start_at(self, t0: int, n_steps: int) -> EnvState:
-        """Begin a deterministic run of n_steps decision days starting at day t0."""
+        """Begin a deterministic run of n_steps decision days starting at day t0.
+
+        Builds the run's observation block: days t0..t0 + n_steps, one row each.
+        """
         n = self.config.window
         if t0 < n - 1:
             raise ConfigError(f"start day {t0} lacks a full {n}-day window")
@@ -126,12 +139,14 @@ class TradingEnv:
         w0 = initial_weights(self.market.n_assets)
         self._drift = w0
         self.last_cost = 0.0
+        block = price_block(self.market, t0, t0 + n_steps, n)
         self._state = EnvState(
-            tensor=price_tensor(self.market, t0, n),
+            tensor=PriceTensor(data=block[0], t=t0, window=n),
             weights=w0,
             value=1.0,
             t=t0,
             steps_done=0,
+            block=block,
         )
         return self._state
 
@@ -159,11 +174,13 @@ class TradingEnv:
 
         steps_done = state.steps_done + 1
         next_state = EnvState(
-            tensor=price_tensor(self.market, state.t + 1, self.config.window),
+            tensor=PriceTensor(data=state.block[steps_done], t=state.t + 1,
+                               window=self.config.window),
             weights=target,
             value=value,
             t=state.t + 1,
             steps_done=steps_done,
+            block=state.block,
         )
         transition = Transition(
             state=state,

@@ -182,3 +182,24 @@ def adam_per_array(params, grad_steps, lr, beta1=0.9, beta2=0.999, eps=1e-8):
             v += (1 - beta2) * g * g
             p -= lr * (m / b1t) / (np.sqrt(v / b2t) + eps)
     return params
+
+
+def price_window_by_loops(market, t, window):
+    """The (4, m, window) observation of day t, element by element: each price over the
+    asset's close on day t, 1 where either is missing, and the last close exactly 1."""
+    features = (market.close, market.high, market.low, market.open)
+    out = np.ones((4, market.n_assets, window))
+    for f, prices in enumerate(features):
+        for i in range(market.n_assets):
+            denom = market.close[i, t]
+            for j in range(window):
+                price = prices[i, t - window + 1 + j]
+                if denom > 0 and price > 0:
+                    out[f, i, j] = price / denom
+    out[0, :, -1] = 1.0
+    return out
+
+
+def greedy_weights_by_day(actor, windows, arbitrage):
+    """The deployed policy's weights one day at a time: one batch-1 forward per window."""
+    return np.stack([policy_weights(actor.forward(x[None]), arbitrage)[0][0] for x in windows])

@@ -17,7 +17,7 @@ from drlfolio.cli import (
 )
 from drlfolio import cli
 from drlfolio.market_data import load_csv
-from drlfolio.neural import build_actor, build_critic, save_checkpoint
+from drlfolio.neural import build_actor, build_critic, load_checkpoint, save_checkpoint
 from drlfolio.synthetic import (
     drift_market,
     ranked_factor_universe,
@@ -273,6 +273,29 @@ class TestBacktest:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("network", [0, 1], ids=["actor", "critic"])
+    def test_non_finite_checkpoint_is_data_error(self, market_dir, tmp_path, capsys, network):
+        d, market = market_dir
+        ckpt = fully_invested_checkpoint(tmp_path / "ckpt.json", market)
+        *nets, meta = load_checkpoint(ckpt)
+        nets[network].layers[-1].bias[-1] = np.nan
+        save_checkpoint(ckpt, *nets, meta)
+        code = run(["backtest", ckpt, "--market-dir", d, "--out", tmp_path / "bt",
+                    "--test-start", market.dates[40], "--test-end", market.dates[90]])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "non-finite" in err and "Traceback" not in err
+
+    def test_one_day_test_range_is_config_error(self, market_dir, tmp_path, capsys):
+        d, market = market_dir
+        ckpt = fully_invested_checkpoint(tmp_path / "ckpt.json", market)
+        out = tmp_path / "bt"
+        code = run(["backtest", ckpt, "--market-dir", d, "--out", out,
+                    "--test-start", market.dates[40], "--test-end", market.dates[40]])
+        assert code == EXIT_CONFIG
+        assert "one trading day" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
     def test_market_dir_from_config(self, market_dir, tmp_path):
         d, market = market_dir
         ckpt = fully_invested_checkpoint(tmp_path / "ckpt.json", market)
@@ -321,6 +344,20 @@ class TestCompare:
                     "--test-start", market.dates[40], "--test-end", market.dates[100]])
         assert code == EXIT_OK
         assert sorted(parsed) == sorted(d.glob("*.csv")) and len(parsed) == 7
+
+    def test_one_day_test_range_is_config_error(self, tmp_path, capsys):
+        market, panel = ranked_factor_universe(n_long=3, n_short=3, n_days=120)
+        d = tmp_path / "universe"
+        write_market_csvs(market, d)
+        factor_csv = write_factor_csv(panel, tmp_path / "factors.csv")
+        ckpt = fully_invested_checkpoint(tmp_path / "ckpt.json", market, window=6)
+        out = tmp_path / "cmp"
+        code = run(["compare", ckpt, factor_csv, "--market-dir", d, "--out", out,
+                    "--benchmark", "benchmark", "--long-n", "3", "--short-n", "3",
+                    "--test-start", market.dates[40], "--test-end", market.dates[40]])
+        assert code == EXIT_CONFIG
+        assert "one trading day" in capsys.readouterr().err
+        assert not (out / "comparison.csv").exists()
 
     def test_missing_factor_file_is_data_error(self, tmp_path):
         market, panel = ranked_factor_universe(n_long=3, n_short=3, n_days=120)

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drlfolio.analytics import run_backtest
 from drlfolio.ddpg import (
     DDPG,
+    GREEDY_BLOCK,
     Adam,
     ReplayBuffer,
     TrainConfig,
@@ -23,6 +25,8 @@ from oracles import (
     actor_grad_by_critic_input,
     adam_per_array,
     central_difference,
+    greedy_weights_by_day,
+    price_window_by_loops,
     relative_error,
     soft_update_elementwise,
 )
@@ -437,3 +441,39 @@ class TestTrain:
         state = env.start_at(10, 5)
         tr = env.step(policy(state))
         assert np.isfinite(tr.reward)
+
+
+class TestGreedyPolicy:
+    WINDOW = 8
+
+    def backtest_and_oracle(self, policy, actor, market, start, days, arbitrage):
+        config = EnvConfig(window=self.WINDOW, episode_len=days, mu=0.0025,
+                           arbitrage_enabled=arbitrage)
+        report = run_backtest(policy, market, config, start, start + days)
+        windows = [price_window_by_loops(market, t, self.WINDOW)
+                   for t in range(start, start + days)]
+        return report.weights, greedy_weights_by_day(actor, windows, arbitrage)
+
+    @pytest.mark.parametrize("arbitrage", [True, False])
+    @pytest.mark.parametrize("days", [1, GREEDY_BLOCK - 1, GREEDY_BLOCK, GREEDY_BLOCK + 1, 130])
+    def test_block_path_matches_per_day_oracle(self, noisy_market, days, arbitrage):
+        actor = build_actor(noisy_market.n_assets, self.WINDOW, np.random.default_rng(days))
+        weights, expected = self.backtest_and_oracle(greedy_policy(actor, arbitrage), actor,
+                                                     noisy_market, 20, days, arbitrage)
+        assert weights.shape == expected.shape == (days, noisy_market.n_assets + 1)
+        assert np.max(np.abs(weights - expected)) <= 1e-12
+
+    def test_one_policy_on_two_markets_with_overlapping_days(self):
+        markets = [drift_market(200, [0.002, -0.001, 0.0], sigma=0.02, seed=seed)
+                   for seed in (1, 2)]
+        actor = build_actor(3, self.WINDOW, np.random.default_rng(5))
+        policy = greedy_policy(actor)
+        served = []
+        # Each run starts on a day (and a row) that the previous run's forward covered.
+        for market, start, days in ((markets[0], 10, 30), (markets[1], 10, 30),
+                                    (markets[0], 20, 90)):
+            weights, expected = self.backtest_and_oracle(policy, actor, market, start, days, True)
+            assert np.max(np.abs(weights - expected)) <= 1e-12
+            served.append(expected)
+        # The same days of the two markets call for different weights.
+        assert np.max(np.abs(served[0] - served[1])) > 1e-3

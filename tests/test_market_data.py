@@ -1,5 +1,9 @@
+from datetime import date
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drlfolio.errors import AlignmentError, FormatError, WindowError
 from drlfolio.market_data import (
@@ -7,10 +11,12 @@ from drlfolio.market_data import (
     PriceSeries,
     align,
     load_csv,
+    price_block,
     price_tensor,
     relative_prices,
 )
 from drlfolio.synthetic import drift_market, market_from_closes
+from oracles import price_window_by_loops
 
 
 def write_csv(path, rows):
@@ -192,6 +198,39 @@ class TestPriceTensor:
         assert np.max(np.abs(a - b)) < 1e-12
 
 
+class TestPriceBlock:
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 4), window=st.integers(2, 12), data=st.data())
+    def test_rows_equal_price_tensor_bytes(self, m, window, data):
+        length = data.draw(st.integers(window, window + 40), label="length")
+        first = data.draw(st.integers(window - 1, length - 1), label="first")
+        last = data.draw(st.integers(first, length - 1), label="last")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        prices = {name: rng.uniform(0.5, 2.0, size=(m, length))
+                  for name in ("open", "high", "low", "close")}
+        for arr in prices.values():
+            arr[rng.random(arr.shape) < 0.05] = 0.0
+        # A missing close on a day of the range: that asset's whole row reads flat.
+        prices["close"][rng.integers(m), rng.integers(first, last + 1)] = 0.0
+        market = AlignedMarket(asset_ids=tuple(f"a{i}" for i in range(m)),
+                               dates=tuple(f"d{j:03d}" for j in range(length)), **prices)
+
+        block = price_block(market, first, last, window)
+        assert block.shape == (last - first + 1, 4, m, window)
+        assert not block.flags.writeable
+        for k, t in enumerate(range(first, last + 1)):
+            assert block[k].tobytes() == price_tensor(market, t, window).data.tobytes()
+            assert block[k].tobytes() == price_window_by_loops(market, t, window).tobytes()
+
+    def test_range_checks(self, noisy_market):
+        with pytest.raises(WindowError):
+            price_block(noisy_market, 48, 60, 50)
+        with pytest.raises(WindowError):
+            price_block(noisy_market, 60, len(noisy_market), 50)
+        with pytest.raises(WindowError):
+            price_block(noisy_market, 60, 59, 50)
+
+
 class TestRelativePrices:
     def test_cash_element_always_one(self, noisy_market):
         for t in (1, 57, 399):
@@ -222,6 +261,24 @@ class TestRelativePrices:
             day = t - n + 1 + k + 1
             y = relative_prices(noisy_market, day)
             assert np.allclose(x[0, :, k + 1] / x[0, :, k], y[1:], atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ordinals=st.sets(st.integers(730_000, 740_000), min_size=1, max_size=40), data=st.data())
+def test_restrict_position_range_round_trip(ordinals, data):
+    dates = tuple(date.fromordinal(k).isoformat() for k in sorted(ordinals))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    market = AlignedMarket(asset_ids=("a", "bench"), dates=dates,
+                           **{name: rng.uniform(1.0, 2.0, size=(2, len(dates)))
+                              for name in ("open", "high", "low", "close")})
+    lo = data.draw(st.integers(0, len(dates) - 1), label="lo")
+    hi = data.draw(st.integers(lo, len(dates) - 1), label="hi")
+    assert market.position_range(dates[lo], dates[hi]) == (lo, hi)
+    sub = market.restrict(lo, hi)
+    assert sub.position_range(sub.dates[0], sub.dates[-1]) == (0, hi - lo)
+    assert sub.dates == dates[lo : hi + 1]
+    for name in ("open", "high", "low", "close"):
+        assert np.array_equal(sub.feature(name), market.feature(name)[:, lo : hi + 1])
 
 
 def test_restrict_and_position_range():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from drlfolio.errors import ConfigError, ProtocolError
-from drlfolio.market_data import relative_prices
+from drlfolio.market_data import price_tensor, relative_prices
 from drlfolio.portfolio_math import validate_weights
 from drlfolio.synthetic import drift_market
 from drlfolio.trading_env import EnvConfig, TradingEnv, average_reward
@@ -55,6 +55,21 @@ class TestReset:
         assert state.weights.tolist() == [1, 0, 0, 0]
         assert state.steps_done == 0
         assert state.tensor.t == state.t
+
+
+    def test_states_view_one_observation_block(self, noisy_market):
+        env = make_env(noisy_market, window=12)
+        state = env.start_at(30, 5)
+        block = state.block
+        assert block.shape == (6, 4, noisy_market.n_assets, 12) and not block.flags.writeable
+        assert "block" not in repr(state)
+        states = [state]
+        while states[-1].steps_done < 5:
+            states.append(env.step(np.ones(noisy_market.n_assets + 1)).next_state)
+        for s in states:
+            assert s.block is block
+            assert np.shares_memory(s.tensor.data, block)
+            assert np.array_equal(s.tensor.data, price_tensor(noisy_market, s.t, 12).data)
 
 
 class TestStep:
