@@ -29,7 +29,6 @@ from .neural import (
     Network,
     build_actor,
     build_critic,
-    critic_input_batch,
     load_checkpoint,
     minmax_action,
     minmax_action_batch,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
@@ -82,22 +81,10 @@ def run_backtest(
     config: EnvConfig,
     start: int,
     end: int,
-    train_range: Optional[tuple[int, int]] = None,
 ) -> BacktestReport:
-    """Greedy contiguous rollout: decisions on days [start, end), returns on (start, end].
-
-    train_range, when given as inclusive day positions, triggers an
-    out-of-sample warning if the backtest touches it.
-    """
+    """Greedy contiguous rollout: decisions on days [start, end), returns on (start, end]."""
     if end <= start:
         raise ConfigError(f"empty backtest range [{start}, {end})")
-    if train_range is not None:
-        lo, hi = train_range
-        if start <= hi and lo <= end:
-            warnings.warn(
-                f"backtest range [{start}, {end}] overlaps training range [{lo}, {hi}]",
-                stacklevel=2,
-            )
     env = TradingEnv(market, config)
     state = env.start_at(start, end - start)
 

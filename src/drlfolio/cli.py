@@ -286,32 +286,38 @@ def _backtest_drl(settings: dict[str, object],
     market directory already, and are read from it otherwise.
     """
     actor, critic, meta = load_checkpoint(str(settings["checkpoint"]))
-    check_checkpoint(actor, critic, meta)
-    assets = list(meta["assets"])
-    if universe is None:
-        series = _read_series(str(settings["market_dir"]), only=assets)
-    else:
-        series = _select(universe, assets, lambda s: s.asset_id)
-    market = _align(series, str(meta["benchmark"]))
-    window = int(meta["window"])
-    if settings["window"] is not None and int(settings["window"]) != window:
-        raise ConfigError(
-            f"requested window {settings['window']} != checkpoint window {window}"
-        )
-    lo, hi = _test_range(market, settings)
-    if lo < window:
-        raise ConfigError(
-            f"test range starts on day {lo}, need {window} days of history before it"
-        )
-    config = EnvConfig(
-        window=window,
-        episode_len=hi - lo,
-        mu=float(settings["mu"]),
-        leverage=_parse_leverage(str(settings["leverage"])),
-        arbitrage_enabled=bool(meta.get("arbitrage", True)),
-    )
-    policy = greedy_policy(actor, arbitrage=config.arbitrage_enabled)
-    return run_backtest(policy, market, config, lo - 1, hi)
+    try:
+        # An actor that overflows, on check_checkpoint's probe or on the test
+        # range, is reported by the network's non-finite output check.
+        with np.errstate(over="ignore", invalid="ignore"):
+            check_checkpoint(actor, critic, meta)
+            assets = list(meta["assets"])
+            if universe is None:
+                series = _read_series(str(settings["market_dir"]), only=assets)
+            else:
+                series = _select(universe, assets, lambda s: s.asset_id)
+            market = _align(series, str(meta["benchmark"]))
+            window = int(meta["window"])
+            if settings["window"] is not None and int(settings["window"]) != window:
+                raise ConfigError(
+                    f"requested window {settings['window']} != checkpoint window {window}"
+                )
+            lo, hi = _test_range(market, settings)
+            if lo < window:
+                raise ConfigError(
+                    f"test range starts on day {lo}, need {window} days of history before it"
+                )
+            config = EnvConfig(
+                window=window,
+                episode_len=hi - lo,
+                mu=float(settings["mu"]),
+                leverage=_parse_leverage(str(settings["leverage"])),
+                arbitrage_enabled=bool(meta.get("arbitrage", True)),
+            )
+            policy = greedy_policy(actor, arbitrage=config.arbitrage_enabled)
+            return run_backtest(policy, market, config, lo - 1, hi)
+    except FloatingPointError as exc:
+        raise FormatError(f"checkpoint actor: {exc}") from exc
 
 
 def cmd_backtest(args: argparse.Namespace) -> int:

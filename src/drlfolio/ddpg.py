@@ -20,8 +20,6 @@ from .neural import (
     Network,
     build_actor,
     build_critic,
-    critic_action_grad,
-    critic_input_batch,
     minmax_action,  # re-exported; acting goes through policy_weights
     minmax_forward_batch,
     minmax_vjp_batch,
@@ -38,7 +36,8 @@ class TrainConfig:
     critic_lr: float = 5e-4
     actor_lr: float = 4e-5
     total_steps: int = 300_000
-    noise_mean: float = 0.05
+    # Exploration noise is N(0, noise_var). The paper's mean of 0.05 moves no
+    # deployed weight: the min-max activation is shift invariant.
     noise_var: float = 0.25
     discount: float = 0.99
     tau: float = 0.001
@@ -97,10 +96,10 @@ class ReplayBuffer:
 
 
 def explore_action(raw: np.ndarray, rng: np.random.Generator,
-                   noise_mean: float = 0.05, noise_var: float = 0.25) -> np.ndarray:
-    """Add i.i.d. Gaussian noise to raw actor logits before the action activation."""
+                   noise_var: float = 0.25) -> np.ndarray:
+    """Add i.i.d. N(0, noise_var) noise to raw actor logits before the action activation."""
     raw = np.asarray(raw, dtype=np.float64)
-    return raw + rng.normal(noise_mean, np.sqrt(noise_var), size=raw.shape)
+    return raw + rng.normal(0.0, np.sqrt(noise_var), size=raw.shape)
 
 
 def policy_weights(raw: np.ndarray, arbitrage: bool):
@@ -221,7 +220,7 @@ class DDPG:
         """Valid weight vector for a state; pass an rng to add exploration noise."""
         raw = self.actor.forward(state.tensor.data[None])
         if rng is not None:
-            raw = explore_action(raw, rng, self.config.noise_mean, self.config.noise_var)
+            raw = explore_action(raw, rng, self.config.noise_var)
         weights, _ = policy_weights(raw, self.arbitrage)
         return weights[0]
 
@@ -231,9 +230,9 @@ class DDPG:
         """TD loss of the critic on a batch; its parameter gradient lands in ``critic.grad``."""
         states, actions, rewards, next_states, dones = _batch_arrays(batch)
         next_actions, _ = policy_weights(self.actor_target.forward(next_states), self.arbitrage)
-        q_next = self.critic_target.forward(critic_input_batch(next_states, next_actions))
+        q_next = self.critic_target.forward(next_states, next_actions[:, 1:])
         targets = rewards + self.config.discount * (1.0 - dones) * q_next
-        q = self.critic.forward(critic_input_batch(states, actions))
+        q = self.critic.forward(states, actions[:, 1:])
         diff = q - targets
         loss = float(np.mean(diff**2))
         self.critic.backward(2.0 * diff / diff.shape[0], input_grad=False)
@@ -248,11 +247,12 @@ class DDPG:
         """Mean Q of the deployed policy; its actor gradient lands in ``actor.grad``."""
         states = np.stack([tr.state.tensor.data for tr in batch])
         weights, weights_vjp = policy_weights(self.actor.forward(states), self.arbitrage)
-        q = self.critic.forward(critic_input_batch(states, weights))
+        q = self.critic.forward(states, weights[:, 1:])
         objective = float(np.mean(q))
 
         d_weights = np.zeros_like(weights)
-        d_weights[:, 1:] = critic_action_grad(self.critic, np.full_like(q, 1.0 / q.shape[0]))
+        d_weights[:, 1:] = self.critic.backward(np.full_like(q, 1.0 / q.shape[0]),
+                                                param_grads=False)
         self.actor.backward(weights_vjp(d_weights), input_grad=False)
         return objective
 

@@ -5,7 +5,11 @@ stride 1, with kernels spanning the time axis only (1 x k), so the asset
 count stays a free dimension. The two trading networks:
 
     actor:  (N, 4, m, n) price block -> (N, m+1) raw weight logits
-    critic: (N, 5, m, n) price block plus replicated-action channel -> (N, 1)
+    critic: (N, 4, m, n) price block and (N, m) risky weights -> (N, 1)
+
+The critic's first conv has five input channels; the fifth is the action,
+risky weight i at every time step of row i, which the conv reads as one
+patch column (``Conv2D``) instead of a built channel.
 
 Layout. The public shapes are NCHW: ``Conv2D.forward`` takes and returns
 ``(N, C, H, W)`` arrays and a conv weight is ``(out, in, kh, kw)``. The memory
@@ -56,6 +60,13 @@ class Conv2D:
     The patch matrix has one row per output pixel and columns ordered
     ``(i, j, c)``: kernel row, kernel column, input channel, then a column of
     ones that meets the bias row of the weight matrix.
+
+    A 1 x k conv can take its last input channel as an action: one value per
+    input row, constant along time. ``forward(x, action)`` then reads the
+    other channels from ``x`` and writes the action into one patch column
+    before the ones, which meets that channel's tap sums
+    ``weight[:, -1].sum(axis=(1, 2))``. After such a forward, ``backward``
+    returns the (N, H) action gradient as its input gradient.
     """
 
     kind = "conv2d"
@@ -77,25 +88,32 @@ class Conv2D:
         self.d_weight = np.zeros_like(self.weight)
         self.d_bias = np.zeros_like(self.bias)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
-            raise ValueError(f"conv expects (N, {self.in_channels}, H, W), got {x.shape}")
-        n, c, h, w = x.shape
+    def forward(self, x: np.ndarray, action: np.ndarray | None = None) -> np.ndarray:
+        # c channels come from x; the rest (none, or the action) from action.
+        c = self.in_channels - (action is not None)
+        if x.ndim != 4 or x.shape[1] != c:
+            raise ValueError(f"conv expects (N, {c}, H, W), got {x.shape}")
+        n, _, h, w = x.shape
         kh, kw = self.kh, self.kw
         if h < kh or w < kw:
             raise ValueError(f"input {x.shape} smaller than kernel ({kh}, {kw})")
+        if action is not None and (kh != 1 or np.shape(action) != (n, h)):
+            raise ValueError(f"an action needs a 1 x k kernel and shape {(n, h)}, "
+                             f"got a {kh} x {kw} kernel and shape {np.shape(action)}")
         ho, wo = h - kh + 1, w - kw + 1
         k = kh * kw * c
         # Free when x came from a conv; the network input is copied once here.
         xl = np.ascontiguousarray(x.transpose(0, 2, 3, 1), dtype=np.float64)
         if self._in_shape != (n, h, w, c):
             # A patch matrix for this input shape, kept while the shape holds:
-            # k columns of patch values, then a column of ones that makes the
-            # bias a row of the GEMM. Its rows seen as (kh, kw*c) blocks are
-            # the view each forward copies patches into.
-            col = (k + 1) * _F8
-            self._cols = np.empty((n * ho * wo, k + 1))
-            self._cols[:, k] = 1.0
+            # k columns of patch values, the action column if any, then a
+            # column of ones that makes the bias a row of the GEMM. Its rows
+            # seen as (kh, kw*c) blocks are the view each forward copies
+            # patches into.
+            width = k + self.in_channels - c + 1
+            col = width * _F8
+            self._cols = np.empty((n * ho * wo, width))
+            self._cols[:, -1] = 1.0
             self._patch_rows = np.ndarray((n, ho, wo, kh, kw * c), dtype=np.float64,
                                           buffer=self._cols,
                                           strides=(ho * wo * col, wo * col, col, kw * c * _F8, _F8))
@@ -105,7 +123,10 @@ class Conv2D:
         row = w * c * _F8
         self._patch_rows[...] = np.ndarray((n, ho, wo, kh, kw * c), dtype=np.float64, buffer=xl,
                                            strides=(h * row, row, c * _F8, row, _F8))
-        gemm = np.concatenate((self.weight.transpose(2, 3, 1, 0).reshape(k, -1), self.bias[None]))
+        if action is not None:
+            self._cols.reshape(n, ho, wo, -1)[..., k] = np.asarray(action)[:, :, None]
+        gemm = np.concatenate((self.weight[:, :c].transpose(2, 3, 1, 0).reshape(k, -1),
+                               self.weight[:, c:].sum(axis=(2, 3)).T, self.bias[None]))
         out = self._cols @ gemm
         return out.reshape(n, ho, wo, self.out_channels).transpose(0, 3, 1, 2)
 
@@ -115,15 +136,21 @@ class Conv2D:
             raise ProtocolError("backward before forward")
         n, h, w, c = self._in_shape
         kh, kw = self.kh, self.kw
+        k = kh * kw * c
         _, _, ho, wo = dout.shape
         dmat = np.ascontiguousarray(dout.transpose(0, 2, 3, 1)).reshape(n * ho * wo, -1)
         if param_grads:
-            # The ones column of cols makes the last row the bias gradient.
+            # The ones column of cols makes the last row the bias gradient;
+            # an action column's row is the gradient of each of its taps.
             dw = self._cols.T @ dmat
-            self.d_weight[...] = dw[:-1].reshape(kh, kw, c, self.out_channels).transpose(3, 2, 0, 1)
+            self.d_weight[:, :c] = dw[:k].reshape(kh, kw, c, self.out_channels).transpose(3, 2, 0, 1)
+            self.d_weight[:, c:] = dw[k:-1].T[:, :, None, None]
             self.d_bias[...] = dw[-1]
         if not input_grad:
             return None
+        if c < self.in_channels:
+            taps = self.weight[:, c:].sum(axis=(2, 3))
+            return (dmat @ taps).reshape(n, h, wo).sum(axis=2)
         # One GEMM per kernel tap gives that tap's patch gradient as
         # contiguous (ho, wo*c) rows, added into the (N, H, W*c) rows of dx.
         dx = np.zeros((n, h, w * c))
@@ -284,11 +311,14 @@ class Network:
             offset = end
         self.load_stored(initial)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, action: np.ndarray | None = None) -> np.ndarray:
+        """Output for a batch of inputs; ``action`` goes to the first layer, a 1 x k conv."""
         out = np.asarray(x, dtype=np.float64)
         if out.ndim == 3:
             out = out[None]
-        for layer in self.layers:
+        first, *rest = self.layers
+        out = first.forward(out) if action is None else first.forward(out, action)
+        for layer in rest:
             out = layer.forward(out)
         if not np.all(np.isfinite(out)):
             raise FloatingPointError("network produced non-finite output")
@@ -296,19 +326,18 @@ class Network:
         return out
 
     def backward(self, dout: np.ndarray, *, input_grad: bool = True,
-                 param_grads: bool = True, down_to: int = 0) -> np.ndarray | None:
-        """Gradient of the input; parameter gradients land in ``grad``.
+                 param_grads: bool = True) -> np.ndarray | None:
+        """Gradient of the input, or of the action if the forward had one;
+        parameter gradients land in ``grad``.
 
         ``input_grad=False`` skips the first layer's input gradient and
         returns None; ``param_grads=False`` leaves ``grad`` untouched.
-        ``down_to=k`` stops after ``layers[k]`` and returns the gradient of
-        its input, leaving the layers before it alone.
         """
         if not self._forward_done:
             raise ProtocolError("backward before forward")
         grad = np.array(dout, dtype=np.float64)  # layers may overwrite it
-        for k in reversed(range(down_to, len(self.layers))):
-            grad = self.layers[k].backward(grad, input_grad=input_grad or k > down_to,
+        for k in reversed(range(len(self.layers))):
+            grad = self.layers[k].backward(grad, input_grad=input_grad or k > 0,
                                            param_grads=param_grads)
         return grad
 
@@ -367,7 +396,7 @@ def build_actor(num_assets: int, window: int, rng: np.random.Generator) -> Netwo
 
 
 def build_critic(num_assets: int, window: int, rng: np.random.Generator) -> Network:
-    """Action-value network: price block plus action channel in, scalar out."""
+    """Action-value network: ``critic.forward(blocks, weights[:, 1:])`` gives (N, 1) values."""
     if window < 5:
         raise ValueError("window must be >= 5 for two time-axis convolutions")
     flat = 16 * num_assets * (window - 4)
@@ -442,41 +471,6 @@ def minmax_action_batch(raw: np.ndarray) -> np.ndarray:
 def minmax_action(raw: np.ndarray) -> np.ndarray:
     """The min-max activation of one vector of raw logits, through the batch function."""
     return minmax_action_batch(np.asarray(raw, dtype=np.float64)[None])[0]
-
-
-def critic_input_batch(tensors: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Insert each action as a fifth channel: risky weight i fills row i of its block."""
-    tensors = np.asarray(tensors, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if tensors.ndim != 4 or tensors.shape[1] != 4:
-        raise ValueError(f"expected price blocks (N, 4, m, n), got {tensors.shape}")
-    n_batch, _, m, window = tensors.shape
-    if weights.shape != (n_batch, m + 1):
-        raise ValueError(
-            f"weights shape {weights.shape} does not match {m} risky assets"
-        )
-    channel = np.broadcast_to(weights[:, 1:, None], (n_batch, m, window))
-    return np.concatenate([tensors, channel[:, None, :, :]], axis=1)
-
-
-def critic_action_grad(critic: Network, d_q: np.ndarray) -> np.ndarray:
-    """Gradient of a critic's output w.r.t. the risky weights of its action channel.
-
-    ``d_q`` is the upstream gradient of the last forward's (N, 1) output. Every
-    tap of the first conv reads action channel 4, which is constant along
-    time, so the gradient is that conv's output gradient summed over time and
-    contracted with the channel's tap sums ``W[:, 4, 0, :].sum(1)``: one GEMV
-    in place of the five-channel input gradient. Only the 1 x k first conv of
-    ``build_critic`` is accepted. Parameter gradients are left untouched.
-    """
-    conv = critic.layers[0]
-    if not isinstance(conv, Conv2D) or conv.in_channels != 5 or conv.kh != 1:
-        raise ValueError("critic_action_grad needs a first 1 x k conv over five channels")
-    d_out = critic.backward(d_q, param_grads=False, down_to=1)
-    n, _, m, wo = d_out.shape
-    taps = conv.weight[:, 4, 0, :].sum(axis=1)
-    d_rows = np.ascontiguousarray(d_out.transpose(0, 2, 3, 1)).reshape(n * m, -1)
-    return (d_rows @ np.tile(taps, wo)).reshape(n, m)
 
 
 # ---------------------------------------------------------------------------

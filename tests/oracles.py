@@ -8,7 +8,6 @@ code paths it checks.
 import numpy as np
 
 from drlfolio.ddpg import policy_weights
-from drlfolio.neural import critic_input_batch
 
 
 def evolve_by_value_accounting(w, y):
@@ -104,6 +103,17 @@ def dense_naive(x, weight, bias):
     return out
 
 
+def critic_input_by_concat(states, weights):
+    """The critic's five-channel input built out: risky weight i fills row i of
+    a fifth channel at every time step of its (4, m, n) price block."""
+    n_batch, _, m, window = states.shape
+    channel = np.empty((n_batch, 1, m, window))
+    for b in range(n_batch):
+        for i in range(m):
+            channel[b, 0, i, :] = weights[b][i + 1]
+    return np.concatenate([states, channel], axis=1)
+
+
 def actor_grad_by_critic_input(actor, critic, states, arbitrage):
     """Actor gradient of the deployed policy's mean Q, through the critic's input.
 
@@ -112,7 +122,7 @@ def actor_grad_by_critic_input(actor, critic, states, arbitrage):
     a copy of the actor's gradient buffer.
     """
     weights, weights_vjp = policy_weights(actor.forward(states), arbitrage)
-    q = critic.forward(critic_input_batch(states, weights))
+    q = critic.forward(critic_input_by_concat(states, weights))
     d_input = critic.backward(np.full_like(q, 1.0 / q.shape[0]), param_grads=False)
     d_weights = np.zeros_like(weights)
     d_weights[:, 1:] = d_input[:, 4, :, :].sum(axis=2)

@@ -171,7 +171,7 @@ def test_criterion_07_smoke_training():
     env_config = EnvConfig(window=10, episode_len=60, mu=0.0)
     train_config = TrainConfig(
         total_steps=20_000, batch_size=64, buffer_capacity=600,
-        critic_lr=5e-4, actor_lr=4e-5, noise_mean=0.05, noise_var=0.25, seed=0,
+        critic_lr=5e-4, actor_lr=4e-5, noise_var=0.25, seed=0,
     )
     actor, _, log = train(market, env_config, train_config)
 

@@ -70,12 +70,6 @@ class TestRunBacktest:
             values.append(tr.next_state.value)
         assert np.array_equal(report.values, np.array(values))
 
-    def test_overlap_warning(self, noisy_market):
-        config = EnvConfig(window=10, episode_len=5, mu=0.0)
-        policy = lambda state: np.array([1.0, 0, 0, 0, 0])
-        with pytest.warns(UserWarning, match="overlaps"):
-            run_backtest(policy, noisy_market, config, 20, 40, train_range=(0, 30))
-
     def test_weights_recorded_every_day(self, noisy_market):
         config = EnvConfig(window=10, episode_len=5, mu=0.0)
         policy = lambda state: np.array([0.0, 1.0, 1.0, -1.0, 0.5])

@@ -183,6 +183,25 @@ def fully_invested_checkpoint(path, market, window=6):
     return path
 
 
+def overflowing_checkpoint(path, market, bias, window=6):
+    """Checkpoint whose actor overflows to non-finite logits on the market's
+    price blocks: Glorot weights and every bias set to ``bias``, all scaled by
+    1e120. With zero biases the all-zero block check_checkpoint probes with
+    stays finite; with nonzero ones it overflows as well."""
+    rng = np.random.default_rng(0)
+    actor = build_actor(market.n_assets, window, rng)
+    critic = build_critic(market.n_assets, window, rng)
+    for p in actor.params():
+        if p.ndim == 1:
+            p[...] = bias
+    actor.flat[...] *= 1e120
+    meta = {"assets": list(market.asset_ids),
+            "benchmark": market.asset_ids[market.benchmark_index],
+            "window": window, "mu": 0.0025, "arbitrage": True, "seed": 0}
+    save_checkpoint(path, actor, critic, meta)
+    return path
+
+
 class TestBacktest:
     def test_report_files_and_first_day_cost(self, market_dir, tmp_path):
         d, market = market_dir
@@ -286,6 +305,17 @@ class TestBacktest:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "non-finite" in err and "Traceback" not in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bias", [0.0, 1e-3], ids=["test-range", "probe"])
+    def test_overflowing_checkpoint_is_data_error(self, market_dir, tmp_path, capsys, bias):
+        d, market = market_dir
+        ckpt = overflowing_checkpoint(tmp_path / "ckpt.json", market, bias)
+        code = run(["backtest", ckpt, "--market-dir", d, "--out", tmp_path / "bt",
+                    "--test-start", market.dates[40], "--test-end", market.dates[90]])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "non-finite" in err and "Traceback" not in err
+
     def test_one_day_test_range_is_config_error(self, market_dir, tmp_path, capsys):
         d, market = market_dir
         ckpt = fully_invested_checkpoint(tmp_path / "ckpt.json", market)
@@ -359,6 +389,22 @@ class TestCompare:
         assert "one trading day" in capsys.readouterr().err
         assert not (out / "comparison.csv").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_checkpoint_is_data_error(self, tmp_path, capsys):
+        market, panel = ranked_factor_universe(n_long=3, n_short=3, n_days=120)
+        d = tmp_path / "universe"
+        write_market_csvs(market, d)
+        factor_csv = write_factor_csv(panel, tmp_path / "factors.csv")
+        ckpt = overflowing_checkpoint(tmp_path / "ckpt.json", market, 0.0)
+        out = tmp_path / "cmp"
+        code = run(["compare", ckpt, factor_csv, "--market-dir", d, "--out", out,
+                    "--benchmark", "benchmark", "--long-n", "3", "--short-n", "3",
+                    "--test-start", market.dates[40], "--test-end", market.dates[100]])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "non-finite" in err and "Traceback" not in err
+        assert not (out / "comparison.csv").exists()
+
     def test_missing_factor_file_is_data_error(self, tmp_path):
         market, panel = ranked_factor_universe(n_long=3, n_short=3, n_days=120)
         d = tmp_path / "universe"
@@ -406,7 +452,6 @@ config leverage =
 config long_n = 20
 config market_dir = 
 config mu = 0.0025
-config noise_mean = 0.05
 config noise_var = 0.25
 config out = 
 config seed = 0

@@ -14,7 +14,6 @@ from drlfolio.ddpg import (
     TrainConfig,
     explore_action,
     greedy_policy,
-    policy_weights,
     soft_update,
     train,
 )
@@ -25,6 +24,7 @@ from oracles import (
     actor_grad_by_critic_input,
     adam_per_array,
     central_difference,
+    critic_input_by_concat,
     greedy_weights_by_day,
     price_window_by_loops,
     relative_error,
@@ -111,7 +111,7 @@ class TestReplayBuffer:
 class TestExploreAction:
     def test_zero_variance_is_identity_shift(self, rng):
         raw = rng.standard_normal(5)
-        out = explore_action(raw, rng, noise_mean=0.0, noise_var=0.0)
+        out = explore_action(raw, rng, noise_var=0.0)
         assert np.array_equal(out, raw)
 
     def test_moments(self):
@@ -119,7 +119,7 @@ class TestExploreAction:
         samples = explore_action(np.zeros(1_000_000), rng)
         mean = samples.mean()
         var = samples.var()
-        assert abs(mean - 0.05) < 3 * 0.5 / 1000
+        assert abs(mean) < 3 * 0.5 / 1000
         assert abs(var - 0.25) < 3 * np.sqrt(2 * 0.25**2 / 1_000_000)
 
     def test_fixed_seed_reproducible(self):
@@ -127,29 +127,6 @@ class TestExploreAction:
         a = explore_action(raw, np.random.default_rng(21))
         b = explore_action(raw, np.random.default_rng(21))
         assert np.array_equal(a, b)
-
-    def test_noise_mean_does_not_move_the_policy(self):
-        """The min-max activation is shift invariant, so the noise mean (0.05 in
-        the paper) moves the deployed weights by rounding only: within 1e-15 at
-        the paper's 11 assets, and in general within a few ulps of the logits'
-        magnitude over their span, which is larger where the span is small."""
-        eps = np.finfo(np.float64).eps
-        rng = np.random.default_rng(23)
-        for m in (1, 3, 11):
-            raw = rng.standard_normal((20_000, m + 1))
-            # Twin generators: both calls add the same standard-normal draws.
-            shifted = explore_action(raw, np.random.default_rng(m), noise_mean=0.05)
-            centred = explore_action(raw, np.random.default_rng(m), noise_mean=0.0)
-            assert np.allclose(shifted - centred, 0.05, rtol=0, atol=1e-12)
-            span = centred.max(axis=1) - centred.min(axis=1)
-            ulps = eps * np.abs(np.concatenate([shifted, centred], axis=1)).max(axis=1) / span
-            for arbitrage in (True, False):
-                a, _ = policy_weights(shifted, arbitrage)
-                b, _ = policy_weights(centred, arbitrage)
-                diff = np.abs(a - b).max(axis=1)
-                assert np.all(diff <= 16 * ulps)
-                if m == 11:
-                    assert diff.max() <= 1e-15
 
 
 def assert_flat_views(net):
@@ -273,15 +250,15 @@ class TestCriticUpdate:
         env, agent, buffer, config = tiny_setup
         batch = buffer.sample(1, np.random.default_rng(4))
         tr = batch[0]
-        from drlfolio.neural import critic_input_batch, minmax_action_batch
+        from drlfolio.neural import minmax_action_batch
         from drlfolio.portfolio_math import enforce_arbitrage_batch
 
         xn = tr.next_state.tensor.data[None]
         raw_next = agent.actor_target.forward(xn)
         a_next = enforce_arbitrage_batch(minmax_action_batch(raw_next))[0]
-        q_next = agent.critic_target.forward(critic_input_batch(xn, a_next))[0, 0]
+        q_next = agent.critic_target.forward(critic_input_by_concat(xn, a_next))[0, 0]
         y = tr.reward + config.discount * (0.0 if tr.done else 1.0) * q_next
-        q = agent.critic.forward(critic_input_batch(tr.state.tensor.data[None], tr.action[None]))[0, 0]
+        q = agent.critic.forward(critic_input_by_concat(tr.state.tensor.data[None], tr.action[None]))[0, 0]
         expected = (q - y) ** 2
         assert agent.update_critic(batch) == pytest.approx(expected, rel=1e-12)
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from drlfolio.errors import FormatError, ProtocolError
@@ -17,8 +17,6 @@ from drlfolio.neural import (
     ReLU,
     build_actor,
     build_critic,
-    critic_action_grad,
-    critic_input_batch,
     load_checkpoint,
     minmax_action,
     minmax_action_batch,
@@ -30,6 +28,7 @@ from oracles import (
     central_difference,
     conv2d_backward_naive,
     conv2d_naive,
+    critic_input_by_concat,
     dense_naive,
     relative_error,
 )
@@ -293,50 +292,114 @@ class TestMinmaxAction:
                 assert relative_error(fd, analytic[i], floor=1e-4) < 1e-4
 
 
-def critic_input_row(x, w):
-    """The critic input for one price block and one weight vector."""
-    return critic_input_batch(x[None], np.asarray(w)[None])[0]
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(2, 7), seed=st.integers(0, 2**32 - 1))
+    def test_vjp_matches_central_differences(self, k, seed):
+        """At generic points: rows whose span, and whose distance to a kink, are
+        bounded away from zero. The kinks are ties at the min or max and an
+        entry at the midpoint of the span, where its scaled value crosses 0
+        (the cash clamp, and the absolute-value sum)."""
+        rng = np.random.default_rng(seed)
+        raw = rng.uniform(0.1, 10.0) * rng.standard_normal((64, k)) + rng.uniform(-5.0, 5.0)
+        ordered = np.sort(raw, axis=1)
+        span = ordered[:, -1] - ordered[:, 0]
+        z = (ordered - ordered[:, :1]) / span[:, None]
+        kink_gap = np.minimum.reduce([z[:, 1], 1.0 - z[:, -2], np.abs(2.0 * z - 1.0).min(axis=1)])
+        keep = (span > 1e-3) & (kink_gap > 0.02)
+        assume(keep.any())
+        raw, span = raw[keep], span[keep]
+        dw = rng.standard_normal(raw.shape)
+        _, cache = minmax_forward_batch(raw)
+        analytic = minmax_vjp_batch(cache, dw)
+        h = 1e-6 * span
+        for j in range(k):
+            step = np.zeros_like(raw)
+            step[:, j] = h
+            up = minmax_action_batch(raw + step)
+            down = minmax_action_batch(raw - step)
+            fd = ((up - down) * dw).sum(axis=1) / (2.0 * h)
+            # The VJP's scale: |dw| over the span.
+            assert np.all(np.abs(fd - analytic[:, j]) <= 1e-6 * np.abs(dw).sum(axis=1) / span)
+
+
+def relative_gap(got, expected):
+    return np.linalg.norm(got - expected) / max(np.linalg.norm(expected), 1e-300)
 
 
 class TestCriticInput:
-    def test_zero_risky_weights_zero_channel(self, rng):
-        x = rng.standard_normal((4, 3, 10))
-        out = critic_input_row(x, [1.0, 0, 0, 0])
-        assert out.shape == (5, 3, 10)
-        assert np.all(out[4] == 0)
+    """The critic's first conv reads its action as one patch column; the
+    reference builds the fifth channel out and runs the plain conv."""
 
-    def test_channel_columns_identical(self, rng):
-        x = rng.standard_normal((4, 3, 50))
-        w = np.array([0.1, 0.4, -0.3, 0.2])
-        out = critic_input_row(x, w)
-        assert np.all(out[4] == out[4][:, :1])
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(1, 4), window=st.integers(5, 12), batch=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_action_column_matches_five_channel_reference(self, m, window, batch, seed):
+        rng = np.random.default_rng(seed)
+        critic = build_critic(m, window, rng)
+        for p in critic.params():
+            if p.ndim == 1:
+                p[...] = rng.uniform(-0.1, 0.1, size=p.shape)
+        reference = critic.clone()
+        states = 1.0 + 0.05 * rng.standard_normal((batch, 4, m, window))
+        raw = rng.standard_normal((batch, m + 1))
+        weights = raw / np.abs(raw).sum(axis=1, keepdims=True)
+        d_q = rng.standard_normal((batch, 1))
+
+        q = critic.forward(states, weights[:, 1:])
+        d_action = critic.backward(d_q)
+        q_ref = reference.forward(critic_input_by_concat(states, weights))
+        d_action_ref = reference.backward(d_q)[:, 4].sum(axis=-1)
+
+        assert d_action.shape == (batch, m)
+        assert relative_gap(q, q_ref) <= 1e-12
+        assert relative_gap(d_action, d_action_ref) <= 1e-12
+        for got, expected in zip(critic.grads(), reference.grads()):
+            assert relative_gap(got, expected) <= 1e-12
+
+    def test_zero_risky_weights_zero_channel(self, rng):
+        conv = Conv2D(5, 4, 1, 3, rng)
+        conv.bias[...] = rng.standard_normal(4)
+        prices = Conv2D(4, 4, 1, 3)
+        prices.weight[...] = conv.weight[:, :4]
+        prices.bias[...] = conv.bias
+        x = rng.standard_normal((2, 4, 3, 10))
+        np.testing.assert_allclose(conv.forward(x, np.zeros((2, 3))), prices.forward(x),
+                                   rtol=0, atol=1e-14)
 
     def test_rows_carry_risky_weights(self, rng):
-        x = rng.standard_normal((4, 4, 7))
-        w = np.array([0.05, 0.4, -0.3, 0.2, -0.05])
-        out = critic_input_row(x, w)
-        for i in range(4):
-            for k in range(7):
-                assert out[4, i, k] == w[i + 1]
-        assert np.array_equal(out[:4], x)
+        """Risky weight i moves only row i of the output, by itself times the
+        action channel's tap sums at every time step."""
+        conv = Conv2D(5, 4, 1, 3, rng)
+        x = rng.standard_normal((1, 4, 4, 7))
+        base = conv.forward(x, np.zeros((1, 4)))
+        taps = conv.weight[:, 4, 0, :].sum(axis=1)
+        for i, a in enumerate([0.4, -0.3, 0.2, -0.05]):
+            action = np.zeros((1, 4))
+            action[0, i] = a
+            moved = conv.forward(x, action) - base
+            expected = np.zeros_like(moved)
+            expected[0, :, i, :] = a * taps[:, None]
+            np.testing.assert_allclose(moved, expected, rtol=0, atol=1e-14)
 
     def test_permutation_consistency(self, rng):
-        x = rng.standard_normal((4, 4, 7))
-        w = np.array([0.05, 0.4, -0.3, 0.2, -0.05])
+        conv = Conv2D(5, 4, 1, 3, rng)
+        x = rng.standard_normal((2, 4, 4, 7))
+        action = rng.uniform(-0.5, 0.5, size=(2, 4))
         perm = np.array([2, 0, 3, 1])
-        direct = critic_input_row(x[:, perm, :], np.concatenate([[w[0]], w[1:][perm]]))
-        assert np.array_equal(direct, critic_input_row(x, w)[:, :, :][:, perm, :])
+        direct = conv.forward(x[:, :, perm, :], action[:, perm])
+        np.testing.assert_allclose(direct, conv.forward(x, action)[:, :, perm, :],
+                                   rtol=0, atol=1e-14)
 
     def test_length_mismatch(self, rng):
-        with pytest.raises(ValueError):
-            critic_input_batch(rng.standard_normal((1, 4, 3, 10)), np.ones((1, 3)))
+        conv = Conv2D(5, 4, 1, 3, rng)
+        # Too few assets, an unbatched action, and the action channel in x too.
+        for channels, action_shape in [(4, (1, 2)), (4, (3,)), (5, (1, 3))]:
+            with pytest.raises(ValueError):
+                conv.forward(rng.standard_normal((1, channels, 3, 10)), np.ones(action_shape))
 
-    @pytest.mark.parametrize("first", [Conv2D(5, 4, 2, 2), Conv2D(4, 4, 1, 3), Dense(5, 4)],
-                             ids=["2x2-kernel", "four-channels", "dense"])
-    def test_action_grad_needs_the_critic_first_conv(self, first):
-        critic = Network([first, ReLU(), Flatten(), Dense(4, 1)])
-        with pytest.raises(ValueError, match="first 1 x k conv"):
-            critic_action_grad(critic, np.ones((1, 1)))
+    def test_action_column_needs_a_1xk_kernel(self, rng):
+        with pytest.raises(ValueError, match="1 x k kernel"):
+            Conv2D(5, 4, 2, 2, rng).forward(rng.standard_normal((1, 4, 3, 10)), np.ones((1, 3)))
 
 
 class TestCheckpoint:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from drlfolio.errors import DegenerateActionError, RuinError
@@ -86,6 +86,24 @@ weight_books = st.integers(3, 6).flatmap(lambda k: st.lists(
     min_size=1, max_size=8))
 
 
+@st.composite
+def books_and_relatives(draw, books=1, days=1):
+    """``books`` valid signed weight vectors over cash and one shared count of
+    1-6 risky assets, exact zeros included, and ``days`` rows of price
+    relatives with cash at 1."""
+    m = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0.0), st.floats(-1.0, 1.0, allow_subnormal=False))
+    result = []
+    for _ in range(books):
+        raw = np.array(draw(st.lists(entry, min_size=m + 1, max_size=m + 1)))
+        raw[0] = abs(raw[0])
+        assume(np.abs(raw).sum() > 0)
+        result.append(raw / np.abs(raw).sum())
+    rows = draw(st.lists(st.lists(st.floats(0.2, 5.0), min_size=m, max_size=m),
+                         min_size=days, max_size=days))
+    return result, np.array([[1.0, *row] for row in rows])
+
+
 class TestEnforceArbitrage:
     def test_flip_when_book_is_one_sided(self):
         w = enforce_arbitrage(np.array([0.2, 0.3, 0.5]))
@@ -166,6 +184,15 @@ class TestEvolveWeights:
         assert worst < 1e-12
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=books_and_relatives())
+    def test_keeps_unit_exposure_and_signs(self, drawn):
+        (w,), ys = drawn
+        out = evolve_weights(w, ys[0])
+        assert abs(np.abs(out).sum() - 1.0) <= 1e-12
+        assert np.array_equal(np.sign(out), np.sign(w))
+
+
 class TestTransactionCost:
     def test_first_day_full_investment(self, rng):
         w0 = initial_weights(4)
@@ -197,6 +224,18 @@ class TestTransactionCost:
             assert ab == transaction_cost(b, a, 0.0025)
             assert transaction_cost(a, c, 0.0025) <= ab + transaction_cost(b, c, 0.0025) + 1e-15
             assert 0.0 <= ab <= 2 * 0.0025 + 1e-15
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=books_and_relatives(books=3), mu=st.floats(0.0, 0.01),
+           cash=st.floats(0.0, 1.0))
+    def test_symmetric_cash_blind_and_triangle(self, drawn, mu, cash):
+        (a, b, c), _ = drawn
+        ab = transaction_cost(a, b, mu)
+        assert ab == transaction_cost(b, a, mu)
+        recashed = np.concatenate([[cash], b[1:]])
+        assert transaction_cost(a, recashed, mu) == ab
+        assert transaction_cost(a, c, mu) <= ab + transaction_cost(b, c, mu) + 1e-15
 
 
 class TestStepValue:
@@ -231,6 +270,22 @@ class TestStepValue:
         log_sum = sum(np.log(y) @ w for y in ys)
         assert abs(total_gamma - log_sum) < 1e-10
         assert abs(np.log(rho) - log_sum) < 1e-10
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=st.integers(1, 10).flatmap(lambda days: st.tuples(
+               books_and_relatives(days=days),
+               st.lists(st.floats(0.0, 0.01), min_size=days, max_size=days))),
+           rho0=st.floats(0.1, 10.0))
+    def test_log_value_telescopes(self, drawn, rho0):
+        """Over drifting days with costs, log(final / initial value) is the sum
+        of the daily log returns."""
+        ((w,), ys), costs = drawn
+        rho, total = rho0, 0.0
+        for y, cost in zip(ys, costs):
+            rho, gamma = step_value(rho, w, y, cost)
+            total += gamma
+            w = evolve_weights(w, y)
+        assert abs(np.log(rho / rho0) - total) <= 1e-12 * (1.0 + len(ys))
 
     def test_unit_leverage_bitwise_identical(self, rng):
         for _ in range(200):
