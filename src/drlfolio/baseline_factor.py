@@ -7,21 +7,24 @@ long_n names are held at +1/(long_n+short_n), the bottom short_n names at
 per-asset log price relatives. No transaction costs, no leverage, and no
 benchmark position, so the benchmark sign rule never applies.
 
-Factor CSV schema: header ``date,asset,ep_ratio,turnover`` (long format).
+Factor CSV schema: header ``date,asset,ep_ratio,turnover`` (long format), read
+as ``market_data.read_columns`` reads a price file.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InsufficientUniverseError
-from .market_data import AlignedMarket, relative_prices
+from .errors import InsufficientUniverseError
+from .market_data import AlignedMarket, parse_floats, read_columns, relative_prices
 from .portfolio_math import weighted_log_return
 from .analytics import BacktestReport
+
+
+FACTOR_HEADER = ("date", "asset", "ep_ratio", "turnover")
 
 
 @dataclass(frozen=True)
@@ -42,29 +45,35 @@ class FactorPanel:
 
 
 def load_factor_csv(path: str | Path, market: AlignedMarket) -> FactorPanel:
-    """Align a long-format factor file onto the market's assets and dates."""
-    header = ("date", "asset", "ep_ratio", "turnover")
+    """Align a long-format factor file onto the market's assets and dates.
+
+    A row counts where its asset and date are on the market's axes and its
+    ep_ratio parses; its turnover counts where that parses too. A later row
+    overwrites an earlier one.
+    """
     asset_pos = {a: i for i, a in enumerate(market.asset_ids)}
     date_pos = {d: j for j, d in enumerate(market.dates)}
     shape = (market.n_assets, len(market))
     ep = np.full(shape, np.nan)
     turnover = np.full(shape, np.nan)
-    with Path(path).open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip().lower() for f in reader.fieldnames] != list(header):
-            raise FormatError(f"{path}: expected header {','.join(header)}")
-        for row in reader:
-            i = asset_pos.get((row["asset"] or "").strip())
-            j = date_pos.get((row["date"] or "").strip())
-            if i is None or j is None:
-                continue
-            try:
-                ep[i, j] = float(row["ep_ratio"])
-                turnover[i, j] = float(row["turnover"])
-            except (TypeError, ValueError):
-                continue
+    for dates, assets, ep_cells, turnover_cells in read_columns(Path(path), FACTOR_HEADER):
+        i = np.array([asset_pos.get((cell or "").strip(), -1) for cell in assets])
+        j = np.array([date_pos.get((cell or "").strip(), -1) for cell in dates])
+        flat = i * len(market) + j
+        ep_value, ep_ok = parse_floats(ep_cells)
+        turnover_value, turnover_ok = parse_floats(turnover_cells)
+        counts = (i >= 0) & (j >= 0) & ep_ok
+        _put_last(ep, flat[counts], ep_value[counts])
+        both = counts & turnover_ok
+        _put_last(turnover, flat[both], turnover_value[both])
     return FactorPanel(asset_ids=market.asset_ids, dates=market.dates,
                        ep_ratio=ep, turnover=turnover)
+
+
+def _put_last(target: np.ndarray, flat: np.ndarray, values: np.ndarray) -> None:
+    """``target.flat[flat[k]] = values[k]`` in order of k: the last write to a cell wins."""
+    cells, first = np.unique(flat[::-1], return_index=True)
+    target.flat[cells] = values[::-1][first]
 
 
 def factor_score(panel: FactorPanel, t: int) -> np.ndarray:

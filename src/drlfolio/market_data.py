@@ -3,6 +3,10 @@
 CSV schema (one file per asset):
     header ``date,open,high,low,close``, UTF-8, dot decimal separator,
     ISO-8601 dates. A zero or unparseable price cell marks a missing value.
+    The header is matched by name, ignoring case and surrounding spaces, and
+    columns are then read by position. A file that is not UTF-8 is a
+    FormatError. ``read_columns`` reads the file in blocks of ``CSV_BLOCK``
+    rows, so its working memory does not grow with the file.
 
 After alignment the date axis is an opaque ordinal index; positions are what
 the rest of the package works with.
@@ -18,7 +22,9 @@ from __future__ import annotations
 
 import csv
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import islice, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +35,11 @@ from .errors import AlignmentError, FormatError, WindowError
 FEATURES = ("close", "high", "low", "open")
 
 CSV_HEADER = ("date", "open", "high", "low", "close")
+
+# Rows parsed at a time. A read holds one block of cells as Python strings,
+# so this bounds its working memory: on a 39k-row factor file the traced
+# peak of load_factor_csv is 1.1 MiB at 512 rows, 18.6 MiB unblocked.
+CSV_BLOCK = 512
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -75,51 +86,85 @@ class PriceSeries:
         return len(self.dates)
 
 
-def _parse_price(cell: str) -> float:
-    """Missing or malformed cells (including negatives) collapse to 0."""
+def read_columns(path: Path, header: tuple[str, ...]) -> Iterator[list[tuple]]:
+    """Yield the data rows of a CSV file in blocks of at most ``CSV_BLOCK``, one tuple per column.
+
+    The first row must be ``header`` up to case and surrounding spaces; cells
+    are then read by position. Blank rows are skipped, a short row reads None
+    in its missing cells, and cells past the header are ignored. A file that
+    is not UTF-8 or not valid CSV raises FormatError naming the file.
+    """
+    width = len(header)
     try:
-        value = float(cell)
-    except (TypeError, ValueError):
-        return 0.0
-    if not np.isfinite(value) or value < 0:
-        return 0.0
-    return value
+        with path.open("r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            names = next(reader, None)
+            if names is None or [f.strip().lower() for f in names] != list(header):
+                raise FormatError(f"{path}: expected header {','.join(header)}")
+            rows = filter(None, reader)
+            while block := list(islice(rows, CSV_BLOCK)):
+                cols = list(islice(zip_longest(*block), width))
+                yield cols + [(None,) * len(block)] * (width - len(cols))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
+def parse_floats(cells: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """``float()`` of each cell, and where it succeeded; NaN where it did not.
+
+    Empty and absent (None) cells fail. Every other cell goes through one
+    ``np.array(..., dtype=np.float64)``, which calls ``float()`` per string;
+    only a column holding a cell it refuses is parsed cell by cell.
+    """
+    ok = np.ones(len(cells), dtype=bool)
+    missing = [k for k, cell in enumerate(cells) if not cell]
+    if missing:
+        ok[missing] = False
+        cells = ["nan" if not cell else cell for cell in cells]
+    try:
+        return np.array(cells, dtype=np.float64), ok
+    except ValueError:
+        values = np.full(len(cells), np.nan)
+        for k, cell in enumerate(cells):
+            try:
+                values[k] = float(cell)
+            except ValueError:
+                ok[k] = False
+        return values, ok
 
 
 def load_csv(path: str | Path, asset_id: str | None = None) -> PriceSeries:
-    """Read one asset's OHLC file. Rows are sorted by date; duplicates are an error."""
+    """Read one asset's OHLC file. Rows are sorted by date; duplicates are an error.
+
+    A price cell that is missing, malformed, non-finite or negative reads 0.
+    """
     path = Path(path)
     if asset_id is None:
         asset_id = path.stem
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip().lower() for f in reader.fieldnames] != list(CSV_HEADER):
-            raise FormatError(f"{path}: expected header {','.join(CSV_HEADER)}")
-        rows = [
-            (
-                (row["date"] or "").strip(),
-                _parse_price(row["open"]),
-                _parse_price(row["high"]),
-                _parse_price(row["low"]),
-                _parse_price(row["close"]),
-            )
-            for row in reader
-        ]
-    if not rows:
+    dates, blocks = [], []
+    for cols in read_columns(path, CSV_HEADER):
+        dates += [(cell or "").strip() for cell in cols[0]]
+        blocks.append([parse_floats(cells)[0] for cells in cols[1:]])
+    if not dates:
         raise FormatError(f"{path}: no data rows")
-    rows.sort(key=lambda r: r[0])
-    for a, b in zip(rows, rows[1:]):
-        if a[0] == b[0]:
-            raise FormatError(f"{path}: duplicate date {a[0]}")
-    dates = tuple(r[0] for r in rows)
-    cols = np.array([r[1:] for r in rows], dtype=np.float64)
+    prices = np.concatenate(blocks, axis=1)
+    prices[~((prices >= 0) & (prices < np.inf))] = 0.0
+    # Python string order on an object array: numpy's fixed-width strings
+    # would drop trailing NUL characters.
+    keys = np.array(dates, dtype=object)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    dup = np.flatnonzero(keys[1:] == keys[:-1])
+    if dup.size:
+        raise FormatError(f"{path}: duplicate date {keys[dup[0]]}")
+    prices = prices[:, order]
     return PriceSeries(
         asset_id=asset_id,
-        dates=dates,
-        open=cols[:, 0],
-        high=cols[:, 1],
-        low=cols[:, 2],
-        close=cols[:, 3],
+        dates=tuple(keys.tolist()),
+        open=prices[0],
+        high=prices[1],
+        low=prices[2],
+        close=prices[3],
     )
 
 

@@ -5,9 +5,15 @@ scalar accounting, normal equations) and must stay decoupled from the package
 code paths it checks.
 """
 
+import csv
+from pathlib import Path
+
 import numpy as np
 
+from drlfolio.baseline_factor import FactorPanel
 from drlfolio.ddpg import policy_weights
+from drlfolio.errors import FormatError
+from drlfolio.market_data import PriceSeries
 
 
 def evolve_by_value_accounting(w, y):
@@ -213,3 +219,64 @@ def price_window_by_loops(market, t, window):
 def greedy_weights_by_day(actor, windows, arbitrage):
     """The deployed policy's weights one day at a time: one batch-1 forward per window."""
     return np.stack([policy_weights(actor.forward(x[None]), arbitrage)[0][0] for x in windows])
+
+
+def _dict_rows(fh, path, header):
+    """csv.DictReader over fh, its header checked up to case and spaces, keyed by ``header``."""
+    reader = csv.DictReader(fh)
+    if reader.fieldnames is None or [f.strip().lower() for f in reader.fieldnames] != list(header):
+        raise FormatError(f"{path}: expected header {','.join(header)}")
+    reader.fieldnames = list(header)
+    return reader
+
+
+def _price_cell(cell):
+    try:
+        value = float(cell)
+    except (TypeError, ValueError):
+        return 0.0
+    if not np.isfinite(value) or value < 0:
+        return 0.0
+    return value
+
+
+def load_csv_by_rows(path, asset_id=None):
+    """``load_csv`` one dict per row: parse each cell, sort the rows, scan for duplicates."""
+    path = Path(path)
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        rows = [
+            ((row["date"] or "").strip(), _price_cell(row["open"]), _price_cell(row["high"]),
+             _price_cell(row["low"]), _price_cell(row["close"]))
+            for row in _dict_rows(fh, path, ("date", "open", "high", "low", "close"))
+        ]
+    if not rows:
+        raise FormatError(f"{path}: no data rows")
+    rows.sort(key=lambda r: r[0])
+    for a, b in zip(rows, rows[1:]):
+        if a[0] == b[0]:
+            raise FormatError(f"{path}: duplicate date {a[0]}")
+    cols = np.array([r[1:] for r in rows], dtype=np.float64)
+    return PriceSeries(asset_id=path.stem if asset_id is None else asset_id,
+                       dates=tuple(r[0] for r in rows),
+                       open=cols[:, 0], high=cols[:, 1], low=cols[:, 2], close=cols[:, 3])
+
+
+def load_factor_csv_by_rows(path, market):
+    """``load_factor_csv`` one dict per row, each row writing its cells in file order."""
+    asset_pos = {a: i for i, a in enumerate(market.asset_ids)}
+    date_pos = {d: j for j, d in enumerate(market.dates)}
+    ep = np.full((market.n_assets, len(market)), np.nan)
+    turnover = np.full_like(ep, np.nan)
+    with Path(path).open("r", encoding="utf-8", newline="") as fh:
+        for row in _dict_rows(fh, path, ("date", "asset", "ep_ratio", "turnover")):
+            i = asset_pos.get((row["asset"] or "").strip())
+            j = date_pos.get((row["date"] or "").strip())
+            if i is None or j is None:
+                continue
+            try:
+                ep[i, j] = float(row["ep_ratio"])
+                turnover[i, j] = float(row["turnover"])
+            except (TypeError, ValueError):
+                continue
+    return FactorPanel(asset_ids=market.asset_ids, dates=market.dates,
+                       ep_ratio=ep, turnover=turnover)

@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from drlfolio import market_data
 from drlfolio.baseline_factor import (
     FactorPanel,
     factor_score,
@@ -8,14 +13,15 @@ from drlfolio.baseline_factor import (
     run_factor_backtest,
     select_weights,
 )
-from drlfolio.errors import InsufficientUniverseError
+from drlfolio.errors import FormatError, InsufficientUniverseError
 from drlfolio.market_data import relative_prices
 from drlfolio.synthetic import (
     drift_market,
     ranked_factor_universe,
     write_factor_csv,
 )
-from oracles import dot_log_return
+from csv_cases import factor_files
+from oracles import dot_log_return, load_factor_csv_by_rows
 
 
 def panel_from(ep_rows, turnover_rows, ids=None):
@@ -165,3 +171,40 @@ class TestFactorCsv:
         loaded = load_factor_csv(path, market)
         assert loaded.ep_ratio[0, 0] == 0.5
         assert np.isnan(loaded.ep_ratio[1, 0])
+
+    def test_header_matched_by_name_read_by_position(self, tmp_path):
+        market, _ = ranked_factor_universe(n_long=2, n_short=2, n_days=10)
+        path = tmp_path / "factors.csv"
+        path.write_text(f" Date , Asset,EP_Ratio,Turnover\n{market.dates[1]},stock01,0.25,0.5\n")
+        loaded = load_factor_csv(path, market)
+        assert loaded.ep_ratio[1, 1] == 0.25 and loaded.turnover[1, 1] == 0.5
+
+    def test_non_utf8_file_is_format_error(self, tmp_path):
+        market, _ = ranked_factor_universe(n_long=2, n_short=2, n_days=10)
+        path = tmp_path / "factors.csv"
+        path.write_bytes(b"date,asset,ep_ratio,turnover\n\xff,stock00,0.5,0.1\n")
+        with pytest.raises(FormatError, match="factors.csv"):
+            load_factor_csv(path, market)
+
+
+FACTOR_MARKET = drift_market(4, [0.0, 0.0, 0.0], asset_ids=["a", "b", "bench"], seed=1)
+
+
+def loaded(load, path):
+    """What a loader makes of a factor file: its panel bytes, NaNs included, or its exception type."""
+    try:
+        panel = load(path, FACTOR_MARKET)
+    except (FormatError, OSError) as exc:
+        return type(exc)
+    return panel.ep_ratio.tobytes(), panel.turnover.tobytes()
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=factor_files(FACTOR_MARKET.dates, FACTOR_MARKET.asset_ids),
+       block=st.sampled_from([1, 2, 3, 512]))
+def test_load_factor_csv_matches_row_oracle(tmp_path, text, block):
+    # Few axes, so rows repeat a cell within a block and across blocks.
+    path = tmp_path / "factors.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with mock.patch.object(market_data, "CSV_BLOCK", block):
+        assert loaded(load_factor_csv, path) == loaded(load_factor_csv_by_rows, path)

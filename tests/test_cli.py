@@ -39,6 +39,11 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+def rewrite_header(path, header):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text(header + "\n" + "".join(lines[1:]))
+
+
 def train_args(market_dir, out, **overrides):
     args = {
         "window": 6, "episode-len": 10, "total-steps": 20, "seed": 3,
@@ -76,6 +81,21 @@ class TestIngest:
 
     def test_missing_dir_is_usage_error(self, tmp_path):
         assert run(["ingest", tmp_path / "nope"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("header", ["Date,Open,High,Low,Close", " date , open,high,low,close"])
+    def test_header_matched_by_name(self, market_dir, capsys, header):
+        d, market = market_dir
+        rewrite_header(d / "alpha.csv", header)
+        assert run(["ingest", d, "--benchmark", "bench"]) == EXIT_OK
+        assert f"days: {len(market)}" in capsys.readouterr().out
+
+    def test_non_utf8_file_is_data_error(self, market_dir, capsys):
+        d, _ = market_dir
+        path = d / "beta.csv"
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        assert run(["ingest", d, "--benchmark", "bench"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "beta.csv" in err and "Traceback" not in err
 
 
 class TestTrain:
@@ -374,6 +394,21 @@ class TestCompare:
                     "--test-start", market.dates[40], "--test-end", market.dates[100]])
         assert code == EXIT_OK
         assert sorted(parsed) == sorted(d.glob("*.csv")) and len(parsed) == 7
+
+    def test_header_matched_by_name(self, tmp_path):
+        market, panel = ranked_factor_universe(n_long=3, n_short=3, n_days=120)
+        d = tmp_path / "universe"
+        rewrite_header(write_market_csvs(market, d)[0], "Date,Open,High,Low,Close")
+        factor_csv = write_factor_csv(panel, tmp_path / "factors.csv")
+        rewrite_header(factor_csv, " Date , Asset,EP_Ratio,Turnover")
+        ckpt = fully_invested_checkpoint(tmp_path / "ckpt.json", market, window=6)
+        out = tmp_path / "cmp"
+        code = run(["compare", ckpt, factor_csv, "--market-dir", d, "--out", out,
+                    "--benchmark", "benchmark", "--long-n", "3", "--short-n", "3",
+                    "--test-start", market.dates[40], "--test-end", market.dates[100]])
+        assert code == EXIT_OK
+        factor = (out / "comparison.csv").read_text().splitlines()[2].split(",")
+        assert float(factor[2]) == pytest.approx(0.01, abs=1e-12)
 
     def test_one_day_test_range_is_config_error(self, tmp_path, capsys):
         market, panel = ranked_factor_universe(n_long=3, n_short=3, n_days=120)

@@ -1,10 +1,12 @@
 from datetime import date
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from drlfolio import market_data
 from drlfolio.errors import AlignmentError, FormatError, WindowError
 from drlfolio.market_data import (
     AlignedMarket,
@@ -16,7 +18,8 @@ from drlfolio.market_data import (
     relative_prices,
 )
 from drlfolio.synthetic import drift_market, market_from_closes
-from oracles import price_window_by_loops
+from csv_cases import price_files
+from oracles import load_csv_by_rows, price_window_by_loops
 
 
 def write_csv(path, rows):
@@ -94,6 +97,39 @@ class TestLoadCsv:
         p = write_csv(tmp_path / "a.csv", ["2020-01-01,5,2,0.5,1.5"])
         with pytest.raises(FormatError, match="OHLC"):
             load_csv(p)
+
+    @pytest.mark.parametrize("header", ["Date,Open,High,Low,Close", " date , open,high,low,close"])
+    def test_header_matched_by_name_read_by_position(self, tmp_path, header):
+        p = tmp_path / "a.csv"
+        p.write_text(f"{header}\n2020-01-01,1,2,0.5,1.5\n2020-01-02,1.5,2.5,1.0,2.0\n")
+        s = load_csv(p)
+        assert s.dates == ("2020-01-01", "2020-01-02")
+        assert s.open.tolist() == [1.0, 1.5] and s.close.tolist() == [1.5, 2.0]
+
+    def test_non_utf8_file_is_format_error(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_bytes(b"date,open,high,low,close\n2020-01-01,1,2,0.5,1.5\xff\n")
+        with pytest.raises(FormatError, match="a.csv"):
+            load_csv(p)
+
+
+def loaded(load, path):
+    """What a loader makes of a file: its dates and price bytes, or its exception type."""
+    try:
+        s = load(path)
+    except (FormatError, OSError) as exc:
+        return type(exc)
+    return s.dates, [getattr(s, name).tobytes() for name in ("open", "high", "low", "close")]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=price_files(), block=st.sampled_from([1, 2, 3, 512]))
+def test_load_csv_matches_row_oracle(tmp_path, text, block):
+    # Small blocks make rows, blank runs and duplicates straddle block edges.
+    path = tmp_path / "asset.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with mock.patch.object(market_data, "CSV_BLOCK", block):
+        assert loaded(load_csv, path) == loaded(load_csv_by_rows, path)
 
 
 class TestAlign:
