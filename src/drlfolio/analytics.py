@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .market_data import AlignedMarket
-from .trading_env import EnvConfig, EnvState, TradingEnv
+from .trading_env import EnvConfig, EnvState, TradingEnv, check_run
 
 ANNUALIZATION = float(np.sqrt(252.0))
 
@@ -82,11 +82,15 @@ def run_backtest(
     start: int,
     end: int,
 ) -> BacktestReport:
-    """Greedy contiguous rollout: decisions on days [start, end), returns on (start, end]."""
+    """Greedy contiguous rollout: decisions on days [start, end), returns on (start, end].
+    The environment holds only the days the run reads, so its states count days
+    from the first day of the start's window."""
     if end <= start:
         raise ConfigError(f"empty backtest range [{start}, {end})")
-    env = TradingEnv(market, config)
-    state = env.start_at(start, end - start)
+    check_run(len(market), config.window, start, end - start)
+    lo = start - config.window + 1
+    env = TradingEnv(market.restrict(lo, end), config)
+    state = env.start_at(start - lo, end - start)
 
     values = [1.0]
     weights, costs, log_returns = [], [], []
@@ -94,7 +98,7 @@ def run_backtest(
     while not done:
         transition = env.step(policy(state))
         weights.append(transition.action)
-        costs.append(env.last_cost)
+        costs.append(transition.cost)
         log_returns.append(transition.reward)
         values.append(transition.next_state.value)
         state = transition.next_state

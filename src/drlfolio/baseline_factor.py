@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InsufficientUniverseError
+from .errors import ConfigError, InsufficientUniverseError
 from .market_data import AlignedMarket, parse_floats, read_columns, relative_prices
 from .portfolio_math import weighted_log_return
 from .analytics import BacktestReport
@@ -92,7 +92,7 @@ def select_weights(scores: np.ndarray, long_n: int = 20, short_n: int = 20) -> n
     """
     scores = np.asarray(scores, dtype=np.float64)
     if long_n < 1 or short_n < 1:
-        raise ValueError("long_n and short_n must be positive")
+        raise ConfigError("long_n and short_n must be positive")
     scorable = np.flatnonzero(np.isfinite(scores))
     if len(scorable) < long_n + short_n:
         raise InsufficientUniverseError(

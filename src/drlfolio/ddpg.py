@@ -66,33 +66,46 @@ class TrainingDiverged(ConfigError):
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring; overwrites oldest first, samples uniformly with replacement."""
+    """Fixed-capacity ring over one observation cube; overwrites oldest first, samples
+    uniformly with replacement. An entry is a decision's cube row, action, reward and
+    done flag; its next state is the following row, the next day of the same run."""
 
-    def __init__(self, capacity: int = 600):
+    def __init__(self, cube: np.ndarray, capacity: int = 600):
         if capacity < 1:
             raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._storage: list[Transition] = []
-        self._cursor = 0
+        self.cube, self.capacity = cube, capacity
+        self._rows = np.zeros(capacity, dtype=np.intp)
+        self._actions = np.zeros((capacity, cube.shape[2] + 1))
+        self._rewards = np.zeros((capacity, 1))
+        self._dones = np.zeros((capacity, 1))
+        self._size = self._cursor = 0
 
     def __len__(self) -> int:
-        return len(self._storage)
+        return self._size
 
     def add(self, transition: Transition) -> None:
-        if len(self._storage) < self.capacity:
-            self._storage.append(transition)
-        else:
-            self._storage[self._cursor] = transition
-        self._cursor = (self._cursor + 1) % self.capacity
+        if transition.state.cube is not self.cube:
+            raise ValueError("transition comes from another observation cube")
+        k = self._cursor
+        self._rows[k] = transition.state.row
+        self._actions[k] = transition.action
+        self._rewards[k] = transition.reward
+        self._dones[k] = transition.done
+        self._cursor = (k + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
 
     def ready(self, batch_size: int) -> bool:
-        return len(self._storage) >= batch_size
+        return self._size >= batch_size
 
-    def sample(self, batch_size: int, rng: np.random.Generator) -> list[Transition]:
+    def sample(self, batch_size: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+        """(states, actions, rewards, next_states, dones) of batch_size entries;
+        rewards and dones are (batch_size, 1)."""
         if not self.ready(batch_size):
             raise ValueError(f"buffer holds {len(self)} < batch {batch_size}")
-        idx = rng.integers(0, len(self._storage), size=batch_size)
-        return [self._storage[i] for i in idx]
+        idx = rng.integers(0, self._size, size=batch_size)
+        rows = self._rows[idx]
+        return (self.cube[rows], self._actions[idx], self._rewards[idx], self.cube[rows + 1],
+                self._dones[idx])
 
 
 def explore_action(raw: np.ndarray, rng: np.random.Generator,
@@ -191,15 +204,6 @@ class TrainLog:
                                  repr(r.final_value), repr(r.mean_cost)])
 
 
-def _batch_arrays(batch: list[Transition]):
-    states = np.stack([tr.state.tensor.data for tr in batch])
-    actions = np.stack([tr.action for tr in batch])
-    rewards = np.array([tr.reward for tr in batch])[:, None]
-    next_states = np.stack([tr.next_state.tensor.data for tr in batch])
-    dones = np.array([1.0 if tr.done else 0.0 for tr in batch])[:, None]
-    return states, actions, rewards, next_states, dones
-
-
 class DDPG:
     """Owns the four networks and their optimizers; updates are one Adam step each."""
 
@@ -226,9 +230,10 @@ class DDPG:
 
     # -- updates -----------------------------------------------------------
 
-    def critic_loss(self, batch: list[Transition]) -> float:
-        """TD loss of the critic on a batch; its parameter gradient lands in ``critic.grad``."""
-        states, actions, rewards, next_states, dones = _batch_arrays(batch)
+    def critic_loss(self, batch: tuple[np.ndarray, ...]) -> float:
+        """TD loss of the critic on a ``ReplayBuffer.sample`` batch; its parameter
+        gradient lands in ``critic.grad``."""
+        states, actions, rewards, next_states, dones = batch
         next_actions, _ = policy_weights(self.actor_target.forward(next_states), self.arbitrage)
         q_next = self.critic_target.forward(next_states, next_actions[:, 1:])
         targets = rewards + self.config.discount * (1.0 - dones) * q_next
@@ -238,14 +243,15 @@ class DDPG:
         self.critic.backward(2.0 * diff / diff.shape[0], input_grad=False)
         return loss
 
-    def update_critic(self, batch: list[Transition]) -> float:
+    def update_critic(self, batch: tuple[np.ndarray, ...]) -> float:
         loss = self.critic_loss(batch)
         self._adam_critic.step(self.critic.flat, self.critic.grad)
         return loss
 
-    def actor_objective(self, batch: list[Transition]) -> float:
-        """Mean Q of the deployed policy; its actor gradient lands in ``actor.grad``."""
-        states = np.stack([tr.state.tensor.data for tr in batch])
+    def actor_objective(self, batch: tuple[np.ndarray, ...]) -> float:
+        """Mean Q of the deployed policy on a batch's states; its actor gradient
+        lands in ``actor.grad``."""
+        states = batch[0]
         weights, weights_vjp = policy_weights(self.actor.forward(states), self.arbitrage)
         q = self.critic.forward(states, weights[:, 1:])
         objective = float(np.mean(q))
@@ -256,7 +262,7 @@ class DDPG:
         self.actor.backward(weights_vjp(d_weights), input_grad=False)
         return objective
 
-    def update_actor(self, batch: list[Transition]) -> float:
+    def update_actor(self, batch: tuple[np.ndarray, ...]) -> float:
         objective = self.actor_objective(batch)
         # Gradient ascent on the objective: step along the negated gradient.
         self._adam_actor.step(self.actor.flat, np.negative(self.actor.grad, out=self.actor.grad))
@@ -267,7 +273,7 @@ class DDPG:
         soft_update(self.critic_target, self.critic, self.config.tau)
 
 
-# Days of a run's observation block the greedy policy evaluates per actor forward.
+# Cube rows the greedy policy evaluates per actor forward.
 GREEDY_BLOCK = 64
 
 
@@ -275,20 +281,19 @@ def greedy_policy(actor: Network, arbitrage: bool = True):
     """Noise-free policy closure for backtesting a trained actor.
 
     On a state whose weights it does not hold yet, the policy runs the actor
-    on that state's row of its run's observation block and the next rows, up
-    to GREEDY_BLOCK in all, and serves the following states of the run from
-    the result. The memo belongs to one block, so the policy can be reused on
-    another run or market; the actor must not change while a run is served.
+    on that state's row of its observation cube and the next rows, up to
+    GREEDY_BLOCK in all, and serves the following days from the result. The
+    memo belongs to one cube, so the policy can be reused on another
+    environment; the actor must not change while a run is served.
     """
-    block, first, weights = None, 0, None
+    cube, first, weights = None, 0, None
 
     def policy(state: EnvState) -> np.ndarray:
-        nonlocal block, first, weights
-        row = state.steps_done
-        if state.block is not block or not first <= row < first + len(weights):
-            block, first = state.block, row
-            weights, _ = policy_weights(actor.forward(block[row : row + GREEDY_BLOCK]),
-                                        arbitrage)
+        nonlocal cube, first, weights
+        row = state.row
+        if state.cube is not cube or not first <= row < first + len(weights):
+            cube, first = state.cube, row
+            weights, _ = policy_weights(actor.forward(cube[row : row + GREEDY_BLOCK]), arbitrage)
         # A copy: the caller owns what it gets, and the memo may serve this row again.
         return weights[row - first].copy()
 
@@ -342,6 +347,8 @@ def train(
     Fully deterministic for a given (market, configs, seed). A non-finite
     network output raises TrainingDiverged, which carries the log so far.
     """
+    if checkpoint_every is not None and checkpoint_every < 1:
+        raise ConfigError(f"checkpoint_every must be positive, got {checkpoint_every}")
     seeds = np.random.SeedSequence(train_config.seed).spawn(4)
     rng_init, rng_env, rng_noise, rng_sample = (np.random.default_rng(s) for s in seeds)
 
@@ -350,7 +357,7 @@ def train(
     agent = DDPG(actor, critic, train_config, arbitrage=env_config.arbitrage_enabled)
 
     env = TradingEnv(market, env_config)
-    buffer = ReplayBuffer(train_config.buffer_capacity)
+    buffer = ReplayBuffer(env.cube, train_config.buffer_capacity)
     log = TrainLog()
     meta = checkpoint_meta(market, env_config, train_config)
 
@@ -368,7 +375,7 @@ def train(
                 transition = env.step(action)
                 buffer.add(transition)
                 rewards.append(transition.reward)
-                costs.append(env.last_cost)
+                costs.append(transition.cost)
                 if buffer.ready(train_config.batch_size):
                     batch = buffer.sample(train_config.batch_size, rng_sample)
                     agent.update_critic(batch)

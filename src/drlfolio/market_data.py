@@ -2,7 +2,8 @@
 
 CSV schema (one file per asset):
     header ``date,open,high,low,close``, UTF-8, dot decimal separator,
-    ISO-8601 dates. A zero or unparseable price cell marks a missing value.
+    ``YYYY-MM-DD`` dates in ASCII digits, so that string order is date order.
+    A zero or unparseable price cell marks a missing value.
     The header is matched by name, ignoring case and surrounding spaces, and
     columns are then read by position. A file that is not UTF-8 is a
     FormatError. ``read_columns`` reads the file in blocks of ``CSV_BLOCK``
@@ -21,6 +22,7 @@ normalization has one implementation. Row k of a block is bit for bit the
 from __future__ import annotations
 
 import csv
+import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -35,6 +37,11 @@ from .errors import AlignmentError, FormatError, WindowError
 FEATURES = ("close", "high", "low", "open")
 
 CSV_HEADER = ("date", "open", "high", "low", "close")
+
+# load_csv matches a block's dates joined by newlines in one pass; checking
+# the joined length too rules out a newline inside one cell.
+_DATE = "[0-9]{4}-[0-9]{2}-[0-9]{2}"
+_DATES = re.compile(f"{_DATE}(?:\n{_DATE})*")
 
 # Rows parsed at a time. A read holds one block of cells as Python strings,
 # so this bounds its working memory: on a 39k-row factor file the traced
@@ -134,7 +141,8 @@ def parse_floats(cells: tuple) -> tuple[np.ndarray, np.ndarray]:
 
 
 def load_csv(path: str | Path, asset_id: str | None = None) -> PriceSeries:
-    """Read one asset's OHLC file. Rows are sorted by date; duplicates are an error.
+    """Read one asset's OHLC file. Rows are sorted by date; a date that is not
+    ``YYYY-MM-DD`` or is repeated is an error.
 
     A price cell that is missing, malformed, non-finite or negative reads 0.
     """
@@ -143,7 +151,12 @@ def load_csv(path: str | Path, asset_id: str | None = None) -> PriceSeries:
         asset_id = path.stem
     dates, blocks = [], []
     for cols in read_columns(path, CSV_HEADER):
-        dates += [(cell or "").strip() for cell in cols[0]]
+        block = [(cell or "").strip() for cell in cols[0]]
+        joined = "\n".join(block)
+        if len(joined) != 11 * len(block) - 1 or not _DATES.fullmatch(joined):
+            bad = next(d for d in block if not re.fullmatch(_DATE, d))
+            raise FormatError(f"{path}: date {bad!r} is not YYYY-MM-DD")
+        dates += block
         blocks.append([parse_floats(cells)[0] for cells in cols[1:]])
     if not dates:
         raise FormatError(f"{path}: no data rows")

@@ -43,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ProtocolError
+from .errors import ConfigError, FormatError, ProtocolError
 from .portfolio_math import initial_weights
 
 _F8 = np.dtype(np.float64).itemsize
@@ -381,7 +381,7 @@ class Network:
 def build_actor(num_assets: int, window: int, rng: np.random.Generator) -> Network:
     """Policy network: price block in, m+1 raw weight logits out."""
     if window < 5:
-        raise ValueError("window must be >= 5 for two time-axis convolutions")
+        raise ConfigError("window must be >= 5 for two time-axis convolutions")
     flat = 16 * num_assets * (window - 4)
     return Network([
         Conv2D(4, 16, 1, 3, rng),
@@ -398,7 +398,7 @@ def build_actor(num_assets: int, window: int, rng: np.random.Generator) -> Netwo
 def build_critic(num_assets: int, window: int, rng: np.random.Generator) -> Network:
     """Action-value network: ``critic.forward(blocks, weights[:, 1:])`` gives (N, 1) values."""
     if window < 5:
-        raise ValueError("window must be >= 5 for two time-axis convolutions")
+        raise ConfigError("window must be >= 5 for two time-axis convolutions")
     flat = 16 * num_assets * (window - 4)
     return Network([
         Conv2D(5, 16, 1, 3, rng),

@@ -9,11 +9,13 @@ return including the cost term, so rewards telescope into log(final/initial).
 Training episodes start on a uniformly sampled day with a full observation
 window behind it; backtests use the same stepping over a fixed range.
 
-Observations: ``start_at`` builds the read-only observation block of the
-whole run at once (``price_block``, one row per state: the start day and
-every day a step lands on). Each state's ``tensor`` is a view of its row and
-the state carries the block, so replay holds views rather than copies and a
-policy may evaluate upcoming rows in one batch (``ddpg.greedy_policy``).
+Observations: each environment builds one read-only observation cube
+(``price_block``) over every day of its market that has a full window; row r
+is the window ending at day r + window - 1. Each state's ``tensor`` is a view
+of its row and the state carries the cube, so replay stores row numbers
+(``ddpg.ReplayBuffer``) and a policy may evaluate upcoming rows in one batch
+(``ddpg.greedy_policy``). The cube takes (T - window + 1) * 4 * m * window * 8
+bytes for a T-day market; restrict the market to bound it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DegenerateActionError, ProtocolError
-from .market_data import AlignedMarket, PriceTensor, price_block, relative_prices
+from .market_data import FEATURES, AlignedMarket, PriceTensor, price_block, relative_prices
 from .portfolio_math import (
     enforce_arbitrage,
     evolve_weights,
@@ -55,15 +57,14 @@ class EnvConfig:
 
 @dataclass(frozen=True)
 class EnvState:
-    """One day of a run. ``tensor.data`` is row ``steps_done`` of ``block``, the
-    run's observation block, which is left out of repr and equality."""
+    """One day of a run. ``tensor.data`` is row ``row`` of ``cube``, the
+    environment's observation cube, which is left out of repr and equality."""
 
     tensor: PriceTensor
     weights: np.ndarray
     value: float
     t: int
-    steps_done: int
-    block: np.ndarray = field(repr=False, compare=False)
+    cube: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self):
         if self.tensor.t != self.t:
@@ -71,12 +72,17 @@ class EnvState:
         if self.value <= 0:
             raise ValueError("portfolio value must be positive")
 
+    @property
+    def row(self) -> int:
+        return self.t - self.tensor.window + 1
+
 
 @dataclass(frozen=True)
 class Transition:
     state: EnvState
     action: np.ndarray
     reward: float
+    cost: float
     next_state: EnvState
     done: bool
 
@@ -95,10 +101,13 @@ class TradingEnv:
                 raise ConfigError("leverage must be a positive vector of length m+1")
         self.market = market
         self.config = config
+        n = config.window
+        # A market shorter than the window has no rows; start_at refuses every run on it.
+        self.cube = (price_block(market, n - 1, len(market) - 1, n) if len(market) >= n
+                     else np.empty((0, len(FEATURES), market.n_assets, n)))
         self._state: Optional[EnvState] = None
         self._drift: Optional[np.ndarray] = None
-        self._end_step: int = 0
-        self.last_cost: float = 0.0
+        self._end_t: int = 0
 
     @property
     def state(self) -> Optional[EnvState]:
@@ -122,32 +131,16 @@ class TradingEnv:
         return self.start_at(t0, ep)
 
     def start_at(self, t0: int, n_steps: int) -> EnvState:
-        """Begin a deterministic run of n_steps decision days starting at day t0.
+        """Begin a deterministic run of n_steps decision days starting at day t0."""
+        check_run(len(self.market), self.config.window, t0, n_steps)
+        self._end_t = t0 + n_steps
+        self._drift = initial_weights(self.market.n_assets)
+        return self._enter(t0, self._drift, 1.0)
 
-        Builds the run's observation block: days t0..t0 + n_steps, one row each.
-        """
+    def _enter(self, t: int, weights: np.ndarray, value: float) -> EnvState:
         n = self.config.window
-        if t0 < n - 1:
-            raise ConfigError(f"start day {t0} lacks a full {n}-day window")
-        if n_steps < 1:
-            raise ConfigError("need at least one step")
-        if t0 + n_steps > len(self.market) - 1:
-            raise ConfigError(
-                f"run of {n_steps} steps from day {t0} overruns market length {len(self.market)}"
-            )
-        self._end_step = n_steps
-        w0 = initial_weights(self.market.n_assets)
-        self._drift = w0
-        self.last_cost = 0.0
-        block = price_block(self.market, t0, t0 + n_steps, n)
-        self._state = EnvState(
-            tensor=PriceTensor(data=block[0], t=t0, window=n),
-            weights=w0,
-            value=1.0,
-            t=t0,
-            steps_done=0,
-            block=block,
-        )
+        tensor = PriceTensor(data=self.cube[t - n + 1], t=t, window=n)
+        self._state = EnvState(tensor=tensor, weights=weights, value=value, t=t, cube=self.cube)
         return self._state
 
     def step(self, action_raw: np.ndarray) -> Transition:
@@ -155,7 +148,7 @@ class TradingEnv:
         state = self._state
         if state is None:
             raise ProtocolError("step before reset")
-        if state.steps_done >= self._end_step:
+        if state.t >= self._end_t:
             raise ProtocolError("episode is done")
 
         try:
@@ -170,27 +163,20 @@ class TradingEnv:
         y = relative_prices(self.market, state.t + 1)
         value, reward = step_value(state.value, target, y, cost, self.config.leverage)
         self._drift = evolve_weights(target, y)
-        self.last_cost = cost
+        return Transition(state=state, action=target, reward=reward, cost=cost,
+                          next_state=self._enter(state.t + 1, target, value),
+                          done=state.t + 1 >= self._end_t)
 
-        steps_done = state.steps_done + 1
-        next_state = EnvState(
-            tensor=PriceTensor(data=state.block[steps_done], t=state.t + 1,
-                               window=self.config.window),
-            weights=target,
-            value=value,
-            t=state.t + 1,
-            steps_done=steps_done,
-            block=state.block,
-        )
-        transition = Transition(
-            state=state,
-            action=target,
-            reward=reward,
-            next_state=next_state,
-            done=steps_done >= self._end_step,
-        )
-        self._state = next_state
-        return transition
+
+def check_run(days: int, window: int, t0: int, n_steps: int) -> None:
+    """Raise ConfigError unless n_steps >= 1 decisions from day t0, each with a
+    full window and a next day, fit a market of ``days`` days."""
+    if t0 < window - 1:
+        raise ConfigError(f"start day {t0} lacks a full {window}-day window")
+    if n_steps < 1:
+        raise ConfigError("need at least one step")
+    if t0 + n_steps > days - 1:
+        raise ConfigError(f"run of {n_steps} steps from day {t0} overruns market length {days}")
 
 
 def average_reward(trajectory: list[Transition]) -> float:

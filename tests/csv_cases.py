@@ -4,6 +4,8 @@ Rows are written by hand, not with ``csv.writer``, so quoting, stray spaces,
 short and long rows and CRLF line ends appear as they do in real exports.
 """
 
+from datetime import date, timedelta
+
 from hypothesis import strategies as st
 
 # Cells float() refuses or reads as a value no price keeps: each loads as 0 in
@@ -15,6 +17,10 @@ PRICE_HEADERS = ("date,open,high,low,close", "Date,Open,High,Low,Close",
                  " date , open,high,low,close", "DATE,OPEN,HIGH,LOW,CLOSE\t")
 FACTOR_HEADERS = ("date,asset,ep_ratio,turnover", "Date,Asset,EP_Ratio,Turnover",
                   " date , asset,ep_ratio , turnover")
+# Date cells load_csv refuses: only YYYY-MM-DD in ASCII digits sorts by date.
+# A trailing NUL makes a distinct string, which numpy's fixed-width strings would drop.
+BAD_DATES = ("", "2020-01-09\x00", "1/9/2020", "1/10/2020", "20200109", "2020-1-09",
+             "2020-01-09T00:00", "\u0662\u0660\u0662\u0660-01-09")
 # Headers both loaders refuse: a blank first line, a missing, extra or moved column.
 BAD_HEADERS = ("", "date,open,high,low", "date,open,high,low,close,volume",
                "date,close,high,low,open", "date,asset,ep_ratio", "asset,date,ep_ratio,turnover")
@@ -66,7 +72,8 @@ def csv_text(draw, header: str, rows: list[str]) -> str:
 
 @st.composite
 def price_files(draw) -> str:
-    """A price file, mostly loadable: unsorted days, consistent OHLC, odd cells reading 0."""
+    """A price file, mostly loadable: unsorted days, consistent OHLC, odd cells reading 0,
+    now and then a malformed date."""
     header = draw(st.sampled_from(PRICE_HEADERS * 4 + BAD_HEADERS))
     days = draw(st.lists(st.integers(1, 60), max_size=14, unique=True))
     if days and draw(st.integers(0, 9)) == 0:
@@ -76,9 +83,9 @@ def price_files(draw) -> str:
         low = draw(st.one_of(st.integers(1, 300).map(float), st.floats(0.01, 1000.0)))
         a, b, c = (draw(st.sampled_from([0.0, 0.5, 1.0, 3.0])) for _ in range(3))
         values = (low + a, low + max(a, b) + c, low, low + b)  # open, high, low, close
-        # A trailing NUL makes a distinct date, which numpy's fixed-width strings would drop.
-        date = f"2020-{day:03d}" + draw(st.sampled_from(["", "", "", "\x00"]))
-        cells = [draw(key(date))] + [draw(cell(v)) for v in values]
+        iso = (date(2019, 12, 25) + timedelta(days=day)).isoformat()
+        cell_date = iso if draw(st.integers(0, 19)) else draw(st.sampled_from(BAD_DATES))
+        cells = [draw(key(cell_date))] + [draw(cell(v)) for v in values]
         rows.append(draw(shaped(cells)))
     return draw(csv_text(header, rows))
 

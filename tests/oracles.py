@@ -6,6 +6,7 @@ code paths it checks.
 """
 
 import csv
+import re
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +217,36 @@ def price_window_by_loops(market, t, window):
     return out
 
 
+def batch_arrays(batch):
+    """A list of Transitions stacked into (states, actions, rewards, next_states, dones)."""
+    states = np.stack([tr.state.tensor.data for tr in batch])
+    actions = np.stack([tr.action for tr in batch])
+    rewards = np.array([tr.reward for tr in batch])[:, None]
+    next_states = np.stack([tr.next_state.tensor.data for tr in batch])
+    dones = np.array([1.0 if tr.done else 0.0 for tr in batch])[:, None]
+    return states, actions, rewards, next_states, dones
+
+
+class ReplayByTransitions:
+    """The replay ring as a list of Transition objects; a sample stacks the drawn ones."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.storage = []
+        self.cursor = 0
+
+    def add(self, transition):
+        if len(self.storage) < self.capacity:
+            self.storage.append(transition)
+        else:
+            self.storage[self.cursor] = transition
+        self.cursor = (self.cursor + 1) % self.capacity
+
+    def sample(self, batch_size, rng):
+        idx = rng.integers(0, len(self.storage), size=batch_size)
+        return batch_arrays([self.storage[i] for i in idx])
+
+
 def greedy_weights_by_day(actor, windows, arbitrage):
     """The deployed policy's weights one day at a time: one batch-1 forward per window."""
     return np.stack([policy_weights(actor.forward(x[None]), arbitrage)[0][0] for x in windows])
@@ -241,7 +272,8 @@ def _price_cell(cell):
 
 
 def load_csv_by_rows(path, asset_id=None):
-    """``load_csv`` one dict per row: parse each cell, sort the rows, scan for duplicates."""
+    """``load_csv`` one dict per row: parse each cell, check each date, sort the rows,
+    scan for duplicates."""
     path = Path(path)
     with path.open("r", encoding="utf-8", newline="") as fh:
         rows = [
@@ -251,6 +283,9 @@ def load_csv_by_rows(path, asset_id=None):
         ]
     if not rows:
         raise FormatError(f"{path}: no data rows")
+    for row in rows:
+        if not re.fullmatch("[0-9]{4}-[0-9]{2}-[0-9]{2}", row[0]):
+            raise FormatError(f"{path}: date {row[0]!r} is not YYYY-MM-DD")
     rows.sort(key=lambda r: r[0])
     for a, b in zip(rows, rows[1:]):
         if a[0] == b[0]:

@@ -83,8 +83,8 @@ def test_criterion_03_first_day_cost():
         if total == 0.0:
             continue
         target /= total
-        env.step(target)
-        worst = max(worst, abs(env.last_cost - 0.0025))
+        tr = env.step(target)
+        worst = max(worst, abs(tr.cost - 0.0025))
     assert worst <= 1e-12
     passed(3, f"fully investing on day one costs 0.0025 (max dev {worst:.1e})")
 

@@ -98,6 +98,18 @@ class TestIngest:
         assert err.startswith("data error:") and "beta.csv" in err and "Traceback" not in err
 
 
+    def test_malformed_date_is_data_error(self, market_dir, capsys):
+        d, market = market_dir
+        path = d / "beta.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[5] = "1/9/2020" + lines[5][lines[5].index(","):]
+        path.write_text("".join(lines))
+        assert run(["ingest", d, "--benchmark", "bench"]) == EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:")
+        assert "beta.csv" in err[0] and "'1/9/2020'" in err[0]
+
+
 class TestTrain:
     def test_writes_checkpoint_and_log(self, market_dir, tmp_path, capsys):
         d, _ = market_dir
@@ -161,6 +173,22 @@ class TestTrain:
         assert run(train_args(d, out, **{"checkpoint-every": 1})) == EXIT_OK
         snaps = sorted(p.name for p in out.glob("checkpoint_ep*.json"))
         assert snaps == ["checkpoint_ep00001.json", "checkpoint_ep00002.json"]
+
+    @pytest.mark.parametrize("window", [2, 3, 4])
+    def test_window_too_narrow_for_networks_is_config_error(self, market_dir, tmp_path, capsys,
+                                                             window):
+        d, _ = market_dir
+        assert run(train_args(d, tmp_path / "narrow", window=window)) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: window must be >= 5 for two time-axis convolutions"]
+
+    def test_negative_checkpoint_every_is_config_error(self, market_dir, tmp_path, capsys):
+        d, _ = market_dir
+        out = tmp_path / "snap"
+        assert run(train_args(d, out, **{"checkpoint-every": -1})) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: checkpoint_every must be positive, got -1"]
+        assert not list(out.glob("checkpoint*.json"))
 
     def test_divergence_exits_cleanly(self, market_dir, tmp_path, capsys):
         d, _ = market_dir
@@ -438,6 +466,22 @@ class TestCompare:
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "non-finite" in err and "Traceback" not in err
+        assert not (out / "comparison.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--long-n", "--short-n"])
+    def test_empty_book_side_is_config_error(self, tmp_path, capsys, flag):
+        market, panel = ranked_factor_universe(n_long=3, n_short=3, n_days=120)
+        d = tmp_path / "universe"
+        write_market_csvs(market, d)
+        factor_csv = write_factor_csv(panel, tmp_path / "factors.csv")
+        ckpt = fully_invested_checkpoint(tmp_path / "ckpt.json", market, window=6)
+        out = tmp_path / "cmp"
+        code = run(["compare", ckpt, factor_csv, "--market-dir", d, "--out", out,
+                    "--benchmark", "benchmark", "--long-n", "3", "--short-n", "3", flag, "0",
+                    "--test-start", market.dates[40], "--test-end", market.dates[100]])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: long_n and short_n must be positive"]
         assert not (out / "comparison.csv").exists()
 
     def test_missing_factor_file_is_data_error(self, tmp_path):

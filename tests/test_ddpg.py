@@ -21,6 +21,7 @@ from drlfolio.neural import build_actor, build_critic, load_checkpoint, save_che
 from drlfolio.synthetic import drift_market
 from drlfolio.trading_env import EnvConfig, TradingEnv
 from oracles import (
+    ReplayByTransitions,
     actor_grad_by_critic_input,
     adam_per_array,
     central_difference,
@@ -51,15 +52,26 @@ def tiny_setup(small_market):
     actor = build_actor(small_market.n_assets, 8, rng)
     critic = build_critic(small_market.n_assets, 8, rng)
     agent = DDPG(actor, critic, config)
-    buffer = ReplayBuffer(64)
+    buffer = ReplayBuffer(env.cube, 64)
     fill_buffer(env, buffer, 40, np.random.default_rng(1))
     return env, agent, buffer, config
+
+
+def numbered_cube(rows):
+    """A cube whose row k holds the single value k, with one asset and width 1."""
+    return np.arange(float(rows)).reshape(rows, 1, 1, 1)
+
+
+def entry(cube, row):
+    """What ``ReplayBuffer.add`` reads of a transition, for the state on cube row ``row``."""
+    return SimpleNamespace(state=SimpleNamespace(cube=cube, row=row), action=np.full(2, row / 2),
+                           reward=float(row), done=row % 3 == 0)
 
 
 class TestReplayBuffer:
     def test_eviction_is_fifo(self, small_market):
         env = TradingEnv(small_market, EnvConfig(window=8, episode_len=300, mu=0.0))
-        buffer = ReplayBuffer(10)
+        buffer = ReplayBuffer(env.cube, 10)
         rng = np.random.default_rng(0)
         env.reset(rng)
         seen = []
@@ -68,44 +80,82 @@ class TestReplayBuffer:
             buffer.add(tr)
             seen.append(tr)
         assert len(buffer) == 10
-        stored = buffer._storage
-        assert all(any(s is t for s in stored) for t in seen[3:])
-        assert not any(s is seen[0] for s in stored)
+        # The three newest entries overwrote the three oldest, slot for slot.
+        kept = seen[10:] + seen[3:10]
+        assert buffer._rows.tolist() == [tr.state.row for tr in kept]
+        assert np.array_equal(buffer._actions, np.stack([tr.action for tr in kept]))
+        assert buffer._rewards[:, 0].tolist() == [tr.reward for tr in kept]
+        assert seen[0].state.row not in buffer._rows
 
     def test_not_ready_below_batch(self):
-        buffer = ReplayBuffer(600)
-        for _ in range(63):
-            buffer.add(object())
+        cube = numbered_cube(65)
+        buffer = ReplayBuffer(cube, 600)
+        for k in range(63):
+            buffer.add(entry(cube, k))
         assert not buffer.ready(64)
         with pytest.raises(ValueError):
             buffer.sample(64, np.random.default_rng(0))
-        buffer.add(object())
+        buffer.add(entry(cube, 63))
         assert buffer.ready(64)
 
     def test_capacity_never_exceeded(self):
-        buffer = ReplayBuffer(600)
+        cube = numbered_cube(602)
+        buffer = ReplayBuffer(cube, 600)
         for k in range(601):
-            buffer.add(k)
+            buffer.add(entry(cube, k))
         assert len(buffer) == 600
-        assert 0 not in buffer._storage
-        assert 600 in buffer._storage
+        assert 0 not in buffer._rows
+        assert 600 in buffer._rows
+
+    def test_refuses_another_cube(self):
+        buffer = ReplayBuffer(numbered_cube(5), 4)
+        with pytest.raises(ValueError, match="cube"):
+            buffer.add(entry(numbered_cube(5), 0))
 
     def test_sampling_uniform(self):
-        buffer = ReplayBuffer(600)
+        cube = numbered_cube(601)
+        buffer = ReplayBuffer(cube, 600)
         for k in range(600):
-            buffer.add(k)
+            buffer.add(entry(cube, k))
         rng = np.random.default_rng(12)
         draws = 120_000
         counts = np.zeros(600)
         for _ in range(draws // 600):
-            for item in buffer.sample(600, rng):
-                counts[item] += 1
+            states, actions, rewards, next_states, dones = buffer.sample(600, rng)
+            rows = states[:, 0, 0, 0].astype(int)
+            assert np.array_equal(next_states[:, 0, 0, 0], rows + 1.0)
+            assert np.array_equal(rewards[:, 0], rows) and np.array_equal(actions[:, 0], rows / 2)
+            assert np.array_equal(dones[:, 0], (rows % 3 == 0).astype(float))
+            np.add.at(counts, rows, 1)
         p = 1 / 600
         sigma = np.sqrt(draws * p * (1 - p))
         assert np.all(np.abs(counts - draws * p) < 5 * sigma)
         chi2 = float(np.sum((counts - draws * p) ** 2 / (draws * p)))
         # 599 dof: mean 599, sd ~ sqrt(2*599) ~ 34.6
         assert abs(chi2 - 599) < 6 * np.sqrt(2 * 599)
+
+    @settings(max_examples=40, deadline=None)
+    @given(capacity=st.integers(1, 24), episode_len=st.integers(1, 6), steps=st.integers(1, 60),
+           batch=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+    def test_matches_transition_list_oracle(self, capacity, episode_len, steps, batch, seed):
+        # Short episodes and more steps than slots: entries straddle episode
+        # ends and the ring wraps around, often several times.
+        market = drift_market(40, [0.002, -0.001, 0.0], sigma=0.01, seed=seed % 1000)
+        env = TradingEnv(market, EnvConfig(window=5, episode_len=episode_len, mu=0.0025))
+        buffer, oracle = ReplayBuffer(env.cube, capacity), ReplayByTransitions(capacity)
+        rng = np.random.default_rng(seed)
+        env.reset(rng)
+        for step in range(steps):
+            tr = env.step(rng.uniform(-1, 1, size=4))
+            buffer.add(tr)
+            oracle.add(tr)
+            if tr.done:
+                env.reset(rng)
+            if buffer.ready(batch):
+                got = buffer.sample(batch, np.random.default_rng(step))
+                expected = oracle.sample(batch, np.random.default_rng(step))
+                for a, b in zip(got, expected, strict=True):
+                    assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
 
 
 class TestExploreAction:
@@ -239,26 +289,22 @@ class TestCriticUpdate:
         for p in critic.params():
             p[...] = 0.0
         agent = DDPG(actor, critic, TrainConfig(batch_size=8, buffer_capacity=64, discount=0.0))
-        batch = buffer.sample(8, np.random.default_rng(2))
-        zeroed = []
-        for tr in batch:
-            zeroed.append(type(tr)(state=tr.state, action=tr.action, reward=0.0,
-                                   next_state=tr.next_state, done=tr.done))
+        states, actions, rewards, next_states, dones = buffer.sample(8, np.random.default_rng(2))
+        zeroed = (states, actions, np.zeros_like(rewards), next_states, dones)
         assert agent.update_critic(zeroed) == 0.0
 
     def test_single_transition_hand_target(self, tiny_setup):
         env, agent, buffer, config = tiny_setup
         batch = buffer.sample(1, np.random.default_rng(4))
-        tr = batch[0]
+        x, action, reward, xn, done = batch
         from drlfolio.neural import minmax_action_batch
         from drlfolio.portfolio_math import enforce_arbitrage_batch
 
-        xn = tr.next_state.tensor.data[None]
         raw_next = agent.actor_target.forward(xn)
         a_next = enforce_arbitrage_batch(minmax_action_batch(raw_next))[0]
         q_next = agent.critic_target.forward(critic_input_by_concat(xn, a_next))[0, 0]
-        y = tr.reward + config.discount * (0.0 if tr.done else 1.0) * q_next
-        q = agent.critic.forward(critic_input_by_concat(tr.state.tensor.data[None], tr.action[None]))[0, 0]
+        y = reward[0, 0] + config.discount * (1.0 - done[0, 0]) * q_next
+        q = agent.critic.forward(critic_input_by_concat(x, action))[0, 0]
         expected = (q - y) ** 2
         assert agent.update_critic(batch) == pytest.approx(expected, rel=1e-12)
 
@@ -325,10 +371,8 @@ class TestActorUpdate:
         agent = DDPG(build_actor(m, window, rng), build_critic(m, window, rng),
                      TrainConfig(batch_size=1, buffer_capacity=1), arbitrage=arbitrage)
         states = 1.0 + 0.05 * rng.standard_normal((batch, 4, m, window))
-        # actor_objective reads only each transition's state.tensor.data.
-        transitions = [SimpleNamespace(state=SimpleNamespace(tensor=SimpleNamespace(data=x)))
-                       for x in states]
-        agent.actor_objective(transitions)
+        # actor_objective reads only the batch's states.
+        agent.actor_objective((states, None, None, None, None))
         got = agent.actor.grad.copy()
         expected = actor_grad_by_critic_input(agent.actor, agent.critic, states, arbitrage)
         # Where the deployed weights are locally constant in the logits (one

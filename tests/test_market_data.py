@@ -106,6 +106,23 @@ class TestLoadCsv:
         assert s.dates == ("2020-01-01", "2020-01-02")
         assert s.open.tolist() == [1.0, 1.5] and s.close.tolist() == [1.5, 2.0]
 
+    @pytest.mark.parametrize("cell", ["", "1/9/2020", "20200109", "2020-01-09\x00",
+                                      '"2020-01-09\n2020-01-10"', "\u0662020-01-09"])
+    def test_date_must_be_iso(self, tmp_path, cell):
+        # 1/10/2020 would sort before 1/9/2020; a quoted newline would hide a
+        # second date in one cell.
+        p = write_csv(tmp_path / "a.csv", ["2020-01-08,1,2,0.5,1.5", f"{cell},1,2,0.5,1.5"])
+        with pytest.raises(FormatError, match="a.csv.*not YYYY-MM-DD") as info:
+            load_csv(p)
+        assert repr(cell.strip('"')) in str(info.value)
+
+    def test_bad_date_named_in_a_later_block(self, tmp_path):
+        rows = [f"2020-01-{d:02d},1,2,0.5,1.5" for d in range(1, 29)] + ["2020/01/29,1,2,0.5,1.5"]
+        p = write_csv(tmp_path / "a.csv", rows)
+        with mock.patch.object(market_data, "CSV_BLOCK", 4):
+            with pytest.raises(FormatError, match="'2020/01/29'"):
+                load_csv(p)
+
     def test_non_utf8_file_is_format_error(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_bytes(b"date,open,high,low,close\n2020-01-01,1,2,0.5,1.5\xff\n")

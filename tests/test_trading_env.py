@@ -53,23 +53,37 @@ class TestReset:
         state = env.reset(0)
         assert state.value == 1.0
         assert state.weights.tolist() == [1, 0, 0, 0]
-        assert state.steps_done == 0
+        assert state.row == state.t - 9
         assert state.tensor.t == state.t
 
 
     def test_states_view_one_observation_block(self, noisy_market):
         env = make_env(noisy_market, window=12)
+        cube = env.cube
+        # One row per day with a full window: days 11 .. len - 1.
+        assert cube.shape == (len(noisy_market) - 11, 4, noisy_market.n_assets, 12)
+        assert not cube.flags.writeable
         state = env.start_at(30, 5)
-        block = state.block
-        assert block.shape == (6, 4, noisy_market.n_assets, 12) and not block.flags.writeable
-        assert "block" not in repr(state)
+        assert "cube" not in repr(state)
         states = [state]
-        while states[-1].steps_done < 5:
+        while states[-1].t < 35:
             states.append(env.step(np.ones(noisy_market.n_assets + 1)).next_state)
+        assert [s.row for s in states] == list(range(19, 25))
         for s in states:
-            assert s.block is block
-            assert np.shares_memory(s.tensor.data, block)
+            assert s.cube is cube
+            assert np.shares_memory(s.tensor.data, cube)
+            assert np.array_equal(s.tensor.data, cube[s.row])
             assert np.array_equal(s.tensor.data, price_tensor(noisy_market, s.t, 12).data)
+        # Another run on the same environment reads the same cube.
+        assert env.reset(3).cube is cube
+
+    def test_market_shorter_than_window_fails_on_start(self):
+        env = make_env(drift_market(8, [0.001, 0.0], seed=2))
+        assert env.cube.shape == (0, 4, 2, 10)
+        with pytest.raises(ConfigError):
+            env.reset(0)
+        with pytest.raises(ConfigError):
+            env.start_at(9, 1)
 
 
 class TestStep:
@@ -97,8 +111,8 @@ class TestStep:
     def test_first_day_cost_with_default_mu(self, small_market):
         env = make_env(small_market, mu=0.0025)
         env.reset(4)
-        env.step(np.array([0.0, 0.5, -0.5, 0.0]))
-        assert env.last_cost == pytest.approx(0.0025, abs=1e-12)
+        tr = env.step(np.array([0.0, 0.5, -0.5, 0.0]))
+        assert tr.cost == pytest.approx(0.0025, abs=1e-12)
 
     def test_step_after_done_is_protocol_error(self, small_market):
         env = make_env(small_market, episode_len=2)
