@@ -1,4 +1,4 @@
-"""Backtest rollouts, the seven summary metrics, and the training diagnostic.
+"""Backtest runs, the seven summary metrics, and the training diagnostic.
 
 Conventions, also echoed in every JSON summary: annualization factor is
 sqrt(252), the risk-free rate is zero, standard deviations are population
@@ -16,9 +16,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError
-from .market_data import AlignedMarket
-from .trading_env import EnvConfig, EnvState, TradingEnv, check_run
+from .market_data import AlignedMarket, price_block, relative_prices
+from .portfolio_math import evolve_weights, initial_weights, step_value, transaction_cost
+from .trading_env import EnvConfig, check_leverage, check_run, target_weights
 
 ANNUALIZATION = float(np.sqrt(252.0))
 
@@ -54,56 +54,55 @@ class BacktestReport:
             raise ValueError("report series lengths disagree")
         if np.any(self.values <= 0):
             raise ValueError("portfolio value must stay positive")
+        if not np.all(np.isfinite(self.log_returns)):
+            raise ValueError("log returns must be finite")
 
     @classmethod
-    def from_days(cls, market: AlignedMarket, start: int, values: list[float],
-                  weights: list[np.ndarray], costs: list[float],
-                  log_returns: list[float]) -> "BacktestReport":
-        """Report of the decisions made on days start, start + 1, ...: one weight
-        vector, cost and log return per day, values with the starting 1.0 first."""
+    def from_days(cls, market: AlignedMarket, start: int, values: np.ndarray, weights: np.ndarray,
+                  costs: np.ndarray, log_returns: np.ndarray) -> "BacktestReport":
+        """Report of decision days start, start + 1, ...; ``values`` leaves out the start's 1.0."""
         end = start + len(weights)
-        values = np.array(values)
+        values = np.concatenate([[1.0], values])
         return cls(
             day_indices=tuple(range(start + 1, end + 1)),
             dates=tuple(market.dates[start + 1 : end + 1]),
             asset_ids=market.asset_ids,
             values=values,
-            weights=np.stack(weights),
-            costs=np.array(costs),
-            log_returns=np.array(log_returns),
+            weights=np.asarray(weights),
+            costs=np.asarray(costs),
+            log_returns=np.asarray(log_returns),
             simple_returns=values[1:] / values[:-1] - 1.0,
         )
 
 
 def run_backtest(
-    policy: Callable[[EnvState], np.ndarray],
+    policy: Callable[[np.ndarray], np.ndarray],
     market: AlignedMarket,
     config: EnvConfig,
     start: int,
     end: int,
 ) -> BacktestReport:
-    """Greedy contiguous rollout: decisions on days [start, end), returns on (start, end].
-    The environment holds only the days the run reads, so its states count days
-    from the first day of the start's window."""
-    if end <= start:
-        raise ConfigError(f"empty backtest range [{start}, {end})")
+    """Greedy contiguous run from all cash at value 1: decisions on days
+    [start, end), returns on (start, end].
+
+    The policy is called once, on the run's observation rows
+    (end - start, 4, m, window), and returns one raw action per day,
+    (end - start, m + 1). The days are settled as ``TradingEnv.step`` settles
+    one, by the same functions applied to all the rows at once.
+    """
     check_run(len(market), config.window, start, end - start)
-    lo = start - config.window + 1
-    env = TradingEnv(market.restrict(lo, end), config)
-    state = env.start_at(start - lo, end - start)
-
-    values = [1.0]
-    weights, costs, log_returns = [], [], []
-    done = False
-    while not done:
-        transition = env.step(policy(state))
-        weights.append(transition.action)
-        costs.append(transition.cost)
-        log_returns.append(transition.reward)
-        values.append(transition.next_state.value)
-        state = transition.next_state
-        done = transition.done
-
+    check_leverage(config, market.n_assets)
+    shape = (end - start, market.n_assets + 1)
+    raw = np.asarray(policy(price_block(market, start, end - 1, config.window)), dtype=np.float64)
+    if raw.shape != shape:
+        raise ValueError(f"policy gave actions of shape {raw.shape}, expected {shape}")
+    weights = target_weights(raw, config)
+    y = relative_prices(market, np.arange(start + 1, end + 1))
+    # The book each day starts from: all cash, then the previous day's drifted weights.
+    drifted = evolve_weights(weights, y)
+    held = np.concatenate([initial_weights(market.n_assets)[None], drifted[:-1]])
+    costs = transaction_cost(held, weights, config.mu)
+    values, log_returns = step_value(1.0, weights, y, costs, config.leverage)
     return BacktestReport.from_days(market, start, values, weights, costs, log_returns)
 
 
@@ -167,6 +166,14 @@ def training_slope(records) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Report output: JSON summary, per-day series CSV, weights CSV, plot CSV.
 
+def _write_rows(path: Path, header: list[str], keys: list[tuple], rows: np.ndarray) -> None:
+    """A CSV file: the header, then per row its keys and the repr of each value."""
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([*key, *map(repr, row)] for key, row in zip(keys, rows.tolist()))
+
+
 def write_report(report: BacktestReport, out_dir: str | Path) -> dict[str, Optional[float]]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -184,27 +191,13 @@ def write_report(report: BacktestReport, out_dir: str | Path) -> dict[str, Optio
         json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
 
-    with (out / "series.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["day", "date", "value", "cost", "log_return", "simple_return"])
-        for k, day in enumerate(report.day_indices):
-            writer.writerow([
-                day, report.dates[k], repr(float(report.values[k + 1])),
-                repr(float(report.costs[k])), repr(float(report.log_returns[k])),
-                repr(float(report.simple_returns[k])),
-            ])
-
-    with (out / "weights.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["day", "date", "cash", *report.asset_ids])
-        for k, day in enumerate(report.day_indices):
-            writer.writerow([day, report.dates[k],
-                             *(repr(float(w)) for w in report.weights[k])])
-
-    with (out / "plot.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "value"])
-        for k, v in enumerate(report.values):
-            writer.writerow([k, repr(float(v))])
-
+    days = list(zip(report.day_indices, report.dates))
+    series = np.column_stack([report.values[1:], report.costs, report.log_returns,
+                              report.simple_returns])
+    _write_rows(out / "series.csv", ["day", "date", "value", "cost", "log_return",
+                                     "simple_return"], days, series)
+    _write_rows(out / "weights.csv", ["day", "date", "cash", *report.asset_ids], days,
+                report.weights)
+    _write_rows(out / "plot.csv", ["step", "value"], [(k,) for k in range(len(report.values))],
+                report.values[:, None])
     return metrics

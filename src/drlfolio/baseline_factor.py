@@ -8,7 +8,7 @@ per-asset log price relatives. No transaction costs, no leverage, and no
 benchmark position, so the benchmark sign rule never applies.
 
 Factor CSV schema: header ``date,asset,ep_ratio,turnover`` (long format), read
-as ``market_data.read_columns`` reads a price file.
+and date-checked as ``market_data`` reads a price file.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, InsufficientUniverseError
-from .market_data import AlignedMarket, parse_floats, read_columns, relative_prices
-from .portfolio_math import weighted_log_return
+from .market_data import AlignedMarket, parse_dates, parse_floats, read_columns, relative_prices
+from .portfolio_math import step_value
 from .analytics import BacktestReport
 
 
@@ -49,16 +49,17 @@ def load_factor_csv(path: str | Path, market: AlignedMarket) -> FactorPanel:
 
     A row counts where its asset and date are on the market's axes and its
     ep_ratio parses; its turnover counts where that parses too. A later row
-    overwrites an earlier one.
+    overwrites an earlier one. A date that is not ``YYYY-MM-DD`` is a FormatError.
     """
+    path = Path(path)
     asset_pos = {a: i for i, a in enumerate(market.asset_ids)}
     date_pos = {d: j for j, d in enumerate(market.dates)}
     shape = (market.n_assets, len(market))
     ep = np.full(shape, np.nan)
     turnover = np.full(shape, np.nan)
-    for dates, assets, ep_cells, turnover_cells in read_columns(Path(path), FACTOR_HEADER):
+    for dates, assets, ep_cells, turnover_cells in read_columns(path, FACTOR_HEADER):
         i = np.array([asset_pos.get((cell or "").strip(), -1) for cell in assets])
-        j = np.array([date_pos.get((cell or "").strip(), -1) for cell in dates])
+        j = np.array([date_pos.get(date, -1) for date in parse_dates(path, dates)])
         flat = i * len(market) + j
         ep_value, ep_ok = parse_floats(ep_cells)
         turnover_value, turnover_ok = parse_floats(turnover_cells)
@@ -80,8 +81,12 @@ def factor_score(panel: FactorPanel, t: int) -> np.ndarray:
     """Scores for day t from day t-1 data; NaN where either factor is missing."""
     if t < 1 or t >= len(panel.dates):
         raise ValueError(f"day {t} has no previous day inside the panel")
-    scores = 0.5 * panel.ep_ratio[:, t - 1] - 0.5 * panel.turnover[:, t - 1]
-    return scores
+    return 0.5 * panel.ep_ratio[:, t - 1] - 0.5 * panel.turnover[:, t - 1]
+
+
+def check_book(long_n: int, short_n: int) -> None:
+    if long_n < 1 or short_n < 1:
+        raise ConfigError("long_n and short_n must be positive")
 
 
 def select_weights(scores: np.ndarray, long_n: int = 20, short_n: int = 20) -> np.ndarray:
@@ -91,8 +96,7 @@ def select_weights(scores: np.ndarray, long_n: int = 20, short_n: int = 20) -> n
     long_n + short_n assets have finite scores.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    if long_n < 1 or short_n < 1:
-        raise ConfigError("long_n and short_n must be positive")
+    check_book(long_n, short_n)
     scorable = np.flatnonzero(np.isfinite(scores))
     if len(scorable) < long_n + short_n:
         raise InsufficientUniverseError(
@@ -117,22 +121,15 @@ def run_factor_backtest(
     """Daily-rebalanced factor book over decisions [start, end), returns on (start, end].
 
     Zero cost and unit leverage throughout; the value series compounds the
-    daily weighted log return.
+    daily weighted log return (``step_value`` over all the days at once).
     """
     if end <= start:
         raise ValueError(f"empty backtest range [{start}, {end})")
     if end > len(market) - 1:
         raise ValueError(f"range end {end} beyond market length {len(market)}")
 
-    values = [1.0]
-    weights, log_returns = [], []
-    for day in range(start + 1, end + 1):
-        w = select_weights(factor_score(panel, day), long_n, short_n)
-        y = relative_prices(market, day)
-        r = weighted_log_return(w, y)
-        values.append(values[-1] * float(np.exp(r)))
-        weights.append(w)
-        log_returns.append(r)
-
-    return BacktestReport.from_days(market, start, values, weights, [0.0] * len(weights),
-                                    log_returns)
+    days = range(start + 1, end + 1)
+    weights = np.stack([select_weights(factor_score(panel, day), long_n, short_n) for day in days])
+    costs = np.zeros(len(days))
+    values, log_returns = step_value(1.0, weights, relative_prices(market, np.array(days)), costs)
+    return BacktestReport.from_days(market, start, values, weights, costs, log_returns)

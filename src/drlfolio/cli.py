@@ -17,7 +17,7 @@ import numpy as np
 
 from .analytics import (METRIC_NAMES, BacktestReport, metric_suite, run_backtest, training_slope,
                         write_report)
-from .baseline_factor import load_factor_csv, run_factor_backtest
+from .baseline_factor import check_book, load_factor_csv, run_factor_backtest
 from .ddpg import (TrainConfig, TrainingDiverged, check_checkpoint, checkpoint_meta, greedy_policy,
                    train)
 from .errors import (
@@ -307,13 +307,8 @@ def _backtest_drl(settings: dict[str, object],
                 raise ConfigError(
                     f"test range starts on day {lo}, need {window} days of history before it"
                 )
-            config = EnvConfig(
-                window=window,
-                episode_len=hi - lo,
-                mu=float(settings["mu"]),
-                leverage=_parse_leverage(str(settings["leverage"])),
-                arbitrage_enabled=bool(meta.get("arbitrage", True)),
-            )
+            config = _env_config({**settings, "window": window, "episode_len": hi - lo,
+                                  "arbitrage": meta.get("arbitrage", True)})
             policy = greedy_policy(actor, arbitrage=config.arbitrage_enabled)
             return run_backtest(policy, market, config, lo - 1, hi)
     except FloatingPointError as exc:
@@ -333,6 +328,8 @@ def cmd_backtest(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     settings = build_settings(args)
+    long_n, short_n = int(settings["long_n"]), int(settings["short_n"])
+    check_book(long_n, short_n)
     _check_out_of_sample(settings)
     out = _require_out(settings)
 
@@ -345,10 +342,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     lo, hi = _test_range(factor_market, settings)
     if lo < 1:
         raise ConfigError("test range must start after the first day for factor scoring")
-    factor_report = run_factor_backtest(
-        factor_market, panel, lo - 1, hi,
-        long_n=int(settings["long_n"]), short_n=int(settings["short_n"]),
-    )
+    factor_report = run_factor_backtest(factor_market, panel, lo - 1, hi, long_n, short_n)
     factor_metrics = metric_suite(factor_report)
 
     columns = ("log_daily_return", "log_annual_sharpe", "log_annual_sortino", "mdd")

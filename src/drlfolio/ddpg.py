@@ -273,29 +273,20 @@ class DDPG:
         soft_update(self.critic_target, self.critic, self.config.tau)
 
 
-# Cube rows the greedy policy evaluates per actor forward.
+# Observation rows per actor forward of the greedy policy. A whole run at once would
+# hold patch matrices for every day: ~130 MB for 500 days of 11 assets at window 50.
 GREEDY_BLOCK = 64
 
 
 def greedy_policy(actor: Network, arbitrage: bool = True):
-    """Noise-free policy closure for backtesting a trained actor.
+    """Noise-free backtest policy of a trained actor: observation rows (n, 4, m, window)
+    to the weights it deploys, (n, m + 1), running the actor on GREEDY_BLOCK rows at a time."""
 
-    On a state whose weights it does not hold yet, the policy runs the actor
-    on that state's row of its observation cube and the next rows, up to
-    GREEDY_BLOCK in all, and serves the following days from the result. The
-    memo belongs to one cube, so the policy can be reused on another
-    environment; the actor must not change while a run is served.
-    """
-    cube, first, weights = None, 0, None
-
-    def policy(state: EnvState) -> np.ndarray:
-        nonlocal cube, first, weights
-        row = state.row
-        if state.cube is not cube or not first <= row < first + len(weights):
-            cube, first = state.cube, row
-            weights, _ = policy_weights(actor.forward(cube[row : row + GREEDY_BLOCK]), arbitrage)
-        # A copy: the caller owns what it gets, and the memo may serve this row again.
-        return weights[row - first].copy()
+    def policy(rows: np.ndarray) -> np.ndarray:
+        return np.concatenate([
+            policy_weights(actor.forward(rows[k : k + GREEDY_BLOCK]), arbitrage)[0]
+            for k in range(0, len(rows), GREEDY_BLOCK)
+        ])
 
     return policy
 

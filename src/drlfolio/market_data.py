@@ -38,7 +38,7 @@ FEATURES = ("close", "high", "low", "open")
 
 CSV_HEADER = ("date", "open", "high", "low", "close")
 
-# load_csv matches a block's dates joined by newlines in one pass; checking
+# parse_dates matches a block's dates joined by newlines in one pass; checking
 # the joined length too rules out a newline inside one cell.
 _DATE = "[0-9]{4}-[0-9]{2}-[0-9]{2}"
 _DATES = re.compile(f"{_DATE}(?:\n{_DATE})*")
@@ -140,6 +140,16 @@ def parse_floats(cells: tuple) -> tuple[np.ndarray, np.ndarray]:
         return values, ok
 
 
+def parse_dates(path: Path, cells: tuple) -> list[str]:
+    """The stripped date cells of a block; FormatError names the file and a cell not YYYY-MM-DD."""
+    dates = [(cell or "").strip() for cell in cells]
+    joined = "\n".join(dates)
+    if len(joined) != 11 * len(dates) - 1 or not _DATES.fullmatch(joined):
+        bad = next(d for d in dates if not re.fullmatch(_DATE, d))
+        raise FormatError(f"{path}: date {bad!r} is not YYYY-MM-DD")
+    return dates
+
+
 def load_csv(path: str | Path, asset_id: str | None = None) -> PriceSeries:
     """Read one asset's OHLC file. Rows are sorted by date; a date that is not
     ``YYYY-MM-DD`` or is repeated is an error.
@@ -151,12 +161,7 @@ def load_csv(path: str | Path, asset_id: str | None = None) -> PriceSeries:
         asset_id = path.stem
     dates, blocks = [], []
     for cols in read_columns(path, CSV_HEADER):
-        block = [(cell or "").strip() for cell in cols[0]]
-        joined = "\n".join(block)
-        if len(joined) != 11 * len(block) - 1 or not _DATES.fullmatch(joined):
-            bad = next(d for d in block if not re.fullmatch(_DATE, d))
-            raise FormatError(f"{path}: date {bad!r} is not YYYY-MM-DD")
-        dates += block
+        dates += parse_dates(path, cols[0])
         blocks.append([parse_floats(cells)[0] for cells in cols[1:]])
     if not dates:
         raise FormatError(f"{path}: no data rows")
@@ -330,15 +335,16 @@ def price_tensor(market: AlignedMarket, t: int, window: int) -> PriceTensor:
     return PriceTensor(data=price_block(market, t, t, window)[0], t=t, window=window)
 
 
-def relative_prices(market: AlignedMarket, t: int) -> np.ndarray:
-    """Close-over-previous-close vector of length m+1; element 0 is cash and fixed at 1.
+def relative_prices(market: AlignedMarket, t: int | np.ndarray) -> np.ndarray:
+    """Close-over-previous-close vector of length m+1 for day t; element 0 is cash
+    and fixed at 1. Given an array of days, one such row per day.
 
     Any day involving a missing close reads as flat (ratio 1).
     """
-    if t < 1 or t >= len(market):
+    t = np.asarray(t)
+    if np.any(t < 1) or np.any(t >= len(market)):
         raise WindowError(f"day {t} has no previous day or is beyond the market")
-    y = np.ones(market.n_assets + 1)
-    cur, prev = market.close[:, t], market.close[:, t - 1]
-    valid = (cur > 0) & (prev > 0)
-    np.divide(cur, prev, out=y[1:], where=valid)
+    y = np.ones(t.shape + (market.n_assets + 1,))
+    cur, prev = market.close[:, t].T, market.close[:, t - 1].T
+    np.divide(cur, prev, out=y[..., 1:], where=(cur > 0) & (prev > 0))
     return y

@@ -6,7 +6,8 @@ weights are short positions. Valid weights satisfy
 
     sum(|w_i|) == 1,   w_0 in [0, 1]   (cash cannot be shorted).
 
-All functions are pure and operate on plain float64 numpy arrays.
+All functions are pure and operate on plain float64 numpy arrays, on the last
+axis: one weight vector, or rows of them, each row getting the bits it would alone.
 """
 
 from __future__ import annotations
@@ -20,15 +21,15 @@ WEIGHT_SUM_TOL = 1e-9
 
 def validate_weights(w: np.ndarray, tol: float = WEIGHT_SUM_TOL) -> None:
     w = np.asarray(w)
-    if w.ndim != 1 or w.shape[0] < 2:
-        raise ValueError(f"weights must be a vector of length >= 2, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
+    if w.ndim < 1 or w.shape[-1] < 2:
+        raise ValueError(f"weights must be vectors of length >= 2, got shape {w.shape}")
+    if not np.isfinite(w).all():
         raise ValueError("weights contain non-finite entries")
-    s = np.abs(w).sum()
-    if abs(s - 1.0) > tol:
+    s = np.abs(w).sum(axis=-1)
+    if np.abs(s - 1.0).max() > tol:
         raise ValueError(f"|w| sums to {s!r}, expected 1")
-    if w[0] < 0 or w[0] > 1 + 1e-12:
-        raise ValueError(f"cash weight {w[0]!r} outside [0, 1]")
+    if w[..., 0].min() < 0 or w[..., 0].max() > 1 + 1e-12:
+        raise ValueError(f"cash weight {w[..., 0]!r} outside [0, 1]")
 
 
 def initial_weights(num_assets: int) -> np.ndarray:
@@ -40,17 +41,23 @@ def initial_weights(num_assets: int) -> np.ndarray:
     return w
 
 
-def normalize_signed(raw: np.ndarray) -> np.ndarray:
-    """Clamp the cash entry to be non-negative, then scale so |w| sums to one."""
+def normalize_signed(raw: np.ndarray, cash_if_zero: bool = False) -> np.ndarray:
+    """Clamp the cash entry to be non-negative, then scale so |w| sums to one. A vector
+    all zero after clamping raises DegenerateActionError, or with ``cash_if_zero`` is all cash."""
     w = np.array(raw, dtype=np.float64)
-    if w.ndim != 1 or w.shape[0] < 2:
+    if w.ndim < 1 or w.shape[-1] < 2:
         raise ValueError(f"raw action must be a vector of length >= 2, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise ValueError("raw action contains non-finite entries")
-    w[0] = max(w[0], 0.0)
-    total = np.abs(w).sum()
-    if total == 0.0:
-        raise DegenerateActionError("action is all zero after cash clamping")
+    # max(cash, 0.0): a cash entry of -0.0 stays as it is.
+    np.copyto(w[..., 0], 0.0, where=w[..., 0] < 0)
+    total = np.abs(w).sum(axis=-1, keepdims=True)
+    zero = total == 0.0
+    if zero.any():
+        if not cash_if_zero:
+            raise DegenerateActionError("action is all zero after cash clamping")
+        np.copyto(w, initial_weights(w.shape[-1] - 1), where=zero)
+        np.copyto(total, 1.0, where=zero)
     return w / total
 
 
@@ -100,16 +107,16 @@ def evolve_weights(w_prev: np.ndarray, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     if y.shape != w_prev.shape:
         raise ValueError(f"shape mismatch: weights {w_prev.shape}, relatives {y.shape}")
-    if np.any(y <= 0) or not np.all(np.isfinite(y)):
+    if (y <= 0).any() or not np.isfinite(y).all():
         raise ValueError("price relatives must be strictly positive and finite")
     v = w_prev * y
-    total = np.abs(v).sum()
-    if total == 0.0:
+    total = np.abs(v).sum(axis=-1, keepdims=True)
+    if (total == 0.0).any():
         raise DegenerateActionError("weights are all zero")
     return v / total
 
 
-def transaction_cost(w_drifted: np.ndarray, w_target: np.ndarray, mu: float) -> float:
+def transaction_cost(w_drifted: np.ndarray, w_target: np.ndarray, mu: float) -> float | np.ndarray:
     """Cost rate of trading the drifted book into the target book.
 
     Only risky slots trade; the cash entry is excluded from the turnover sum.
@@ -120,44 +127,53 @@ def transaction_cost(w_drifted: np.ndarray, w_target: np.ndarray, mu: float) -> 
     w_target = np.asarray(w_target, dtype=np.float64)
     if w_drifted.shape != w_target.shape:
         raise ValueError("weight vectors differ in length")
-    return mu * float(np.abs(w_drifted[1:] - w_target[1:]).sum())
+    cost = mu * np.abs(w_drifted[..., 1:] - w_target[..., 1:]).sum(axis=-1)
+    return cost if cost.ndim else float(cost)
 
 
 def weighted_log_return(
     w_prev: np.ndarray, y: np.ndarray, leverage: np.ndarray | None = None
-) -> float:
+) -> float | np.ndarray:
     """Per-day portfolio log return: leverage * log price relatives dotted with weights."""
     w_prev = np.asarray(w_prev, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if np.any(y <= 0):
+    if (y <= 0).any():
         raise ValueError("price relatives must be strictly positive")
-    lam = np.ones_like(w_prev) if leverage is None else np.asarray(leverage, dtype=np.float64)
-    if lam.shape != w_prev.shape or np.any(lam <= 0):
+    lam = np.ones(w_prev.shape[-1:]) if leverage is None else np.asarray(leverage, np.float64)
+    if lam.shape != w_prev.shape[-1:] or (lam <= 0).any():
         raise ValueError("leverage must be a positive vector matching the weights")
-    return float(np.dot(lam * np.log(y), w_prev))
+    # vecdot gives each row the bits np.dot gives it alone; einsum does not.
+    growth = np.vecdot(lam * np.log(y), w_prev)
+    return growth if growth.ndim else float(growth)
 
 
 def step_value(
     rho_prev: float,
     w_prev: np.ndarray,
     y: np.ndarray,
-    cost: float,
+    cost: float | np.ndarray,
     leverage: np.ndarray | None = None,
-) -> tuple[float, float]:
-    """One day of the portfolio value recursion.
+) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """The portfolio value recursion.
 
     Returns (new value, daily log return). The value compounds the weights
     held before the price move, discounted by the day's cost rate:
 
         value = rho_prev * (1 - cost) * exp(sum_i leverage_i * log(y_i) * w_i)
+
+    Given rows of weights and relatives, one per consecutive day, and a cost
+    per day, the value compounds through the days: both results are per day.
     """
     if rho_prev <= 0:
         raise ValueError("portfolio value must be positive")
-    if cost >= 1.0:
-        raise RuinError(f"cost rate {cost} >= 1 wipes out the portfolio")
-    if cost < 0:
+    cost = np.asarray(cost, dtype=np.float64)
+    if cost.max() >= 1.0:
+        raise RuinError(f"cost rate {cost.max()} >= 1 wipes out the portfolio")
+    if cost.min() < 0:
         raise ValueError("cost rate cannot be negative")
     growth = weighted_log_return(w_prev, y, leverage)
-    gamma = float(np.log1p(-cost) + growth)
-    rho = float(rho_prev * (1.0 - cost) * np.exp(growth))
-    return rho, gamma
+    gamma = np.log1p(-cost) + growth
+    # Day by day (rho * (1 - cost)) * exp(growth), rounded in that order.
+    factors = np.array([1.0 - cost, np.exp(growth)]).T.ravel()
+    rho = np.multiply.accumulate(np.concatenate([[rho_prev], factors]))[2::2]
+    return (float(rho[0]), float(gamma)) if cost.ndim == 0 else (rho, gamma)

@@ -7,14 +7,14 @@ rides the next day's price relatives. The emitted reward is the daily log
 return including the cost term, so rewards telescope into log(final/initial).
 
 Training episodes start on a uniformly sampled day with a full observation
-window behind it; backtests use the same stepping over a fixed range.
+window behind it; a backtest (``analytics.run_backtest``) settles all the days
+of a fixed range at once with the same functions instead of stepping.
 
 Observations: each environment builds one read-only observation cube
 (``price_block``) over every day of its market that has a full window; row r
 is the window ending at day r + window - 1. Each state's ``tensor`` is a view
 of its row and the state carries the cube, so replay stores row numbers
-(``ddpg.ReplayBuffer``) and a policy may evaluate upcoming rows in one batch
-(``ddpg.greedy_policy``). The cube takes (T - window + 1) * 4 * m * window * 8
+(``ddpg.ReplayBuffer``). The cube takes (T - window + 1) * 4 * m * window * 8
 bytes for a T-day market; restrict the market to bound it.
 """
 
@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateActionError, ProtocolError
+from .errors import ConfigError, ProtocolError
 from .market_data import FEATURES, AlignedMarket, PriceTensor, price_block, relative_prices
 from .portfolio_math import (
     enforce_arbitrage,
@@ -95,23 +95,17 @@ class TradingEnv:
     """Single-owner environment; step sequentially, share the market freely."""
 
     def __init__(self, market: AlignedMarket, config: EnvConfig = EnvConfig()):
-        if config.leverage is not None:
-            lam = np.asarray(config.leverage, dtype=np.float64)
-            if lam.shape != (market.n_assets + 1,) or np.any(lam <= 0):
-                raise ConfigError("leverage must be a positive vector of length m+1")
+        check_leverage(config, market.n_assets)
         self.market = market
         self.config = config
         n = config.window
         # A market shorter than the window has no rows; start_at refuses every run on it.
         self.cube = (price_block(market, n - 1, len(market) - 1, n) if len(market) >= n
                      else np.empty((0, len(FEATURES), market.n_assets, n)))
+        self._relatives = relative_prices(market, np.arange(1, len(market)))  # row t: day t + 1
         self._state: Optional[EnvState] = None
         self._drift: Optional[np.ndarray] = None
         self._end_t: int = 0
-
-    @property
-    def state(self) -> Optional[EnvState]:
-        return self._state
 
     def reset(self, rng: np.random.Generator | int | None = None) -> EnvState:
         """Start an episode on a uniformly sampled day.
@@ -151,21 +145,30 @@ class TradingEnv:
         if state.t >= self._end_t:
             raise ProtocolError("episode is done")
 
-        try:
-            target = normalize_signed(np.asarray(action_raw, dtype=np.float64))
-        except DegenerateActionError:
-            target = initial_weights(self.market.n_assets)
-        if self.config.arbitrage_enabled:
-            target = enforce_arbitrage(target)
-        validate_weights(target)
-
+        target = target_weights(action_raw, self.config)
         cost = transaction_cost(self._drift, target, self.config.mu)
-        y = relative_prices(self.market, state.t + 1)
+        y = self._relatives[state.t]
         value, reward = step_value(state.value, target, y, cost, self.config.leverage)
         self._drift = evolve_weights(target, y)
         return Transition(state=state, action=target, reward=reward, cost=cost,
                           next_state=self._enter(state.t + 1, target, value),
                           done=state.t + 1 >= self._end_t)
+
+
+def target_weights(raw: np.ndarray, config: EnvConfig) -> np.ndarray:
+    """The weights raw actions ask for: normalized (all cash if all zero), sign rule, validated."""
+    target = normalize_signed(raw, cash_if_zero=True)
+    if config.arbitrage_enabled:
+        target = enforce_arbitrage(target)
+    validate_weights(target)
+    return target
+
+
+def check_leverage(config: EnvConfig, n_assets: int) -> None:
+    if config.leverage is not None:
+        lam = np.asarray(config.leverage, dtype=np.float64)
+        if lam.shape != (n_assets + 1,) or np.any(lam <= 0):
+            raise ConfigError("leverage must be a positive vector of length m+1")
 
 
 def check_run(days: int, window: int, t0: int, n_steps: int) -> None:

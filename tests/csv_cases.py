@@ -17,7 +17,8 @@ PRICE_HEADERS = ("date,open,high,low,close", "Date,Open,High,Low,Close",
                  " date , open,high,low,close", "DATE,OPEN,HIGH,LOW,CLOSE\t")
 FACTOR_HEADERS = ("date,asset,ep_ratio,turnover", "Date,Asset,EP_Ratio,Turnover",
                   " date , asset,ep_ratio , turnover")
-# Date cells load_csv refuses: only YYYY-MM-DD in ASCII digits sorts by date.
+# Date cells load_csv and load_factor_csv refuse: only YYYY-MM-DD in ASCII
+# digits sorts by date.
 # A trailing NUL makes a distinct string, which numpy's fixed-width strings would drop.
 BAD_DATES = ("", "2020-01-09\x00", "1/9/2020", "1/10/2020", "20200109", "2020-1-09",
              "2020-01-09T00:00", "\u0662\u0660\u0662\u0660-01-09")
@@ -92,11 +93,13 @@ def price_files(draw) -> str:
 
 @st.composite
 def factor_files(draw, dates: tuple[str, ...], assets: tuple[str, ...]) -> str:
-    """A long-format factor file over those axes plus unknown keys, with repeated rows."""
+    """A long-format factor file over those axes plus unknown keys, with repeated rows
+    and now and then a malformed date."""
     header = draw(st.sampled_from(FACTOR_HEADERS * 4 + BAD_HEADERS))
     rows = []
     for _ in range(draw(st.integers(0, 20))):
-        date = draw(st.sampled_from(dates + ("1999-01-01", "")))
+        date = draw(st.sampled_from(dates + ("1999-01-01",) if draw(st.integers(0, 39))
+                                    else BAD_DATES))
         asset = draw(st.sampled_from(assets + ("zzz",)))
         ep, turnover = (draw(st.floats(-5.0, 5.0)) for _ in range(2))
         cells = [draw(key(date)), draw(key(asset)), draw(cell(ep)), draw(cell(turnover))]

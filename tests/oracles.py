@@ -11,10 +11,14 @@ from pathlib import Path
 
 import numpy as np
 
+from drlfolio.analytics import BacktestReport
 from drlfolio.baseline_factor import FactorPanel
 from drlfolio.ddpg import policy_weights
 from drlfolio.errors import FormatError
 from drlfolio.market_data import PriceSeries
+from drlfolio.trading_env import TradingEnv
+
+DATE = "[0-9]{4}-[0-9]{2}-[0-9]{2}"
 
 
 def evolve_by_value_accounting(w, y):
@@ -247,6 +251,26 @@ class ReplayByTransitions:
         return batch_arrays([self.storage[i] for i in idx])
 
 
+def backtest_by_steps(policy, market, config, start, end):
+    """``run_backtest`` one environment step per day, asking ``policy(state)`` for each
+    day's raw action. The environment holds only the days the run reads, so its
+    states count days from the first day of the start's window."""
+    lo = start - config.window + 1
+    env = TradingEnv(market.restrict(lo, end), config)
+    state = env.start_at(start - lo, end - start)
+    values, weights, costs, log_returns = [], [], [], []
+    done = False
+    while not done:
+        transition = env.step(policy(state))
+        weights.append(transition.action)
+        costs.append(transition.cost)
+        log_returns.append(transition.reward)
+        values.append(transition.next_state.value)
+        state = transition.next_state
+        done = transition.done
+    return BacktestReport.from_days(market, start, values, np.stack(weights), costs, log_returns)
+
+
 def greedy_weights_by_day(actor, windows, arbitrage):
     """The deployed policy's weights one day at a time: one batch-1 forward per window."""
     return np.stack([policy_weights(actor.forward(x[None]), arbitrage)[0][0] for x in windows])
@@ -284,7 +308,7 @@ def load_csv_by_rows(path, asset_id=None):
     if not rows:
         raise FormatError(f"{path}: no data rows")
     for row in rows:
-        if not re.fullmatch("[0-9]{4}-[0-9]{2}-[0-9]{2}", row[0]):
+        if not re.fullmatch(DATE, row[0]):
             raise FormatError(f"{path}: date {row[0]!r} is not YYYY-MM-DD")
     rows.sort(key=lambda r: r[0])
     for a, b in zip(rows, rows[1:]):
@@ -297,15 +321,19 @@ def load_csv_by_rows(path, asset_id=None):
 
 
 def load_factor_csv_by_rows(path, market):
-    """``load_factor_csv`` one dict per row, each row writing its cells in file order."""
+    """``load_factor_csv`` one dict per row, each row checking its date and then
+    writing its cells in file order."""
     asset_pos = {a: i for i, a in enumerate(market.asset_ids)}
     date_pos = {d: j for j, d in enumerate(market.dates)}
     ep = np.full((market.n_assets, len(market)), np.nan)
     turnover = np.full_like(ep, np.nan)
     with Path(path).open("r", encoding="utf-8", newline="") as fh:
         for row in _dict_rows(fh, path, ("date", "asset", "ep_ratio", "turnover")):
+            date = (row["date"] or "").strip()
+            if not re.fullmatch(DATE, date):
+                raise FormatError(f"{path}: date {date!r} is not YYYY-MM-DD")
             i = asset_pos.get((row["asset"] or "").strip())
-            j = date_pos.get((row["date"] or "").strip())
+            j = date_pos.get(date)
             if i is None or j is None:
                 continue
             try:

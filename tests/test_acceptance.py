@@ -182,7 +182,8 @@ def test_criterion_07_smoke_training():
     baseline_means = []
     for seed in range(20):
         rng = np.random.default_rng(1000 + seed)
-        rpt = run_backtest(lambda s: rng.uniform(-1, 1, 4), market, env_config, 30, 230)
+        rpt = run_backtest(lambda obs: rng.uniform(-1, 1, (len(obs), 4)), market, env_config,
+                           30, 230)
         baseline_means.append(float(rpt.log_returns.mean()))
     baseline_means = np.array(baseline_means)
     baseline_mean = float(baseline_means.mean())

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drlfolio.analytics import (
     BacktestReport,
@@ -12,9 +14,16 @@ from drlfolio.analytics import (
     write_report,
 )
 from drlfolio.ddpg import EpisodeRecord
+from drlfolio.errors import ConfigError
+from drlfolio.market_data import AlignedMarket
 from drlfolio.synthetic import drift_market, market_from_closes
 from drlfolio.trading_env import EnvConfig, TradingEnv
-from oracles import mdd_by_scan, ols_by_normal_equations
+from oracles import backtest_by_steps, mdd_by_scan, ols_by_normal_equations
+
+
+def constant(action):
+    """A backtest policy that asks for the same raw action every day."""
+    return lambda obs: np.tile(action, (len(obs), 1))
 
 
 def report_from_values(values, asset_ids=("a", "bench")):
@@ -35,8 +44,7 @@ def report_from_values(values, asset_ids=("a", "bench")):
 class TestRunBacktest:
     def test_all_cash_policy_flat(self, noisy_market):
         config = EnvConfig(window=10, episode_len=5, mu=0.0)
-        policy = lambda state: np.array([1.0, 0, 0, 0, 0])
-        report = run_backtest(policy, noisy_market, config, 20, 60)
+        report = run_backtest(constant([1.0, 0, 0, 0, 0]), noisy_market, config, 20, 60)
         assert np.all(report.values == 1.0)
         metrics = metric_suite(report)
         assert metrics["simple_daily_return"] == 0.0
@@ -47,8 +55,7 @@ class TestRunBacktest:
     def test_degenerate_constant_returns_undefined_sharpe(self):
         market = drift_market(80, [0.01], seed=2)
         config = EnvConfig(window=10, episode_len=5, mu=0.0)
-        policy = lambda state: np.array([0.0, 1.0])
-        report = run_backtest(policy, market, config, 20, 50)
+        report = run_backtest(constant([0.0, 1.0]), market, config, 20, 50)
         metrics = metric_suite(report)
         # Log returns are exactly constant, simple returns constant too.
         assert metrics["log_annual_sharpe"] is None
@@ -58,9 +65,7 @@ class TestRunBacktest:
         config = EnvConfig(window=10, episode_len=5, mu=0.0025)
         rng = np.random.default_rng(3)
         actions = [rng.uniform(-1, 1, 5) for _ in range(30)]
-        it = iter(actions)
-        policy = lambda state: next(it)
-        report = run_backtest(policy, noisy_market, config, 15, 45)
+        report = run_backtest(lambda obs: np.array(actions), noisy_market, config, 15, 45)
 
         env = TradingEnv(noisy_market, config)
         env.start_at(15, 30)
@@ -72,10 +77,73 @@ class TestRunBacktest:
 
     def test_weights_recorded_every_day(self, noisy_market):
         config = EnvConfig(window=10, episode_len=5, mu=0.0)
-        policy = lambda state: np.array([0.0, 1.0, 1.0, -1.0, 0.5])
-        report = run_backtest(policy, noisy_market, config, 20, 40)
+        report = run_backtest(constant([0.0, 1.0, 1.0, -1.0, 0.5]), noisy_market, config, 20, 40)
         assert report.weights.shape == (20, 5)
         assert np.allclose(np.abs(report.weights).sum(axis=1), 1.0, atol=1e-9)
+
+
+    @pytest.mark.parametrize("start, end, leverage", [
+        (8, 30, None),  # no full window behind the first day
+        (20, 400, None),  # past the market's last day
+        (20, 20, None),  # no day at all
+        (20, 40, np.ones(4)),  # one leverage ratio short
+        (20, 40, np.array([1.0, 1.0, 0.0, 1.0, 1.0])),
+    ])
+    def test_bad_range_or_leverage_is_config_error(self, noisy_market, start, end, leverage):
+        config = EnvConfig(window=10, episode_len=5, mu=0.0, leverage=leverage)
+        with pytest.raises(ConfigError):
+            run_backtest(constant([1.0, 0, 0, 0, 0]), noisy_market, config, start, end)
+
+    @pytest.mark.parametrize("actions", [
+        lambda obs: np.ones(5),
+        lambda obs: np.ones((len(obs) - 1, 5)),
+        lambda obs: np.ones((len(obs), 4)),
+    ])
+    def test_policy_must_give_one_action_row_per_day(self, noisy_market, actions):
+        config = EnvConfig(window=10, episode_len=5, mu=0.0)
+        with pytest.raises(ValueError, match="policy gave actions of shape"):
+            run_backtest(actions, noisy_market, config, 20, 40)
+
+
+@st.composite
+def backtest_runs(draw):
+    """A market with missing prices, a config and a range on it, and the raw
+    actions of the run: exact zeros, all-zero rows and rows that are all zero
+    once a negative cash entry is clamped."""
+    m, window, days = draw(st.integers(1, 4)), draw(st.integers(2, 5)), draw(st.integers(1, 25))
+    start = window - 1 + draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    clean = drift_market(start + days + 1 + draw(st.integers(0, 2)),
+                         list(rng.normal(0.0, 0.005, m)), sigma=0.02, seed=int(rng.integers(99)))
+    missing = rng.random(clean.close.shape) < draw(st.sampled_from([0.0, 0.1, 0.3]))
+    market = AlignedMarket(asset_ids=clean.asset_ids, dates=clean.dates, **{
+        name: np.where(missing, 0.0, clean.feature(name)) for name in ("open", "high", "low", "close")})
+    leverage = draw(st.none() | st.lists(st.floats(0.5, 2.0), min_size=m + 1, max_size=m + 1))
+    config = EnvConfig(window=window, mu=draw(st.just(0.0) | st.floats(1e-4, 0.01)),
+                       leverage=None if leverage is None else np.array(leverage),
+                       arbitrage_enabled=draw(st.booleans()))
+    entry = st.just(0.0) | st.just(-0.0) | st.floats(-2.0, 2.0)
+    row = st.one_of(st.lists(entry, min_size=m + 1, max_size=m + 1),
+                    st.floats(-1.0, 0.0).map(lambda cash: [cash] + [0.0] * m))
+    actions = np.array(draw(st.lists(row, min_size=days, max_size=days)))
+    return market, config, start, actions
+
+
+@settings(max_examples=200, deadline=None)
+@given(run=backtest_runs())
+def test_bulk_run_matches_day_by_day_steps(run):
+    market, config, start, actions = run
+    seen = []
+    report = run_backtest(lambda obs: seen.append(obs) or actions, market, config,
+                          start, start + len(actions))
+    windows = []
+    expected = backtest_by_steps(
+        lambda state: windows.append(state.tensor.data) or actions[len(windows) - 1],
+        market, config, start, start + len(actions))
+    assert seen[0].tobytes() == np.stack(windows).tobytes()
+    assert report.day_indices == expected.day_indices and report.dates == expected.dates
+    for name in ("values", "weights", "costs", "log_returns", "simple_returns"):
+        assert getattr(report, name).tobytes() == getattr(expected, name).tobytes(), name
 
 
 class TestMetricSuite:

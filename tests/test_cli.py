@@ -484,6 +484,36 @@ class TestCompare:
             "config error: long_n and short_n must be positive"]
         assert not (out / "comparison.csv").exists()
 
+    def test_empty_book_side_is_checked_before_any_work(self, tmp_path, capsys):
+        market, panel = ranked_factor_universe(n_long=3, n_short=3, n_days=120)
+        d = tmp_path / "universe"
+        write_market_csvs(market, d)
+        factor_csv = write_factor_csv(panel, tmp_path / "factors.csv")
+        code = run(["compare", tmp_path / "no_checkpoint.json", factor_csv, "--market-dir", d,
+                    "--out", tmp_path / "cmp", "--benchmark", "benchmark", "--long-n", "0",
+                    "--test-start", market.dates[40], "--test-end", market.dates[100]])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: long_n and short_n must be positive"]
+
+    def test_malformed_factor_date_is_data_error(self, tmp_path, capsys):
+        market, panel = ranked_factor_universe(n_long=3, n_short=3, n_days=120)
+        d = tmp_path / "universe"
+        write_market_csvs(market, d)
+        factor_csv = write_factor_csv(panel, tmp_path / "factors.csv")
+        with factor_csv.open("a") as fh:
+            fh.write("1/7/2020,stock00,0.5,0.1\n")
+        ckpt = fully_invested_checkpoint(tmp_path / "ckpt.json", market, window=6)
+        out = tmp_path / "cmp"
+        code = run(["compare", ckpt, factor_csv, "--market-dir", d, "--out", out,
+                    "--benchmark", "benchmark", "--long-n", "3", "--short-n", "3",
+                    "--test-start", market.dates[40], "--test-end", market.dates[100]])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:")
+        assert "factors.csv" in err[0] and "'1/7/2020'" in err[0]
+        assert not (out / "comparison.csv").exists()
+
     def test_missing_factor_file_is_data_error(self, tmp_path):
         market, panel = ranked_factor_universe(n_long=3, n_short=3, n_days=120)
         d = tmp_path / "universe"

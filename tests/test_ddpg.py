@@ -460,7 +460,7 @@ class TestTrain:
         policy = greedy_policy(actor)
         env = TradingEnv(small_market, env_config)
         state = env.start_at(10, 5)
-        tr = env.step(policy(state))
+        tr = env.step(policy(state.tensor.data[None])[0])
         assert np.isfinite(tr.reward)
 
 
@@ -490,7 +490,7 @@ class TestGreedyPolicy:
         actor = build_actor(3, self.WINDOW, np.random.default_rng(5))
         policy = greedy_policy(actor)
         served = []
-        # Each run starts on a day (and a row) that the previous run's forward covered.
+        # One policy serves overlapping days of two markets: it keeps nothing between runs.
         for market, start, days in ((markets[0], 10, 30), (markets[1], 10, 30),
                                     (markets[0], 20, 90)):
             weights, expected = self.backtest_and_oracle(policy, actor, market, start, days, True)

@@ -28,6 +28,14 @@ class TestNormalizeSigned:
         with pytest.raises(DegenerateActionError):
             normalize_signed(np.array([0.0, 0.0, 0.0]))
 
+    def test_all_zero_rows_read_all_cash_when_asked(self):
+        raw = np.array([[-0.5, -0.0, 0.0], [0.0, 2.0, -2.0], [0.0, -0.0, -0.0]])
+        w = normalize_signed(raw, cash_if_zero=True)
+        expected = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, -0.5], [1.0, 0.0, 0.0]])
+        assert w.tobytes() == expected.tobytes()
+        with pytest.raises(DegenerateActionError):
+            normalize_signed(raw)
+
     def test_cash_only(self):
         assert normalize_signed(np.array([2.0, 0.0, 0.0])).tolist() == [1.0, 0.0, 0.0]
 
@@ -286,6 +294,18 @@ class TestStepValue:
             total += gamma
             w = evolve_weights(w, y)
         assert abs(np.log(rho / rho0) - total) <= 1e-12 * (1.0 + len(ys))
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=books_and_relatives(), cost=st.floats(0.0, 0.5), rho0=st.floats(0.1, 10.0),
+           levered=st.booleans())
+    def test_one_day_rounds_as_written(self, drawn, cost, rho0, levered):
+        """value = rho * (1 - cost) * exp(growth), rounded left to right, with the
+        growth a dot product: the rows path must keep these bits too."""
+        (w,), ys = drawn
+        lam = np.linspace(0.5, 2.0, len(w)) if levered else np.ones(len(w))
+        growth = np.dot(lam * np.log(ys[0]), w)
+        rho, gamma = step_value(rho0, w, ys[0], cost, lam if levered else None)
+        assert (rho, gamma) == (rho0 * (1.0 - cost) * np.exp(growth), np.log1p(-cost) + growth)
 
     def test_unit_leverage_bitwise_identical(self, rng):
         for _ in range(200):
