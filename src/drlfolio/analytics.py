@@ -166,14 +166,6 @@ def training_slope(records) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Report output: JSON summary, per-day series CSV, weights CSV, plot CSV.
 
-def _write_rows(path: Path, header: list[str], keys: list[tuple], rows: np.ndarray) -> None:
-    """A CSV file: the header, then per row its keys and the repr of each value."""
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([*key, *map(repr, row)] for key, row in zip(keys, rows.tolist()))
-
-
 def write_report(report: BacktestReport, out_dir: str | Path) -> dict[str, Optional[float]]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -191,13 +183,27 @@ def write_report(report: BacktestReport, out_dir: str | Path) -> dict[str, Optio
         json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
 
-    days = list(zip(report.day_indices, report.dates))
-    series = np.column_stack([report.values[1:], report.costs, report.log_returns,
-                              report.simple_returns])
-    _write_rows(out / "series.csv", ["day", "date", "value", "cost", "log_return",
-                                     "simple_return"], days, series)
-    _write_rows(out / "weights.csv", ["day", "date", "cash", *report.asset_ids], days,
-                report.weights)
-    _write_rows(out / "plot.csv", ["step", "value"], [(k,) for k in range(len(report.values))],
-                report.values[:, None])
+    with (out / "series.csv").open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["day", "date", "value", "cost", "log_return", "simple_return"])
+        for k, day in enumerate(report.day_indices):
+            writer.writerow([
+                day, report.dates[k], repr(float(report.values[k + 1])),
+                repr(float(report.costs[k])), repr(float(report.log_returns[k])),
+                repr(float(report.simple_returns[k])),
+            ])
+
+    with (out / "weights.csv").open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["day", "date", "cash", *report.asset_ids])
+        for k, day in enumerate(report.day_indices):
+            writer.writerow([day, report.dates[k],
+                             *(repr(float(w)) for w in report.weights[k])])
+
+    with (out / "plot.csv").open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["step", "value"])
+        for k, v in enumerate(report.values):
+            writer.writerow([k, repr(float(v))])
+
     return metrics

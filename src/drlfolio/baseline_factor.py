@@ -81,7 +81,8 @@ def factor_score(panel: FactorPanel, t: int) -> np.ndarray:
     """Scores for day t from day t-1 data; NaN where either factor is missing."""
     if t < 1 or t >= len(panel.dates):
         raise ValueError(f"day {t} has no previous day inside the panel")
-    return 0.5 * panel.ep_ratio[:, t - 1] - 0.5 * panel.turnover[:, t - 1]
+    scores = 0.5 * panel.ep_ratio[:, t - 1] - 0.5 * panel.turnover[:, t - 1]
+    return scores
 
 
 def check_book(long_n: int, short_n: int) -> None:

@@ -41,9 +41,10 @@ def initial_weights(num_assets: int) -> np.ndarray:
     return w
 
 
-def normalize_signed(raw: np.ndarray, cash_if_zero: bool = False) -> np.ndarray:
+def normalize_signed(raw: np.ndarray, *, cash_if_zero: bool = False) -> np.ndarray:
     """Clamp the cash entry to be non-negative, then scale so |w| sums to one. A vector
-    all zero after clamping raises DegenerateActionError, or with ``cash_if_zero`` is all cash."""
+    all zero after clamping raises DegenerateActionError (the public contract), or with
+    ``cash_if_zero`` (how the environment reads an action) is all cash."""
     w = np.array(raw, dtype=np.float64)
     if w.ndim < 1 or w.shape[-1] < 2:
         raise ValueError(f"raw action must be a vector of length >= 2, got shape {w.shape}")
@@ -142,8 +143,8 @@ def weighted_log_return(
     lam = np.ones(w_prev.shape[-1:]) if leverage is None else np.asarray(leverage, np.float64)
     if lam.shape != w_prev.shape[-1:] or (lam <= 0).any():
         raise ValueError("leverage must be a positive vector matching the weights")
-    # vecdot gives each row the bits np.dot gives it alone; einsum does not.
-    growth = np.vecdot(lam * np.log(y), w_prev)
+    # A stacked matmul gives each row the bits np.dot gives it alone; einsum does not.
+    growth = np.matmul((lam * np.log(y))[..., None, :], w_prev[..., :, None])[..., 0, 0]
     return growth if growth.ndim else float(growth)
 
 
