@@ -8,7 +8,7 @@ to the log of the final portfolio value.
 
 import numpy as np
 
-from drlfolio import EnvConfig, TradingEnv, average_reward
+from drlfolio import EnvConfig, TradingEnv
 from drlfolio.synthetic import drift_market
 
 market = drift_market(400, [0.01, 0.0, 0.0], sigma=0.0, seed=42)
@@ -19,7 +19,7 @@ env = TradingEnv(market, config)
 state = env.reset(rng=7)
 print(f"episode starts on day {state.t}, value {state.value}, "
       f"weights {state.weights}")
-print(f"observation block shape: {state.tensor.data.shape}")
+print(f"observation block shape: {state.obs.shape}")
 
 # Hold the drifting asset; day one pays the full entry cost.
 hold = np.array([0.0, 1.0, 0.0, 0.0])
@@ -33,7 +33,7 @@ while not done:
 print(f"\nfirst-day cost rate: {0.0025:.4f} (entry), later days trade the "
       f"drift only:")
 print("rewards:", np.round([t.reward for t in trajectory[:5]], 5), "...")
-print(f"mean daily reward: {average_reward(trajectory):.5f}")
+print(f"mean daily reward: {np.mean([t.reward for t in trajectory]):.5f}")
 
 final = trajectory[-1].next_state
 total = sum(t.reward for t in trajectory)

@@ -24,7 +24,7 @@ from .portfolio_math import (
     validate_weights,
     weighted_log_return,
 )
-from .trading_env import EnvConfig, EnvState, TradingEnv, Transition, average_reward
+from .trading_env import EnvConfig, EnvState, TradingEnv, Transition
 from .neural import (
     Network,
     build_actor,

@@ -16,6 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .ddpg import TrainLog
 from .market_data import AlignedMarket, price_block, relative_prices
 from .portfolio_math import evolve_weights, initial_weights, step_value, transaction_cost
 from .trading_env import EnvConfig, check_leverage, check_run, target_weights
@@ -144,15 +145,12 @@ def metric_suite(report: BacktestReport) -> dict[str, Optional[float]]:
     }
 
 
-def training_slope(records) -> tuple[float, float]:
-    """OLS of per-episode mean daily return against the episode's start step.
-
-    Accepts a TrainLog or any iterable of objects with start_step and
-    mean_daily_return attributes. Returns (slope, intercept).
+def training_slope(log: TrainLog) -> tuple[float, float]:
+    """OLS of a train log's per-episode mean daily return against the episode's
+    start step. Returns (slope, intercept).
     """
-    entries = getattr(records, "records", records)
-    x = np.array([r.start_step for r in entries], dtype=np.float64)
-    y = np.array([r.mean_daily_return for r in entries], dtype=np.float64)
+    x = np.array([r.start_step for r in log.records], dtype=np.float64)
+    y = np.array([r.mean_daily_return for r in log.records], dtype=np.float64)
     if len(x) < 2:
         raise ValueError("need at least two episodes for a regression line")
     x_mean, y_mean = x.mean(), y.mean()

@@ -44,6 +44,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("critic_lr", "actor_lr", "noise_var", "discount", "tau"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if min(self.critic_lr, self.actor_lr, self.tau) <= 0:
             raise ConfigError("learning rates and tau must be positive")
         if self.batch_size < 1 or self.buffer_capacity < self.batch_size:
@@ -143,9 +146,10 @@ class Adam:
     # moments and work buffers stay in cache across the fourteen array
     # operations of a step instead of streaming from memory for each one.
     BLOCK = 32_768
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, lr: float):
+        self.lr = lr
         self._m: np.ndarray | None = None
         self._v: np.ndarray | None = None
         self._work: np.ndarray | None = None
@@ -157,19 +161,19 @@ class Adam:
             self._m, self._v = np.zeros_like(param), np.zeros_like(param)
             self._work = np.empty((2, min(self.BLOCK, param.size)))
         self._t += 1
-        b1t = 1.0 - self.beta1**self._t
-        b2t = 1.0 - self.beta2**self._t
+        b1t = 1.0 - self.BETA1**self._t
+        b2t = 1.0 - self.BETA2**self._t
         for lo in range(0, param.size, self.BLOCK):
             block = slice(lo, lo + self.BLOCK)
             p, g, m, v = param[block], grad[block], self._m[block], self._v[block]
             s, r = self._work[:, : p.size]
-            m *= self.beta1
-            m += np.multiply(g, 1 - self.beta1, out=s)
-            v *= self.beta2
-            np.multiply(g, 1 - self.beta2, out=s)
+            m *= self.BETA1
+            m += np.multiply(g, 1 - self.BETA1, out=s)
+            v *= self.BETA2
+            np.multiply(g, 1 - self.BETA2, out=s)
             v += np.multiply(s, g, out=s)
             np.sqrt(np.divide(v, b2t, out=s), out=s)
-            s += self.eps
+            s += self.EPS
             np.multiply(np.divide(m, b1t, out=r), self.lr, out=r)
             p -= np.divide(r, s, out=r)
 
@@ -220,11 +224,10 @@ class DDPG:
 
     # -- acting ------------------------------------------------------------
 
-    def act(self, state: EnvState, rng: np.random.Generator | None = None) -> np.ndarray:
-        """Valid weight vector for a state; pass an rng to add exploration noise."""
-        raw = self.actor.forward(state.tensor.data[None])
-        if rng is not None:
-            raw = explore_action(raw, rng, self.config.noise_var)
+    def act(self, state: EnvState, rng: np.random.Generator) -> np.ndarray:
+        """Valid weight vector for a state, explored with noise from ``rng``;
+        ``greedy_policy`` is the noise-free policy."""
+        raw = explore_action(self.actor.forward(state.obs[None]), rng, self.config.noise_var)
         weights, _ = policy_weights(raw, self.arbitrage)
         return weights[0]
 

@@ -25,7 +25,7 @@ import csv
 import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice, zip_longest
 from pathlib import Path
 
@@ -150,15 +150,13 @@ def parse_dates(path: Path, cells: tuple) -> list[str]:
     return dates
 
 
-def load_csv(path: str | Path, asset_id: str | None = None) -> PriceSeries:
-    """Read one asset's OHLC file. Rows are sorted by date; a date that is not
-    ``YYYY-MM-DD`` or is repeated is an error.
+def load_csv(path: str | Path) -> PriceSeries:
+    """Read one asset's OHLC file; the asset id is the file stem. Rows are sorted
+    by date; a date that is not ``YYYY-MM-DD`` or is repeated is an error.
 
     A price cell that is missing, malformed, non-finite or negative reads 0.
     """
     path = Path(path)
-    if asset_id is None:
-        asset_id = path.stem
     dates, blocks = [], []
     for cols in read_columns(path, CSV_HEADER):
         dates += parse_dates(path, cols[0])
@@ -177,7 +175,7 @@ def load_csv(path: str | Path, asset_id: str | None = None) -> PriceSeries:
         raise FormatError(f"{path}: duplicate date {keys[dup[0]]}")
     prices = prices[:, order]
     return PriceSeries(
-        asset_id=asset_id,
+        asset_id=path.stem,
         dates=tuple(keys.tolist()),
         open=prices[0],
         high=prices[1],
@@ -199,7 +197,6 @@ class AlignedMarket:
     high: np.ndarray
     low: np.ndarray
     close: np.ndarray
-    benchmark_index: int = field(default=-1)
 
     def __post_init__(self):
         m, t = len(self.asset_ids), len(self.dates)
@@ -208,10 +205,12 @@ class AlignedMarket:
             if arr.shape != (m, t):
                 raise AlignmentError(f"{name} has shape {arr.shape}, expected {(m, t)}")
             object.__setattr__(self, name, _freeze(arr))
-        if self.benchmark_index == -1:
-            object.__setattr__(self, "benchmark_index", m - 1)
-        if not 0 <= self.benchmark_index < m:
-            raise AlignmentError(f"benchmark index {self.benchmark_index} out of range")
+        if m < 1:
+            raise AlignmentError("need at least one asset, the benchmark")
+
+    @property
+    def benchmark_index(self) -> int:
+        return len(self.asset_ids) - 1
 
     @property
     def n_assets(self) -> int:
@@ -242,7 +241,6 @@ class AlignedMarket:
             high=self.high[:, lo : hi + 1],
             low=self.low[:, lo : hi + 1],
             close=self.close[:, lo : hi + 1],
-            benchmark_index=self.benchmark_index,
         )
 
 
@@ -279,7 +277,6 @@ def align(series: list[PriceSeries], benchmark: str) -> AlignedMarket:
     return AlignedMarket(
         asset_ids=tuple(s.asset_id for s in ordered),
         dates=dates,
-        benchmark_index=m - 1,
         **mats,
     )
 

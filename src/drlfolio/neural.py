@@ -240,8 +240,7 @@ class Flatten:
         self._shape = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim == 4:
-            x = x.transpose(0, 2, 3, 1)
+        x = x.transpose(0, 2, 3, 1)
         self._shape = x.shape
         return x.reshape(x.shape[0], -1)
 
@@ -249,8 +248,7 @@ class Flatten:
                  param_grads: bool = True) -> np.ndarray:
         if self._shape is None:
             raise ProtocolError("backward before forward")
-        grad = dout.reshape(self._shape)
-        return grad.transpose(0, 3, 1, 2) if grad.ndim == 4 else grad
+        return dout.reshape(self._shape).transpose(0, 3, 1, 2)
 
     def spec(self):
         return {"kind": self.kind}
@@ -314,8 +312,6 @@ class Network:
     def forward(self, x: np.ndarray, action: np.ndarray | None = None) -> np.ndarray:
         """Output for a batch of inputs; ``action`` goes to the first layer, a 1 x k conv."""
         out = np.asarray(x, dtype=np.float64)
-        if out.ndim == 3:
-            out = out[None]
         first, *rest = self.layers
         out = first.forward(out) if action is None else first.forward(out, action)
         for layer in rest:
@@ -378,38 +374,31 @@ class Network:
         return cls(layers)
 
 
-def build_actor(num_assets: int, window: int, rng: np.random.Generator) -> Network:
-    """Policy network: price block in, m+1 raw weight logits out."""
+def _build(in_channels: int, outputs: int, num_assets: int, window: int,
+           rng: np.random.Generator) -> Network:
+    """The trading network body: two 1 x 3 convs over time, then a 64-unit dense head."""
     if window < 5:
         raise ConfigError("window must be >= 5 for two time-axis convolutions")
-    flat = 16 * num_assets * (window - 4)
     return Network([
-        Conv2D(4, 16, 1, 3, rng),
+        Conv2D(in_channels, 16, 1, 3, rng),
         ReLU(),
         Conv2D(16, 16, 1, 3, rng),
         ReLU(),
         Flatten(),
-        Dense(flat, 64, rng),
+        Dense(16 * num_assets * (window - 4), 64, rng),
         ReLU(),
-        Dense(64, num_assets + 1, rng),
+        Dense(64, outputs, rng),
     ])
+
+
+def build_actor(num_assets: int, window: int, rng: np.random.Generator) -> Network:
+    """Policy network: price block in, m+1 raw weight logits out."""
+    return _build(4, num_assets + 1, num_assets, window, rng)
 
 
 def build_critic(num_assets: int, window: int, rng: np.random.Generator) -> Network:
     """Action-value network: ``critic.forward(blocks, weights[:, 1:])`` gives (N, 1) values."""
-    if window < 5:
-        raise ConfigError("window must be >= 5 for two time-axis convolutions")
-    flat = 16 * num_assets * (window - 4)
-    return Network([
-        Conv2D(5, 16, 1, 3, rng),
-        ReLU(),
-        Conv2D(16, 16, 1, 3, rng),
-        ReLU(),
-        Flatten(),
-        Dense(flat, 64, rng),
-        ReLU(),
-        Dense(64, 1, rng),
-    ])
+    return _build(5, 1, num_assets, window, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -440,13 +429,13 @@ def minmax_forward_batch(raw: np.ndarray):
     w = u / total[:, None]
     if np.any(degenerate):
         w[degenerate] = initial_weights(k - 1)
-    cache = (i_min, i_max, safe_span, z, u, cash_clamped, total, w, degenerate)
+    cache = (i_min, i_max, safe_span, z, u, cash_clamped, total, degenerate)
     return w, cache
 
 
 def minmax_vjp_batch(cache, dw: np.ndarray) -> np.ndarray:
     """Gradient of the loss w.r.t. raw logits, given the gradient w.r.t. weights."""
-    i_min, i_max, span, z, u, cash_clamped, total, w, degenerate = cache
+    i_min, i_max, span, z, u, cash_clamped, total, degenerate = cache
     n = dw.shape[0]
     rows = np.arange(n)
     # w = u / total, total = sum |u|

@@ -19,14 +19,14 @@ from .errors import DegenerateActionError, RuinError
 WEIGHT_SUM_TOL = 1e-9
 
 
-def validate_weights(w: np.ndarray, tol: float = WEIGHT_SUM_TOL) -> None:
+def validate_weights(w: np.ndarray) -> None:
     w = np.asarray(w)
     if w.ndim < 1 or w.shape[-1] < 2:
         raise ValueError(f"weights must be vectors of length >= 2, got shape {w.shape}")
     if not np.isfinite(w).all():
         raise ValueError("weights contain non-finite entries")
     s = np.abs(w).sum(axis=-1)
-    if np.abs(s - 1.0).max() > tol:
+    if np.abs(s - 1.0).max() > WEIGHT_SUM_TOL:
         raise ValueError(f"|w| sums to {s!r}, expected 1")
     if w[..., 0].min() < 0 or w[..., 0].max() > 1 + 1e-12:
         raise ValueError(f"cash weight {w[..., 0]!r} outside [0, 1]")
@@ -41,10 +41,9 @@ def initial_weights(num_assets: int) -> np.ndarray:
     return w
 
 
-def normalize_signed(raw: np.ndarray, *, cash_if_zero: bool = False) -> np.ndarray:
+def normalize_signed(raw: np.ndarray) -> np.ndarray:
     """Clamp the cash entry to be non-negative, then scale so |w| sums to one. A vector
-    all zero after clamping raises DegenerateActionError (the public contract), or with
-    ``cash_if_zero`` (how the environment reads an action) is all cash."""
+    all zero after clamping reads as all cash."""
     w = np.array(raw, dtype=np.float64)
     if w.ndim < 1 or w.shape[-1] < 2:
         raise ValueError(f"raw action must be a vector of length >= 2, got shape {w.shape}")
@@ -55,8 +54,6 @@ def normalize_signed(raw: np.ndarray, *, cash_if_zero: bool = False) -> np.ndarr
     total = np.abs(w).sum(axis=-1, keepdims=True)
     zero = total == 0.0
     if zero.any():
-        if not cash_if_zero:
-            raise DegenerateActionError("action is all zero after cash clamping")
         np.copyto(w, initial_weights(w.shape[-1] - 1), where=zero)
         np.copyto(total, 1.0, where=zero)
     return w / total
@@ -141,8 +138,8 @@ def weighted_log_return(
     if (y <= 0).any():
         raise ValueError("price relatives must be strictly positive")
     lam = np.ones(w_prev.shape[-1:]) if leverage is None else np.asarray(leverage, np.float64)
-    if lam.shape != w_prev.shape[-1:] or (lam <= 0).any():
-        raise ValueError("leverage must be a positive vector matching the weights")
+    if lam.shape != w_prev.shape[-1:] or not ((lam > 0) & (lam < np.inf)).all():
+        raise ValueError("leverage must be a positive finite vector matching the weights")
     # A stacked matmul gives each row the bits np.dot gives it alone; einsum does not.
     growth = np.matmul((lam * np.log(y))[..., None, :], w_prev[..., :, None])[..., 0, 0]
     return growth if growth.ndim else float(growth)

@@ -7,15 +7,20 @@ rides the next day's price relatives. The emitted reward is the daily log
 return including the cost term, so rewards telescope into log(final/initial).
 
 Training episodes start on a uniformly sampled day with a full observation
-window behind it; a backtest (``analytics.run_backtest``) settles all the days
-of a fixed range at once with the same functions instead of stepping.
+window behind it, and the agent acting in them always explores
+(``ddpg.DDPG.act``); a backtest (``analytics.run_backtest``) settles all the
+days of a fixed range at once with the same functions instead of stepping, on
+the noise-free ``ddpg.greedy_policy``.
+
+Actions: an action that is all zero after its cash entry is clamped at zero
+reads as all cash (``target_weights``).
 
 Observations: each environment builds one read-only observation cube
 (``price_block``) over every day of its market that has a full window; row r
-is the window ending at day r + window - 1. Each state's ``tensor`` is a view
-of its row and the state carries the cube, so replay stores row numbers
-(``ddpg.ReplayBuffer``). The cube takes (T - window + 1) * 4 * m * window * 8
-bytes for a T-day market; restrict the market to bound it.
+is the window ending at day r + window - 1. Each state stores its ``row`` and
+carries the cube; its ``obs`` is a view of ``cube[row]``, so replay stores row
+numbers (``ddpg.ReplayBuffer``). The cube takes (T - window + 1) * 4 * m *
+window * 8 bytes for a T-day market; restrict the market to bound it.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, ProtocolError
-from .market_data import FEATURES, AlignedMarket, PriceTensor, price_block, relative_prices
+from .market_data import FEATURES, AlignedMarket, price_block, relative_prices
 from .portfolio_math import (
     enforce_arbitrage,
     evolve_weights,
@@ -57,24 +62,23 @@ class EnvConfig:
 
 @dataclass(frozen=True)
 class EnvState:
-    """One day of a run. ``tensor.data`` is row ``row`` of ``cube``, the
+    """Day ``t`` of a run, whose observation is row ``row`` of ``cube``, the
     environment's observation cube, which is left out of repr and equality."""
 
-    tensor: PriceTensor
     weights: np.ndarray
     value: float
     t: int
+    row: int
     cube: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self):
-        if self.tensor.t != self.t:
-            raise ValueError(f"tensor day {self.tensor.t} != state day {self.t}")
         if self.value <= 0:
             raise ValueError("portfolio value must be positive")
 
     @property
-    def row(self) -> int:
-        return self.t - self.tensor.window + 1
+    def obs(self) -> np.ndarray:
+        """The (4, m, window) observation of day ``t``: a read-only view of ``cube[row]``."""
+        return self.cube[self.row]
 
 
 @dataclass(frozen=True)
@@ -107,8 +111,8 @@ class TradingEnv:
         self._drift: Optional[np.ndarray] = None
         self._end_t: int = 0
 
-    def reset(self, rng: np.random.Generator | int | None = None) -> EnvState:
-        """Start an episode on a uniformly sampled day.
+    def reset(self, rng: np.random.Generator | int) -> EnvState:
+        """Start an episode on a day drawn uniformly with ``rng``, a generator or a seed.
 
         Start days range over [window, len(market) - episode_len - 1] so every
         window day has a defined price relative; the market must therefore
@@ -120,8 +124,7 @@ class TradingEnv:
             raise ConfigError(
                 f"market has {len(self.market)} days, need at least {n + ep + 1}"
             )
-        gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        t0 = int(gen.integers(lo, hi + 1))
+        t0 = int(np.random.default_rng(rng).integers(lo, hi + 1))
         return self.start_at(t0, ep)
 
     def start_at(self, t0: int, n_steps: int) -> EnvState:
@@ -132,9 +135,8 @@ class TradingEnv:
         return self._enter(t0, self._drift, 1.0)
 
     def _enter(self, t: int, weights: np.ndarray, value: float) -> EnvState:
-        n = self.config.window
-        tensor = PriceTensor(data=self.cube[t - n + 1], t=t, window=n)
-        self._state = EnvState(tensor=tensor, weights=weights, value=value, t=t, cube=self.cube)
+        self._state = EnvState(weights=weights, value=value, t=t,
+                               row=t - self.config.window + 1, cube=self.cube)
         return self._state
 
     def step(self, action_raw: np.ndarray) -> Transition:
@@ -157,7 +159,7 @@ class TradingEnv:
 
 def target_weights(raw: np.ndarray, config: EnvConfig) -> np.ndarray:
     """The weights raw actions ask for: normalized (all cash if all zero), sign rule, validated."""
-    target = normalize_signed(raw, cash_if_zero=True)
+    target = normalize_signed(raw)
     if config.arbitrage_enabled:
         target = enforce_arbitrage(target)
     validate_weights(target)
@@ -167,8 +169,8 @@ def target_weights(raw: np.ndarray, config: EnvConfig) -> np.ndarray:
 def check_leverage(config: EnvConfig, n_assets: int) -> None:
     if config.leverage is not None:
         lam = np.asarray(config.leverage, dtype=np.float64)
-        if lam.shape != (n_assets + 1,) or np.any(lam <= 0):
-            raise ConfigError("leverage must be a positive vector of length m+1")
+        if lam.shape != (n_assets + 1,) or not ((lam > 0) & (lam < np.inf)).all():
+            raise ConfigError("leverage must be a positive finite vector of length m+1")
 
 
 def check_run(days: int, window: int, t0: int, n_steps: int) -> None:
@@ -180,10 +182,3 @@ def check_run(days: int, window: int, t0: int, n_steps: int) -> None:
         raise ConfigError("need at least one step")
     if t0 + n_steps > days - 1:
         raise ConfigError(f"run of {n_steps} steps from day {t0} overruns market length {days}")
-
-
-def average_reward(trajectory: list[Transition]) -> float:
-    """Mean daily log return over a trajectory."""
-    if not trajectory:
-        raise ValueError("empty trajectory")
-    return float(np.mean([tr.reward for tr in trajectory]))

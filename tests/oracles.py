@@ -223,10 +223,10 @@ def price_window_by_loops(market, t, window):
 
 def batch_arrays(batch):
     """A list of Transitions stacked into (states, actions, rewards, next_states, dones)."""
-    states = np.stack([tr.state.tensor.data for tr in batch])
+    states = np.stack([tr.state.obs for tr in batch])
     actions = np.stack([tr.action for tr in batch])
     rewards = np.array([tr.reward for tr in batch])[:, None]
-    next_states = np.stack([tr.next_state.tensor.data for tr in batch])
+    next_states = np.stack([tr.next_state.obs for tr in batch])
     dones = np.array([1.0 if tr.done else 0.0 for tr in batch])[:, None]
     return states, actions, rewards, next_states, dones
 

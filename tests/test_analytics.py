@@ -13,7 +13,7 @@ from drlfolio.analytics import (
     training_slope,
     write_report,
 )
-from drlfolio.ddpg import EpisodeRecord
+from drlfolio.ddpg import EpisodeRecord, TrainLog
 from drlfolio.errors import ConfigError
 from drlfolio.market_data import AlignedMarket
 from drlfolio.synthetic import drift_market, market_from_closes
@@ -138,7 +138,7 @@ def test_bulk_run_matches_day_by_day_steps(run):
                           start, start + len(actions))
     windows = []
     expected = backtest_by_steps(
-        lambda state: windows.append(state.tensor.data) or actions[len(windows) - 1],
+        lambda state: windows.append(state.obs) or actions[len(windows) - 1],
         market, config, start, start + len(actions))
     assert seen[0].tobytes() == np.stack(windows).tobytes()
     assert report.day_indices == expected.day_indices and report.dates == expected.dates
@@ -208,14 +208,14 @@ class TestMetricSuite:
 
 class TestTrainingSlope:
     def test_two_point_line(self):
-        records = [EpisodeRecord(0, 0, 0.0, 1.0, 0.0), EpisodeRecord(1, 100, 0.01, 1.0, 0.0)]
-        slope, intercept = training_slope(records)
+        log = TrainLog([EpisodeRecord(0, 0, 0.0, 1.0, 0.0), EpisodeRecord(1, 100, 0.01, 1.0, 0.0)])
+        slope, intercept = training_slope(log)
         assert slope == pytest.approx(1e-4, abs=1e-18)
         assert intercept == pytest.approx(0.0, abs=1e-18)
 
     def test_constant_rewards_flat(self):
-        records = [EpisodeRecord(k, 10 * k, 0.005, 1.0, 0.0) for k in range(10)]
-        slope, _ = training_slope(records)
+        log = TrainLog([EpisodeRecord(k, 10 * k, 0.005, 1.0, 0.0) for k in range(10)])
+        slope, _ = training_slope(log)
         assert slope == pytest.approx(0.0, abs=1e-18)
 
     def test_matches_normal_equations(self, rng):
@@ -224,16 +224,16 @@ class TestTrainingSlope:
             if len(np.unique(x)) < 2:
                 continue
             y = rng.normal(size=12)
-            records = [EpisodeRecord(k, int(xi), float(yi), 1.0, 0.0)
-                       for k, (xi, yi) in enumerate(zip(x, y))]
-            slope, intercept = training_slope(records)
+            log = TrainLog([EpisodeRecord(k, int(xi), float(yi), 1.0, 0.0)
+                            for k, (xi, yi) in enumerate(zip(x, y))])
+            slope, intercept = training_slope(log)
             e_slope, e_intercept = ols_by_normal_equations(x, y)
             assert slope == pytest.approx(e_slope, rel=1e-9)
             assert intercept == pytest.approx(e_intercept, rel=1e-9, abs=1e-12)
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):
-            training_slope([EpisodeRecord(0, 0, 0.0, 1.0, 0.0)])
+            training_slope(TrainLog([EpisodeRecord(0, 0, 0.0, 1.0, 0.0)]))
 
 
 class TestWriteReport:

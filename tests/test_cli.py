@@ -167,6 +167,34 @@ class TestTrain:
         cfg.write_text("no_such_key = 1\n")
         assert run(["train", d, "--config", cfg, "--out", tmp_path / "y"]) == EXIT_CONFIG
 
+    def test_non_utf8_config_is_config_error(self, market_dir, tmp_path, capsys):
+        d, _ = market_dir
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"seed = 3\n# caf\xe9\n")
+        assert run(["train", d, "--config", cfg, "--out", tmp_path / "y"]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:") and "latin1.cfg" in err[0]
+
+    @pytest.mark.parametrize("setting", ["noise_var = nan", "noise_var = inf", "critic_lr = nan",
+                                         "tau = nan", "actor_lr = inf"])
+    def test_non_finite_setting_is_config_error(self, market_dir, tmp_path, capsys, setting):
+        d, _ = market_dir
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(setting + "\n")
+        assert run(train_args(d, tmp_path / "run") + ["--config", cfg]) == EXIT_CONFIG
+        name, _, value = setting.partition(" = ")
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {name} must be finite, got {value}"]
+
+    @pytest.mark.parametrize("leverage", ["1,nan,1,1", "1,inf,1,1"])
+    def test_non_finite_leverage_is_config_error(self, market_dir, tmp_path, capsys, leverage):
+        d, _ = market_dir
+        cfg = tmp_path / "lev.cfg"
+        cfg.write_text(f"leverage = {leverage}\n")
+        assert run(train_args(d, tmp_path / "run") + ["--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: leverage must be a positive finite vector of length m+1"]
+
     def test_checkpoint_every_snapshots(self, market_dir, tmp_path):
         d, _ = market_dir
         out = tmp_path / "snap"
@@ -287,6 +315,18 @@ class TestBacktest:
         code = run(["backtest", ckpt, "--market-dir", d, "--out", tmp_path / "bt",
                     "--test-start", market.dates[2], "--test-end", market.dates[50]])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("leverage", ["1,nan,1,1", "1,inf,1,1"])
+    def test_non_finite_leverage_is_config_error(self, market_dir, tmp_path, capsys, leverage):
+        d, market = market_dir
+        ckpt = fully_invested_checkpoint(tmp_path / "ckpt.json", market)
+        cfg = tmp_path / "lev.cfg"
+        cfg.write_text(f"leverage = {leverage}\n")
+        code = run(["backtest", ckpt, "--market-dir", d, "--out", tmp_path / "bt", "--config", cfg,
+                    "--test-start", market.dates[40], "--test-end", market.dates[90]])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: leverage must be a positive finite vector of length m+1"]
 
     def test_periodic_checkpoint_backtests(self, market_dir, tmp_path):
         d, market = market_dir

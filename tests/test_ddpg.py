@@ -460,7 +460,7 @@ class TestTrain:
         policy = greedy_policy(actor)
         env = TradingEnv(small_market, env_config)
         state = env.start_at(10, 5)
-        tr = env.step(policy(state.tensor.data[None])[0])
+        tr = env.step(policy(state.obs[None])[0])
         assert np.isfinite(tr.reward)
 
 

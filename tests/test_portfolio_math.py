@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from drlfolio.errors import DegenerateActionError, RuinError
+from drlfolio.errors import RuinError
 from drlfolio.portfolio_math import (
     enforce_arbitrage,
     enforce_arbitrage_batch,
@@ -25,16 +25,12 @@ class TestNormalizeSigned:
         assert normalize_signed(np.array([1.0, -1.0])).tolist() == [0.5, -0.5]
 
     def test_all_zero_is_degenerate(self):
-        with pytest.raises(DegenerateActionError):
-            normalize_signed(np.array([0.0, 0.0, 0.0]))
-
-    def test_all_zero_rows_read_all_cash_when_asked(self):
+        # An action all zero after the cash clamp is degenerate and reads as all cash,
+        # alone or as rows of a batch.
+        assert normalize_signed(np.array([0.0, 0.0, 0.0])).tolist() == [1.0, 0.0, 0.0]
         raw = np.array([[-0.5, -0.0, 0.0], [0.0, 2.0, -2.0], [0.0, -0.0, -0.0]])
-        w = normalize_signed(raw, cash_if_zero=True)
         expected = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, -0.5], [1.0, 0.0, 0.0]])
-        assert w.tobytes() == expected.tobytes()
-        with pytest.raises(DegenerateActionError):
-            normalize_signed(raw)
+        assert normalize_signed(raw).tobytes() == expected.tobytes()
 
     def test_cash_only(self):
         assert normalize_signed(np.array([2.0, 0.0, 0.0])).tolist() == [1.0, 0.0, 0.0]
@@ -47,10 +43,7 @@ class TestNormalizeSigned:
         # 1e5 random raw vectors: |w| sums to one, cash stays in [0, 1].
         for _ in range(100_000):
             raw = rng.uniform(-5, 5, size=rng.integers(2, 8))
-            try:
-                w = normalize_signed(raw)
-            except DegenerateActionError:
-                continue
+            w = normalize_signed(raw)
             s = np.abs(w).sum()
             assert abs(s - 1.0) <= 1e-9
             assert 0.0 <= w[0] <= 1.0

@@ -5,7 +5,7 @@ from drlfolio.errors import ConfigError, ProtocolError
 from drlfolio.market_data import price_tensor, relative_prices
 from drlfolio.portfolio_math import validate_weights
 from drlfolio.synthetic import drift_market
-from drlfolio.trading_env import EnvConfig, TradingEnv, average_reward
+from drlfolio.trading_env import EnvConfig, TradingEnv
 from conftest import random_weights
 from oracles import single_long_asset_bookkeeping
 
@@ -54,7 +54,7 @@ class TestReset:
         assert state.value == 1.0
         assert state.weights.tolist() == [1, 0, 0, 0]
         assert state.row == state.t - 9
-        assert state.tensor.t == state.t
+        assert np.array_equal(state.obs, price_tensor(small_market, state.t, 10).data)
 
 
     def test_states_view_one_observation_block(self, noisy_market):
@@ -71,9 +71,9 @@ class TestReset:
         assert [s.row for s in states] == list(range(19, 25))
         for s in states:
             assert s.cube is cube
-            assert np.shares_memory(s.tensor.data, cube)
-            assert np.array_equal(s.tensor.data, cube[s.row])
-            assert np.array_equal(s.tensor.data, price_tensor(noisy_market, s.t, 12).data)
+            assert np.shares_memory(s.obs, cube)
+            assert np.array_equal(s.obs, cube[s.row])
+            assert np.array_equal(s.obs, price_tensor(noisy_market, s.t, 12).data)
         # Another run on the same environment reads the same cube.
         assert env.reset(3).cube is cube
 
@@ -195,24 +195,3 @@ class TestTrajectoryProperties:
         y = relative_prices(market, 22)
         tr = env.step(np.array([0.0, 1.0, 0.0, 0.0]))
         assert tr.reward == pytest.approx(np.log(y[1]), abs=1e-12)
-
-
-class TestAverageReward:
-    def test_mean(self, small_market):
-        env = make_env(small_market, episode_len=2)
-        env.reset(0)
-        a = env.step(np.array([0.0, 1.0, 0, 0]))
-        b = env.step(np.array([0.0, 1.0, 0, 0]))
-        assert average_reward([a, b]) == pytest.approx((a.reward + b.reward) / 2, abs=1e-15)
-
-    def test_two_known_rewards(self):
-        class Stub:
-            def __init__(self, reward):
-                self.reward = reward
-
-        assert average_reward([Stub(0.01), Stub(0.03)]) == pytest.approx(0.02, abs=1e-15)
-        assert average_reward([Stub(0.0)] * 5) == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            average_reward([])
