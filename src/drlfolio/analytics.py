@@ -18,8 +18,8 @@ import numpy as np
 
 from .ddpg import TrainLog
 from .market_data import AlignedMarket, price_block, relative_prices
-from .portfolio_math import evolve_weights, initial_weights, step_value, transaction_cost
-from .trading_env import EnvConfig, check_leverage, check_run, target_weights
+from .portfolio_math import initial_weights
+from .trading_env import EnvConfig, check_leverage, check_run, settle
 
 ANNUALIZATION = float(np.sqrt(252.0))
 
@@ -88,8 +88,8 @@ def run_backtest(
 
     The policy is called once, on the run's observation rows
     (end - start, 4, m, window), and returns one raw action per day,
-    (end - start, m + 1). The days are settled as ``TradingEnv.step`` settles
-    one, by the same functions applied to all the rows at once.
+    (end - start, m + 1). The days are settled in one ``settle`` call, the
+    function that settles each ``TradingEnv.step``.
     """
     check_run(len(market), config.window, start, end - start)
     check_leverage(config, market.n_assets)
@@ -97,13 +97,9 @@ def run_backtest(
     raw = np.asarray(policy(price_block(market, start, end - 1, config.window)), dtype=np.float64)
     if raw.shape != shape:
         raise ValueError(f"policy gave actions of shape {raw.shape}, expected {shape}")
-    weights = target_weights(raw, config)
     y = relative_prices(market, np.arange(start + 1, end + 1))
-    # The book each day starts from: all cash, then the previous day's drifted weights.
-    drifted = evolve_weights(weights, y)
-    held = np.concatenate([initial_weights(market.n_assets)[None], drifted[:-1]])
-    costs = transaction_cost(held, weights, config.mu)
-    values, log_returns = step_value(1.0, weights, y, costs, config.leverage)
+    weights, costs, values, log_returns, _ = settle(raw, y, initial_weights(market.n_assets),
+                                                    1.0, config)
     return BacktestReport.from_days(market, start, values, weights, costs, log_returns)
 
 

@@ -22,6 +22,7 @@ from .errors import ConfigError, InsufficientUniverseError
 from .market_data import AlignedMarket, parse_dates, parse_floats, read_columns, relative_prices
 from .portfolio_math import step_value
 from .analytics import BacktestReport
+from .trading_env import check_run
 
 
 FACTOR_HEADER = ("date", "asset", "ep_ratio", "turnover")
@@ -124,11 +125,7 @@ def run_factor_backtest(
     Zero cost and unit leverage throughout; the value series compounds the
     daily weighted log return (``step_value`` over all the days at once).
     """
-    if end <= start:
-        raise ValueError(f"empty backtest range [{start}, {end})")
-    if end > len(market) - 1:
-        raise ValueError(f"range end {end} beyond market length {len(market)}")
-
+    check_run(len(market), 1, start, end - start)
     days = range(start + 1, end + 1)
     weights = np.stack([select_weights(factor_score(panel, day), long_n, short_n) for day in days])
     costs = np.zeros(len(days))

@@ -134,10 +134,17 @@ def build_settings(args: argparse.Namespace, **command_defaults: object) -> dict
     return settings
 
 
-def _read_series(market_dir: str, only: list[str] | None = None) -> list[PriceSeries]:
-    """Parse the directory's CSV files in name order; with ``only``, just those assets'."""
-    if not market_dir:
-        raise UsageError("a market directory is required (positional, --market-dir or config)")
+def _required(settings: dict[str, object], key: str, source: str = "positional argument") -> str:
+    """The value of a required setting; a usage error naming where to set it when it is empty."""
+    value = str(settings[key])
+    if not value:
+        raise UsageError(f"{key} is required ({source} or config key {key!r})")
+    return value
+
+
+def _read_series(settings: dict[str, object], only: list[str] | None = None) -> list[PriceSeries]:
+    """Parse the market directory's CSV files in name order; with ``only``, just those assets'."""
+    market_dir = _required(settings, "market_dir", "positional argument, --market-dir")
     root = Path(market_dir)
     if not root.is_dir():
         raise UsageError(f"market directory {market_dir!r} does not exist")
@@ -222,10 +229,7 @@ def _train_config(settings: dict[str, object]) -> TrainConfig:
 
 
 def _require_out(settings: dict[str, object]) -> Path:
-    out = str(settings["out"])
-    if not out:
-        raise UsageError("an output directory is required (--out or config key 'out')")
-    path = Path(out)
+    path = Path(_required(settings, "out", "--out"))
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -234,7 +238,7 @@ def _require_out(settings: dict[str, object]) -> Path:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     settings = build_settings(args)
-    market = _align(_read_series(str(settings["market_dir"])), str(settings["benchmark"]))
+    market = _align(_read_series(settings), str(settings["benchmark"]))
     print(f"assets: {market.n_assets}")
     print(f"benchmark: {market.asset_ids[market.benchmark_index]}")
     print(f"days: {len(market)} ({market.dates[0]} to {market.dates[-1]})")
@@ -251,7 +255,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     settings = build_settings(args, window=TRAIN_WINDOW)
     _check_out_of_sample(settings)
     out = _require_out(settings)
-    market = _align(_read_series(str(settings["market_dir"])), str(settings["benchmark"]))
+    market = _align(_read_series(settings), str(settings["benchmark"]))
     if settings["train_start"] or settings["train_end"]:
         lo, hi = _resolve_range(market, str(settings["train_start"]),
                                 str(settings["train_end"]), "train")
@@ -282,14 +286,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _backtest_drl(settings: dict[str, object],
+def _backtest_drl(settings: dict[str, object], checkpoint: str,
                   universe: list[PriceSeries] | None = None) -> BacktestReport:
-    """Greedy backtest of the configured checkpoint over its own assets.
+    """Greedy backtest of the checkpoint over its own assets.
 
     The assets' series come from ``universe`` when the caller has parsed the
     market directory already, and are read from it otherwise.
     """
-    actor, critic, meta = load_checkpoint(str(settings["checkpoint"]))
+    actor, critic, meta = load_checkpoint(checkpoint)
     try:
         # An actor that overflows, on check_checkpoint's probe or on the test
         # range, is reported by the network's non-finite output check.
@@ -297,7 +301,7 @@ def _backtest_drl(settings: dict[str, object],
             check_checkpoint(actor, critic, meta)
             assets = list(meta["assets"])
             if universe is None:
-                series = _read_series(str(settings["market_dir"]), only=assets)
+                series = _read_series(settings, only=assets)
             else:
                 series = _select(universe, assets, lambda s: s.asset_id)
             market = _align(series, str(meta["benchmark"]))
@@ -307,10 +311,6 @@ def _backtest_drl(settings: dict[str, object],
                     f"requested window {settings['window']} != checkpoint window {window}"
                 )
             lo, hi = _test_range(market, settings)
-            if lo < window:
-                raise ConfigError(
-                    f"test range starts on day {lo}, need {window} days of history before it"
-                )
             config = _env_config({**settings, "window": window, "episode_len": hi - lo,
                                   "arbitrage": meta.get("arbitrage", True)})
             policy = greedy_policy(actor, arbitrage=config.arbitrage_enabled)
@@ -323,7 +323,7 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     settings = build_settings(args)
     _check_out_of_sample(settings)
     out = _require_out(settings)
-    metrics = write_report(_backtest_drl(settings), out)
+    metrics = write_report(_backtest_drl(settings, _required(settings, "checkpoint")), out)
     for name in METRIC_NAMES:
         print(f"{name} = {metrics[name]!r}")
     print(f"wrote report files to {out}")
@@ -336,16 +336,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
     check_book(long_n, short_n)
     _check_out_of_sample(settings)
     out = _require_out(settings)
+    factor_csv = _required(settings, "factor_csv")
+    checkpoint = _required(settings, "checkpoint")
 
     # Parse the directory once: the agent's assets are a subset of the universe.
-    universe = _read_series(str(settings["market_dir"]))
-    drl_metrics = metric_suite(_backtest_drl(settings, universe))
+    universe = _read_series(settings)
+    drl_metrics = metric_suite(_backtest_drl(settings, checkpoint, universe))
 
     factor_market = _align(universe, str(settings["benchmark"]))
-    panel = load_factor_csv(str(settings["factor_csv"]), factor_market)
+    panel = load_factor_csv(factor_csv, factor_market)
     lo, hi = _test_range(factor_market, settings)
-    if lo < 1:
-        raise ConfigError("test range must start after the first day for factor scoring")
     factor_report = run_factor_backtest(factor_market, panel, lo - 1, hi, long_n, short_n)
     factor_metrics = metric_suite(factor_report)
 

@@ -73,7 +73,7 @@ class ReplayBuffer:
     uniformly with replacement. An entry is a decision's cube row, action, reward and
     done flag; its next state is the following row, the next day of the same run."""
 
-    def __init__(self, cube: np.ndarray, capacity: int = 600):
+    def __init__(self, cube: np.ndarray, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.cube, self.capacity = cube, capacity
@@ -112,7 +112,7 @@ class ReplayBuffer:
 
 
 def explore_action(raw: np.ndarray, rng: np.random.Generator,
-                   noise_var: float = 0.25) -> np.ndarray:
+                   noise_var: float) -> np.ndarray:
     """Add i.i.d. N(0, noise_var) noise to raw actor logits before the action activation."""
     raw = np.asarray(raw, dtype=np.float64)
     return raw + rng.normal(0.0, np.sqrt(noise_var), size=raw.shape)

@@ -1,19 +1,19 @@
 """Daily trading process over an aligned market.
 
-One step = one trading day. The submitted action is normalized into a valid
-signed weight vector (benchmark sign rule applied when enabled), the cost of
-trading out of the previously drifted book is charged, and the portfolio then
-rides the next day's price relatives. The emitted reward is the daily log
-return including the cost term, so rewards telescope into log(final/initial).
+One step = one trading day, settled by ``settle``: the submitted action is
+normalized into a valid signed weight vector (benchmark sign rule applied when
+enabled; all zero after the cash clamp reads as all cash), the cost of trading
+out of the held book is charged, and the portfolio then rides the next day's
+price relatives. The emitted reward is the daily log return including the cost
+term, so rewards telescope into log(final/initial). ``EnvState.weights`` is
+the book held entering a day: all cash at the start, then the previous day's
+weights drifted by its prices.
 
 Training episodes start on a uniformly sampled day with a full observation
 window behind it, and the agent acting in them always explores
 (``ddpg.DDPG.act``); a backtest (``analytics.run_backtest``) settles all the
-days of a fixed range at once with the same functions instead of stepping, on
-the noise-free ``ddpg.greedy_policy``.
-
-Actions: an action that is all zero after its cash entry is clamped at zero
-reads as all cash (``target_weights``).
+days of a fixed range in one ``settle`` call on the noise-free
+``ddpg.greedy_policy``.
 
 Observations: each environment builds one read-only observation cube
 (``price_block``) over every day of its market that has a full window; row r
@@ -56,14 +56,15 @@ class EnvConfig:
             raise ConfigError(f"window must be >= 2, got {self.window}")
         if self.episode_len < 1:
             raise ConfigError(f"episode_len must be >= 1, got {self.episode_len}")
-        if not 0.0 <= self.mu < 1.0:
-            raise ConfigError(f"cost rate must be in [0, 1), got {self.mu}")
+        # A day trades at most twice the book, so its cost is at most 2 * mu.
+        if not 0.0 <= self.mu < 0.5:
+            raise ConfigError(f"cost rate must be in [0, 0.5), got {self.mu}")
 
 
 @dataclass(frozen=True)
 class EnvState:
-    """Day ``t`` of a run, whose observation is row ``row`` of ``cube``, the
-    environment's observation cube, which is left out of repr and equality."""
+    """Day ``t`` of a run, entered holding ``weights`` at ``value``; its observation is row
+    ``row`` of ``cube``, the environment's cube, which is left out of repr and equality."""
 
     weights: np.ndarray
     value: float
@@ -108,7 +109,6 @@ class TradingEnv:
                      else np.empty((0, len(FEATURES), market.n_assets, n)))
         self._relatives = relative_prices(market, np.arange(1, len(market)))  # row t: day t + 1
         self._state: Optional[EnvState] = None
-        self._drift: Optional[np.ndarray] = None
         self._end_t: int = 0
 
     def reset(self, rng: np.random.Generator | int) -> EnvState:
@@ -131,8 +131,7 @@ class TradingEnv:
         """Begin a deterministic run of n_steps decision days starting at day t0."""
         check_run(len(self.market), self.config.window, t0, n_steps)
         self._end_t = t0 + n_steps
-        self._drift = initial_weights(self.market.n_assets)
-        return self._enter(t0, self._drift, 1.0)
+        return self._enter(t0, initial_weights(self.market.n_assets), 1.0)
 
     def _enter(self, t: int, weights: np.ndarray, value: float) -> EnvState:
         self._state = EnvState(weights=weights, value=value, t=t,
@@ -147,23 +146,28 @@ class TradingEnv:
         if state.t >= self._end_t:
             raise ProtocolError("episode is done")
 
-        target = target_weights(action_raw, self.config)
-        cost = transaction_cost(self._drift, target, self.config.mu)
-        y = self._relatives[state.t]
-        value, reward = step_value(state.value, target, y, cost, self.config.leverage)
-        self._drift = evolve_weights(target, y)
-        return Transition(state=state, action=target, reward=reward, cost=cost,
-                          next_state=self._enter(state.t + 1, target, value),
+        weights, costs, values, rewards, held = settle(
+            np.asarray(action_raw)[None], self._relatives[state.t : state.t + 1],
+            state.weights, state.value, self.config)
+        return Transition(state=state, action=weights[0], reward=float(rewards[0]),
+                          cost=float(costs[0]),
+                          next_state=self._enter(state.t + 1, held, float(values[0])),
                           done=state.t + 1 >= self._end_t)
 
 
-def target_weights(raw: np.ndarray, config: EnvConfig) -> np.ndarray:
-    """The weights raw actions ask for: normalized (all cash if all zero), sign rule, validated."""
-    target = normalize_signed(raw)
+def settle(raw: np.ndarray, y: np.ndarray, held: np.ndarray, value: float,
+           config: EnvConfig) -> tuple[np.ndarray, ...]:
+    """Settle consecutive days, one row of raw actions and relatives ``y`` each,
+    entered holding the book ``held`` at ``value``. Returns the per-day
+    (weights, costs, values, log_returns) and the book held after the last day."""
+    weights = normalize_signed(raw)
     if config.arbitrage_enabled:
-        target = enforce_arbitrage(target)
-    validate_weights(target)
-    return target
+        weights = enforce_arbitrage(weights)
+    validate_weights(weights)
+    drifted = evolve_weights(weights, y)
+    costs = transaction_cost(np.concatenate([held[None], drifted[:-1]]), weights, config.mu)
+    values, log_returns = step_value(value, weights, y, costs, config.leverage)
+    return weights, costs, values, log_returns, drifted[-1]
 
 
 def check_leverage(config: EnvConfig, n_assets: int) -> None:
@@ -177,7 +181,7 @@ def check_run(days: int, window: int, t0: int, n_steps: int) -> None:
     """Raise ConfigError unless n_steps >= 1 decisions from day t0, each with a
     full window and a next day, fit a market of ``days`` days."""
     if t0 < window - 1:
-        raise ConfigError(f"start day {t0} lacks a full {window}-day window")
+        raise ConfigError(f"first return day {t0 + 1} has {t0 + 1} days of history, need {window}")
     if n_steps < 1:
         raise ConfigError("need at least one step")
     if t0 + n_steps > days - 1:

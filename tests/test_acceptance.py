@@ -24,18 +24,12 @@ from drlfolio.neural import (
     build_critic,
     minmax_action_batch,
 )
-from drlfolio.portfolio_math import (
-    enforce_arbitrage_batch,
-    evolve_weights,
-    initial_weights,
-    shorted_weight,
-    transaction_cost,
-)
+from drlfolio.portfolio_math import enforce_arbitrage_batch, evolve_weights, shorted_weight
 from drlfolio.baseline_factor import run_factor_backtest
 from drlfolio.synthetic import drift_market, ranked_factor_universe, write_market_csvs
 from drlfolio.trading_env import EnvConfig, TradingEnv
 from conftest import random_weights
-from oracles import evolve_by_value_accounting, relative_error
+from oracles import evolve_by_value_accounting
 from test_analytics import report_from_values
 from test_neural import check_gradients
 

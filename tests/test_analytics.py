@@ -16,7 +16,7 @@ from drlfolio.analytics import (
 from drlfolio.ddpg import EpisodeRecord, TrainLog
 from drlfolio.errors import ConfigError
 from drlfolio.market_data import AlignedMarket
-from drlfolio.synthetic import drift_market, market_from_closes
+from drlfolio.synthetic import drift_market
 from drlfolio.trading_env import EnvConfig, TradingEnv
 from oracles import backtest_by_steps, mdd_by_scan, ols_by_normal_equations
 

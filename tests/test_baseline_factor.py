@@ -13,7 +13,7 @@ from drlfolio.baseline_factor import (
     run_factor_backtest,
     select_weights,
 )
-from drlfolio.errors import FormatError, InsufficientUniverseError
+from drlfolio.errors import ConfigError, FormatError, InsufficientUniverseError
 from drlfolio.market_data import relative_prices
 from drlfolio.synthetic import (
     drift_market,
@@ -143,6 +143,13 @@ class TestFactorBacktest:
             assert report.log_returns[k] == pytest.approx(r, abs=1e-14)
             value *= np.exp(r)
         assert report.values[-1] == pytest.approx(value, rel=1e-12)
+
+    @pytest.mark.parametrize("start, end", [(-1, 20), (5, 5), (5, 40)],
+                             ids=["before-day-zero", "empty", "past-the-end"])
+    def test_range_off_the_market_is_config_error(self, start, end):
+        market, panel = ranked_factor_universe(n_long=3, n_short=3, n_days=40)
+        with pytest.raises(ConfigError):
+            run_factor_backtest(market, panel, start, end, long_n=3, short_n=3)
 
     def test_benchmark_without_factors_never_selected(self):
         market, panel = ranked_factor_universe(n_long=3, n_short=3, n_days=40)

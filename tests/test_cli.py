@@ -1,6 +1,5 @@
 import argparse
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,6 +234,15 @@ class TestTrain:
         assert [row.split(",")[:2] for row in log[1:]] == [["0", "0"]]
         assert not (out / "checkpoint.json").exists()
 
+    @pytest.mark.parametrize("mu", ["0.5", "0.6"])
+    def test_cost_rate_of_half_or_more_is_config_error(self, market_dir, tmp_path, capsys, mu):
+        d, _ = market_dir
+        out = tmp_path / "costly"
+        assert run(train_args(d, out, mu=mu)) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: cost rate must be in [0, 0.5), got {mu}"]
+        assert not (out / "checkpoint.json").exists()
+
     def test_input_files_not_mutated(self, market_dir, tmp_path):
         d, _ = market_dir
         before = {p.name: p.read_bytes() for p in sorted(d.glob("*.csv"))}
@@ -414,6 +422,25 @@ class TestBacktest:
         assert "one trading day" in capsys.readouterr().err
         assert not list(out.iterdir())
 
+    def test_cost_rate_of_half_is_config_error(self, market_dir, tmp_path, capsys):
+        d, market = market_dir
+        ckpt = fully_invested_checkpoint(tmp_path / "ckpt.json", market)
+        out = tmp_path / "bt"
+        code = run(["backtest", ckpt, "--market-dir", d, "--out", out, "--mu", "0.5",
+                    "--test-start", market.dates[40], "--test-end", market.dates[90]])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: cost rate must be in [0, 0.5), got 0.5"]
+        assert not list(out.iterdir())
+
+    def test_missing_checkpoint_is_usage_error(self, market_dir, tmp_path, capsys):
+        d, market = market_dir
+        code = run(["backtest", "--market-dir", d, "--out", tmp_path / "bt",
+                    "--test-start", market.dates[40], "--test-end", market.dates[90]])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            "usage error: checkpoint is required (positional argument or config key 'checkpoint')"]
+
     def test_market_dir_from_config(self, market_dir, tmp_path):
         d, market = market_dir
         ckpt = fully_invested_checkpoint(tmp_path / "ckpt.json", market)
@@ -462,6 +489,46 @@ class TestCompare:
                     "--test-start", market.dates[40], "--test-end", market.dates[100]])
         assert code == EXIT_OK
         assert sorted(parsed) == sorted(d.glob("*.csv")) and len(parsed) == 7
+
+    @pytest.mark.parametrize("missing", ["checkpoint", "factor_csv"])
+    def test_missing_input_file_is_usage_error_before_any_work(self, tmp_path, capsys,
+                                                               monkeypatch, missing):
+        market, panel = ranked_factor_universe(n_long=3, n_short=3, n_days=120)
+        d = tmp_path / "universe"
+        write_market_csvs(market, d)
+        inputs = {"checkpoint": fully_invested_checkpoint(tmp_path / "ckpt.json", market),
+                  "factor_csv": write_factor_csv(panel, tmp_path / "factors.csv")}
+        cfg = tmp_path / "cmp.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in inputs.items() if k != missing))
+        parsed = []
+        monkeypatch.setattr(cli, "load_csv", lambda path: parsed.append(path) or load_csv(path))
+        code = run(["compare", "--config", cfg, "--market-dir", d, "--out", tmp_path / "cmp",
+                    "--benchmark", "benchmark", "--long-n", "3", "--short-n", "3",
+                    "--test-start", market.dates[40], "--test-end", market.dates[100]])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            f"usage error: {missing} is required (positional argument or config key '{missing}')"]
+        assert parsed == []
+
+    def test_universe_starting_on_test_start_is_config_error(self, tmp_path, capsys):
+        market, panel = ranked_factor_universe(n_long=3, n_short=3, n_days=120)
+        d = tmp_path / "universe"
+        first = write_market_csvs(market, d)[0]
+        # A late listing: the universe's common dates begin on the test start,
+        # while the agent's assets keep their history.
+        lines = first.read_text().splitlines(keepends=True)
+        (d / "late.csv").write_text(lines[0] + "".join(lines[41:]))
+        factor_csv = write_factor_csv(panel, tmp_path / "factors.csv")
+        book = drift_market(120, [0.0, 0.0, 0.0], asset_ids=["stock00", "stock03", "benchmark"])
+        ckpt = fully_invested_checkpoint(tmp_path / "ckpt.json", book, window=6)
+        out = tmp_path / "cmp"
+        code = run(["compare", ckpt, factor_csv, "--market-dir", d, "--out", out,
+                    "--benchmark", "benchmark", "--long-n", "3", "--short-n", "3",
+                    "--test-start", market.dates[40], "--test-end", market.dates[100]])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: first return day 0 has 0 days of history, need 1"]
+        assert not (out / "comparison.csv").exists()
 
     def test_header_matched_by_name(self, tmp_path):
         market, panel = ranked_factor_universe(n_long=3, n_short=3, n_days=120)

@@ -166,7 +166,7 @@ class TestExploreAction:
 
     def test_moments(self):
         rng = np.random.default_rng(99)
-        samples = explore_action(np.zeros(1_000_000), rng)
+        samples = explore_action(np.zeros(1_000_000), rng, noise_var=0.25)
         mean = samples.mean()
         var = samples.var()
         assert abs(mean) < 3 * 0.5 / 1000
@@ -174,8 +174,8 @@ class TestExploreAction:
 
     def test_fixed_seed_reproducible(self):
         raw = np.arange(4.0)
-        a = explore_action(raw, np.random.default_rng(21))
-        b = explore_action(raw, np.random.default_rng(21))
+        a = explore_action(raw, np.random.default_rng(21), noise_var=0.25)
+        b = explore_action(raw, np.random.default_rng(21), noise_var=0.25)
         assert np.array_equal(a, b)
 
 

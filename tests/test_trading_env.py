@@ -3,10 +3,9 @@ import pytest
 
 from drlfolio.errors import ConfigError, ProtocolError
 from drlfolio.market_data import price_tensor, relative_prices
-from drlfolio.portfolio_math import validate_weights
+from drlfolio.portfolio_math import evolve_weights, transaction_cost, validate_weights
 from drlfolio.synthetic import drift_market
 from drlfolio.trading_env import EnvConfig, TradingEnv
-from conftest import random_weights
 from oracles import single_long_asset_bookkeeping
 
 
@@ -14,6 +13,17 @@ def make_env(market, **kwargs):
     defaults = dict(window=10, episode_len=20, mu=0.0)
     defaults.update(kwargs)
     return TradingEnv(market, EnvConfig(**defaults))
+
+
+class TestEnvConfig:
+    # A day trades at most twice the book, so a cost rate of 0.5 could take it all.
+    @pytest.mark.parametrize("mu", [-0.01, 0.5, 0.6, float("nan")])
+    def test_cost_rate_outside_zero_to_half_rejected(self, mu):
+        with pytest.raises(ConfigError, match=r"cost rate must be in \[0, 0.5\)"):
+            EnvConfig(mu=mu)
+
+    def test_cost_rate_below_half_accepted(self):
+        assert EnvConfig(mu=0.4999).mu == 0.4999
 
 
 class TestReset:
@@ -122,6 +132,16 @@ class TestStep:
         assert tr.done
         with pytest.raises(ProtocolError):
             env.step(np.array([1.0, 0, 0, 0]))
+
+    def test_state_holds_the_drifted_book(self, noisy_market, rng):
+        env = make_env(noisy_market, episode_len=10, mu=0.0025)
+        state = env.reset(rng)
+        for _ in range(10):
+            tr = env.step(rng.uniform(-1, 1, size=5))
+            assert tr.cost == transaction_cost(state.weights, tr.action, 0.0025)
+            y = relative_prices(noisy_market, state.t + 1)
+            assert np.array_equal(tr.next_state.weights, evolve_weights(tr.action, y))
+            state = tr.next_state
 
     def test_degenerate_action_falls_back_to_cash(self, small_market):
         env = make_env(small_market)
