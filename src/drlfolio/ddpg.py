@@ -18,6 +18,7 @@ from .errors import ConfigError, FormatError
 from .market_data import AlignedMarket
 from .neural import (
     Network,
+    PatchStore,
     build_actor,
     build_critic,
     minmax_action,  # re-exported; acting goes through policy_weights
@@ -107,8 +108,10 @@ class ReplayBuffer:
             raise ValueError(f"buffer holds {len(self)} < batch {batch_size}")
         idx = rng.integers(0, self._size, size=batch_size)
         rows = self._rows[idx]
-        return (self.cube[rows], self._actions[idx], self._rewards[idx], self.cube[rows + 1],
-                self._dones[idx])
+        states, next_states = self.cube[rows], self.cube[rows + 1]
+        # Read-only, so the networks that read them share their conv patches.
+        states.flags.writeable = next_states.flags.writeable = False
+        return states, self._actions[idx], self._rewards[idx], next_states, self._dones[idx]
 
 
 def explore_action(raw: np.ndarray, rng: np.random.Generator,
@@ -139,6 +142,12 @@ def policy_weights(raw: np.ndarray, arbitrage: bool):
     return weights, vjp
 
 
+def _blend(target: np.ndarray, online: np.ndarray, tau: float, scratch: np.ndarray) -> None:
+    """In place: target <- tau * online + (1 - tau) * target; scratch has online's shape."""
+    target *= 1.0 - tau
+    target += np.multiply(online, tau, out=scratch)
+
+
 class Adam:
     """Adam over one flat parameter vector, moments and work buffers preallocated."""
 
@@ -155,8 +164,14 @@ class Adam:
         self._work: np.ndarray | None = None
         self._t = 0
 
-    def step(self, param: np.ndarray, grad: np.ndarray) -> None:
-        """In place: m, v <- moments; param -= lr * m_hat / (sqrt(v_hat) + eps)."""
+    def step(self, param: np.ndarray, grad: np.ndarray, ascend: bool = False,
+             target: np.ndarray | None = None, tau: float = 0.0) -> None:
+        """In place: m, v <- moments; param -= lr * m_hat / (sqrt(v_hat) + eps).
+
+        ``ascend`` steps along -grad, to climb an objective, without writing
+        grad. With a ``target`` vector, each block of it is then blended
+        toward the new parameters as ``soft_update`` does.
+        """
         if self._m is None:
             self._m, self._v = np.zeros_like(param), np.zeros_like(param)
             self._work = np.empty((2, min(self.BLOCK, param.size)))
@@ -168,7 +183,11 @@ class Adam:
             p, g, m, v = param[block], grad[block], self._m[block], self._v[block]
             s, r = self._work[:, : p.size]
             m *= self.BETA1
-            m += np.multiply(g, 1 - self.BETA1, out=s)
+            # m + (1 - b1) * -g is m - (1 - b1) * g to the bit; g * g ignores the sign.
+            if ascend:
+                m -= np.multiply(g, 1 - self.BETA1, out=s)
+            else:
+                m += np.multiply(g, 1 - self.BETA1, out=s)
             v *= self.BETA2
             np.multiply(g, 1 - self.BETA2, out=s)
             v += np.multiply(s, g, out=s)
@@ -176,14 +195,15 @@ class Adam:
             s += self.EPS
             np.multiply(np.divide(m, b1t, out=r), self.lr, out=r)
             p -= np.divide(r, s, out=r)
+            if target is not None:
+                _blend(target[block], p, tau, s)
 
 
 def soft_update(target: Network, online: Network, tau: float) -> None:
     """Blend online parameters into the target: theta_t <- tau*theta + (1-tau)*theta_t."""
-    if target.spec() != online.spec():
+    if [p.shape for p in target.params()] != [p.shape for p in online.params()]:
         raise ValueError("networks do not share a parameter layout")
-    target.flat *= 1.0 - tau
-    target.flat += tau * online.flat
+    _blend(target.flat, online.flat, tau, np.empty_like(online.flat))
 
 
 @dataclass(frozen=True)
@@ -217,6 +237,12 @@ class DDPG:
         self.critic = critic
         self.actor_target = actor.clone()
         self.critic_target = critic.clone()
+        # One patch store for the four: actor and critic gather a batch's
+        # states once between them and the targets its next states, and the
+        # targets' forward-only passes hold no matrix of their own.
+        patches = PatchStore()
+        for net in (actor, critic, self.actor_target, self.critic_target):
+            net.use_patches(patches)
         self.config = config
         self.arbitrage = arbitrage
         self._adam_actor = Adam(config.actor_lr)
@@ -247,8 +273,10 @@ class DDPG:
         return loss
 
     def update_critic(self, batch: tuple[np.ndarray, ...]) -> float:
+        """One Adam step on the critic loss, then the critic target's soft update."""
         loss = self.critic_loss(batch)
-        self._adam_critic.step(self.critic.flat, self.critic.grad)
+        self._adam_critic.step(self.critic.flat, self.critic.grad,
+                               target=self.critic_target.flat, tau=self.config.tau)
         return loss
 
     def actor_objective(self, batch: tuple[np.ndarray, ...]) -> float:
@@ -266,14 +294,11 @@ class DDPG:
         return objective
 
     def update_actor(self, batch: tuple[np.ndarray, ...]) -> float:
+        """One Adam ascent step on the objective, then the actor target's soft update."""
         objective = self.actor_objective(batch)
-        # Gradient ascent on the objective: step along the negated gradient.
-        self._adam_actor.step(self.actor.flat, np.negative(self.actor.grad, out=self.actor.grad))
+        self._adam_actor.step(self.actor.flat, self.actor.grad, ascend=True,
+                              target=self.actor_target.flat, tau=self.config.tau)
         return objective
-
-    def soft_update_targets(self) -> None:
-        soft_update(self.actor_target, self.actor, self.config.tau)
-        soft_update(self.critic_target, self.critic, self.config.tau)
 
 
 # Observation rows per actor forward of the greedy policy. A whole run at once would
@@ -374,7 +399,6 @@ def train(
                     batch = buffer.sample(train_config.batch_size, rng_sample)
                     agent.update_critic(batch)
                     agent.update_actor(batch)
-                    agent.soft_update_targets()
                 state = transition.next_state
                 done = transition.done
                 step += 1

@@ -17,7 +17,14 @@ from drlfolio.ddpg import (
     soft_update,
     train,
 )
-from drlfolio.neural import build_actor, build_critic, load_checkpoint, save_checkpoint
+from drlfolio import neural
+from drlfolio.neural import (
+    build_actor,
+    build_critic,
+    load_checkpoint,
+    minmax_action_batch,
+    save_checkpoint,
+)
 from drlfolio.synthetic import drift_market
 from drlfolio.trading_env import EnvConfig, TradingEnv
 from oracles import (
@@ -216,16 +223,26 @@ class TestFlatBuffers:
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), lr=st.floats(1e-6, 1e-1), steps=st.integers(1, 4),
-           window=st.sampled_from([6, 30]))
-    def test_adam_matches_per_array_reference(self, seed, lr, steps, window):
+           window=st.sampled_from([6, 30]), ascend=st.booleans(), tau=st.floats(0.0, 1.0))
+    def test_adam_matches_per_array_reference(self, seed, lr, steps, window, ascend, tau):
         rng = np.random.default_rng(seed)
         net = build_critic(2, window, rng)  # window 30: more than one Adam block
+        target = build_critic(2, window, rng)
         grad_steps = [[rng.standard_normal(p.shape) for p in net.params()] for _ in range(steps)]
-        expected = adam_per_array(net.params(), grad_steps, lr)
+        # An ascent steps along the negated gradient; the target blends in after each step.
+        moves = [[-g for g in grads] for grads in grad_steps] if ascend else grad_steps
+        expected_target = [p.copy() for p in target.params()]
+        for t in range(1, steps + 1):
+            expected = adam_per_array(net.params(), moves[:t], lr)
+            expected_target = soft_update_elementwise(expected_target, expected, tau)
         opt = Adam(lr)
         for grads in grad_steps:
-            opt.step(net.flat, np.concatenate([g.ravel() for g in grads]))
+            flat_grad = np.concatenate([g.ravel() for g in grads])
+            opt.step(net.flat, flat_grad, ascend=ascend, target=target.flat, tau=tau)
+            assert flat_grad.tobytes() == np.concatenate([g.ravel() for g in grads]).tobytes()
         for p, e in zip(net.params(), expected):
+            assert p.tobytes() == e.tobytes()
+        for p, e in zip(target.params(), expected_target):
             assert p.tobytes() == e.tobytes()
 
     @settings(max_examples=15, deadline=None)
@@ -392,14 +409,23 @@ class TestActorUpdate:
         agent.critic_loss(batch)
         critic_grads = [g.copy() for g in agent.critic.grads()]
         expected = adam_per_array(agent.critic.params(), [critic_grads], config.critic_lr)
+        expected_target = soft_update_elementwise(
+            [p.copy() for p in agent.critic_target.params()], expected, config.tau)
+        actor_target = [p.copy() for p in agent.actor_target.params()]
         agent.update_critic(batch)
         assert [p.tobytes() for p in agent.critic.params()] == [e.tobytes() for e in expected]
+        assert ([p.tobytes() for p in agent.critic_target.params()]
+                == [e.tobytes() for e in expected_target])
+        assert [p.tobytes() for p in agent.actor_target.params()] == [e.tobytes() for e in actor_target]
 
         agent.actor_objective(batch)
         ascent = [[-g for g in agent.actor.grads()]]
         expected = adam_per_array(agent.actor.params(), ascent, config.actor_lr)
+        expected_target = soft_update_elementwise(actor_target, expected, config.tau)
         agent.update_actor(batch)
         assert [p.tobytes() for p in agent.actor.params()] == [e.tobytes() for e in expected]
+        assert ([p.tobytes() for p in agent.actor_target.params()]
+                == [e.tobytes() for e in expected_target])
 
     def test_critic_parameters_untouched_by_actor_update(self, tiny_setup):
         env, agent, buffer, _ = tiny_setup
@@ -407,6 +433,103 @@ class TestActorUpdate:
         agent.update_actor(buffer.sample(8, np.random.default_rng(12)))
         for p, b in zip(agent.critic.params(), before):
             assert np.array_equal(p, b)
+
+
+def read_only(a):
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
+
+
+def reads_copies(net):
+    """Hand every forward of net a writable copy of its input, so none of its patches is shared."""
+    forward = net.forward
+    net.forward = lambda x, action=None: forward(x.copy(), action)
+
+
+class TestSharedPatches:
+    @settings(max_examples=25, deadline=None)
+    @given(m=st.integers(1, 4), window=st.integers(5, 12), batch=st.integers(1, 8),
+           arbitrage=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_updates_match_unshared_copies(self, m, window, batch, arbitrage, seed):
+        """Updates through shared patches leave all four networks bit-identical to
+        updates whose every network call reads its own copy of the batch."""
+        rng = np.random.default_rng(seed)
+
+        def make_batch():
+            return (read_only(1.0 + 0.05 * rng.standard_normal((batch, 4, m, window))),
+                    minmax_action_batch(rng.standard_normal((batch, m + 1))),
+                    rng.normal(0.0, 0.01, (batch, 1)),
+                    read_only(1.0 + 0.05 * rng.standard_normal((batch, 4, m, window))),
+                    (rng.random((batch, 1)) < 0.3).astype(np.float64))
+
+        # The second batch is another object of the same shape: its patches are gathered anew.
+        batches = [make_batch(), make_batch()]
+        state = SimpleNamespace(obs=read_only(1.0 + 0.05 * rng.standard_normal((4, m, window))))
+        runs = []
+        for shared in (True, False):
+            init = np.random.default_rng(seed)
+            agent = DDPG(build_actor(m, window, init), build_critic(m, window, init),
+                         TrainConfig(batch_size=batch, buffer_capacity=batch), arbitrage=arbitrage)
+            nets = (agent.actor, agent.critic, agent.actor_target, agent.critic_target)
+            if not shared:
+                for net in nets:
+                    reads_copies(net)
+            noise = np.random.default_rng(seed)
+            out = [agent.update_critic(batches[0]), agent.update_actor(batches[0])]
+            if shared:
+                assert agent.actor.layers[0]._patches is agent.critic.layers[0]._patches
+            out.append(agent.act(state, noise))  # a batch-1 forward between two updates
+            for b in (batches[1], batches[0]):
+                out += [agent.update_critic(b), agent.update_actor(b)]
+            runs.append((out, [net.flat.copy() for net in nets]))
+        (out_shared, flats_shared), (out_copies, flats_copies) = runs
+        assert np.array(out_shared[:2]).tobytes() == np.array(out_copies[:2]).tobytes()
+        assert out_shared[2].tobytes() == out_copies[2].tobytes()
+        assert np.array(out_shared[3:]).tobytes() == np.array(out_copies[3:]).tobytes()
+        for got, expected in zip(flats_shared, flats_copies):
+            assert got.tobytes() == expected.tobytes()
+
+    def test_updates_reuse_matrices_and_gather_each_batch_once(self, tiny_setup, monkeypatch):
+        """After the first update, updates and acts allocate no patch matrix, and
+        the first convs gather patches twice per update: states and next states."""
+        env, agent, buffer, _ = tiny_setup
+        made, gathered = [], []
+        init, gather = neural._Patches.__init__, neural._Patches.gather
+
+        def counted_init(self, key):
+            made.append(key)
+            init(self, key)
+
+        def counted_gather(self, x, gemm=None):
+            gathered.append(x.shape)
+            return gather(self, x, gemm)
+
+        monkeypatch.setattr(neural._Patches, "__init__", counted_init)
+        monkeypatch.setattr(neural._Patches, "gather", counted_gather)
+        rng = np.random.default_rng(0)
+        state = env.reset(rng)
+
+        def update():
+            batch = buffer.sample(8, rng)
+            gathered.clear()
+            agent.update_critic(batch)
+            agent.update_actor(batch)
+            return [shape for shape in gathered if shape[1] == 4]  # price blocks: first convs
+
+        agent.act(state, rng)
+        update()
+        store = agent.actor.layers[0].patches
+        nets = (agent.actor, agent.critic, agent.actor_target, agent.critic_target)
+        assert all(layer.patches is store for net in nets for layer in net.layers
+                   if isinstance(layer, neural.Conv2D))
+        matrices = {id(p) for pool in store._pools.values() for p in pool}
+        made.clear()
+        assert len(update()) == 2
+        agent.act(state, rng)
+        assert len(update()) == 2
+        assert made == []
+        assert {id(p) for pool in store._pools.values() for p in pool} == matrices
 
 
 class TestAdam:

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from drlfolio import neural
 from drlfolio.errors import FormatError, ProtocolError
 from drlfolio.neural import (
     Conv2D,
     Dense,
     Flatten,
     Network,
+    PatchStore,
     ReLU,
     build_actor,
     build_critic,
@@ -42,7 +44,7 @@ def scalar_loss(net, x, probe):
 
 
 def _relu_masks(net):
-    return [layer._mask.copy() for layer in net.layers if isinstance(layer, ReLU)]
+    return [layer._out > 0 for layer in net.layers if isinstance(layer, ReLU)]
 
 
 def check_gradients(net, x, rng, coords_per_param=12, h=1e-4, tol=1e-4):
@@ -400,6 +402,141 @@ class TestCriticInput:
     def test_action_column_needs_a_1xk_kernel(self, rng):
         with pytest.raises(ValueError, match="1 x k kernel"):
             Conv2D(5, 4, 2, 2, rng).forward(rng.standard_normal((1, 4, 3, 10)), np.ones((1, 3)))
+
+
+def frozen(a):
+    """A read-only copy of a: an input whose conv patches may be shared."""
+    a = np.array(a, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
+class TestPatchSharing:
+    """Conv patch matrices come from a PatchStore keyed by shape; a frozen input's
+    matrix is gathered once and carries an action column for the critic's conv."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(1, 4), window=st.integers(5, 12), batch=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_zero_action_row_is_bit_identical(self, m, window, batch, seed):
+        """An actionless conv on a frozen input reads the wide matrix through a zero
+        row, in the forward and the weight-gradient GEMM, to the bit of its own."""
+        rng = np.random.default_rng(seed)
+        wide, narrow = Conv2D(4, 16, 1, 3, rng), Conv2D(4, 16, 1, 3)
+        narrow.weight[...] = wide.weight
+        for conv in (wide, narrow):
+            conv.bias[...] = np.linspace(-0.1, 0.1, 16)
+        x = 1.0 + 0.05 * rng.standard_normal((batch, 4, m, window))
+        dout = rng.standard_normal((batch, 16, m, window - 2))
+        out_wide, out_narrow = wide.forward(frozen(x)), narrow.forward(x)
+        assert wide._patches.wide and not narrow._patches.wide
+        assert out_wide.tobytes() == out_narrow.tobytes()
+        wide.backward(dout.copy(), input_grad=False)
+        narrow.backward(dout.copy(), input_grad=False)
+        assert wide.d_weight.tobytes() == narrow.d_weight.tobytes()
+        assert wide.d_bias.tobytes() == narrow.d_bias.tobytes()
+
+    def test_frozen_input_is_gathered_once(self, rng):
+        store = PatchStore()
+        prices, critic = Conv2D(4, 3, 1, 3, rng), Conv2D(5, 3, 1, 3, rng)
+        prices.patches = critic.patches = store
+        x = frozen(rng.standard_normal((2, 4, 3, 7)))
+        critic.forward(x, rng.uniform(-1, 1, (2, 3)))
+        prices.forward(x)
+        assert prices._patches is critic._patches
+        y = frozen(x)  # the same values in another array: gathered again
+        prices.forward(y)
+        assert prices._patches.source is y
+
+    @pytest.mark.parametrize("channels", [4, 16])
+    def test_gather_in_blocks_gives_the_bits_of_one_gemm(self, rng, monkeypatch, channels):
+        """A gathering forward multiplies one image at a time here; a forward that
+        reuses the gathered matrix multiplies it whole."""
+        monkeypatch.setattr(neural._Patches, "GATHER_BYTES", 1)
+        conv = Conv2D(channels, 16, 1, 3, rng)
+        conv.bias[...] = rng.standard_normal(16)
+        x = frozen(rng.standard_normal((7, channels, 5, 12)))
+        gathered = conv.forward(x)
+        assert conv.forward(x).tobytes() == gathered.tobytes()
+
+    def test_writable_input_is_gathered_every_time(self, rng):
+        conv = Conv2D(2, 3, 1, 3, rng)
+        x = rng.standard_normal((2, 2, 3, 7))
+        first = conv.forward(x)
+        x += 1.0
+        assert not np.array_equal(conv.forward(x), first)
+
+    def test_backward_after_another_gather_gathers_its_patches_again(self, rng):
+        """Another conv's forward reuses the matrix; the first conv's backward
+        then gets its own matrix and the same gradients as undisturbed."""
+        store = PatchStore()
+        a, b, alone = Conv2D(2, 3, 1, 3, rng), Conv2D(2, 3, 1, 3, rng), Conv2D(2, 3, 1, 3)
+        a.patches = b.patches = store
+        alone.weight[...] = a.weight
+        x, y = rng.standard_normal((2, 2, 3, 7)), rng.standard_normal((2, 2, 3, 7))
+        dout = rng.standard_normal((2, 3, 3, 5))
+        a.forward(x)
+        shared = a._patches
+        b.forward(y)
+        assert b._patches is shared
+        alone.forward(x)
+        a.backward(dout, input_grad=False)
+        alone.backward(dout, input_grad=False)
+        assert a._patches is not shared
+        assert a.d_weight.tobytes() == alone.d_weight.tobytes()
+        b.forward(y)  # the store now holds two matrices of the shape
+        assert b._patches is not a._patches
+
+    def test_critic_backward_writes_its_action_again(self, rng):
+        store = PatchStore()
+        prices, critic, alone = Conv2D(4, 3, 1, 3, rng), Conv2D(5, 3, 1, 3, rng), Conv2D(5, 3, 1, 3)
+        prices.patches = critic.patches = store
+        alone.weight[...] = critic.weight
+        x = frozen(rng.standard_normal((2, 4, 3, 7)))
+        action = rng.uniform(-1, 1, (2, 3))
+        dout = rng.standard_normal((2, 3, 3, 5))
+        critic.forward(x, action)
+        prices.forward(x)  # same matrix, action column written -0.0
+        alone.forward(x.copy(), action)
+        critic.backward(dout, input_grad=False)
+        alone.backward(dout, input_grad=False)
+        assert critic.d_weight.tobytes() == alone.d_weight.tobytes()
+
+    def test_store_keeps_its_most_recent_shapes(self, rng):
+        conv = Conv2D(2, 3, 1, 3, rng)
+        for batch in range(1, PatchStore.MAX_SHAPES + 3):
+            conv.forward(rng.standard_normal((batch, 2, 3, 7)))
+        assert len(conv.patches._pools) == PatchStore.MAX_SHAPES
+
+
+class TestExactRewrites:
+    """Rewrites that must keep the bits of the code they replaced."""
+
+    def test_relu_backward_matches_mask_rule(self):
+        special = [0.0, -0.0, np.nan, np.inf, -np.inf, 1.5, -2.0, 5e-324, -5e-324]
+        x, dout = (a.ravel() for a in np.meshgrid(special, special))
+        relu = ReLU()
+        relu.forward(x.copy())
+        with np.errstate(invalid="ignore"):  # inf * 0
+            got = relu.backward(dout.copy())
+            assert got.tobytes() == (dout * (x > 0)).tobytes()
+
+    @pytest.mark.parametrize("kh, kw", [(1, 3), (2, 2), (3, 1)])
+    def test_conv_input_gradient_matches_zero_filled_sum(self, rng, kh, kw):
+        conv = Conv2D(3, 4, kh, kw, rng)
+        x = rng.standard_normal((2, 3, 5, 8))
+        dout = rng.standard_normal((2, 4, 6 - kh, 9 - kw))
+        dout[:, :, 0] = 0.0
+        conv.forward(x)
+        got = conv.backward(dout, param_grads=False)
+        ho, wo = dout.shape[2:]
+        expected = np.zeros((2, 5, 8 * 3))
+        dmat = np.ascontiguousarray(dout.transpose(0, 2, 3, 1)).reshape(-1, 4)
+        for i in range(kh):
+            for j in range(kw):
+                tap = (dmat @ conv.weight[:, :, i, j]).reshape(2, ho, wo * 3)
+                expected[:, i : i + ho, j * 3 : (j + wo) * 3] += tap
+        assert got.tobytes() == expected.reshape(2, 5, 8, 3).transpose(0, 3, 1, 2).tobytes()
 
 
 class TestCheckpoint:
