@@ -99,7 +99,7 @@ def run_backtest(
         raise ValueError(f"policy gave actions of shape {raw.shape}, expected {shape}")
     y = relative_prices(market, np.arange(start + 1, end + 1))
     weights, costs, values, log_returns, _ = settle(raw, y, initial_weights(market.n_assets),
-                                                    1.0, config)
+                                                    1.0, config, start + 1)
     return BacktestReport.from_days(market, start, values, weights, costs, log_returns)
 
 

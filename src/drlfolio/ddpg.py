@@ -17,8 +17,8 @@ import numpy as np
 from .errors import ConfigError, FormatError
 from .market_data import AlignedMarket
 from .neural import (
+    Conv2D,
     Network,
-    PatchStore,
     build_actor,
     build_critic,
     minmax_action,  # re-exported; acting goes through policy_weights
@@ -58,6 +58,8 @@ class TrainConfig:
             raise ConfigError("discount must be in [0, 1]")
         if self.total_steps < 1:
             raise ConfigError("total_steps must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 class TrainingDiverged(ConfigError):
@@ -108,10 +110,8 @@ class ReplayBuffer:
             raise ValueError(f"buffer holds {len(self)} < batch {batch_size}")
         idx = rng.integers(0, self._size, size=batch_size)
         rows = self._rows[idx]
-        states, next_states = self.cube[rows], self.cube[rows + 1]
-        # Read-only, so the networks that read them share their conv patches.
-        states.flags.writeable = next_states.flags.writeable = False
-        return states, self._actions[idx], self._rewards[idx], next_states, self._dones[idx]
+        return (self.cube[rows], self._actions[idx], self._rewards[idx], self.cube[rows + 1],
+                self._dones[idx])
 
 
 def explore_action(raw: np.ndarray, rng: np.random.Generator,
@@ -237,12 +237,12 @@ class DDPG:
         self.critic = critic
         self.actor_target = actor.clone()
         self.critic_target = critic.clone()
-        # One patch store for the four: actor and critic gather a batch's
-        # states once between them and the targets its next states, and the
-        # targets' forward-only passes hold no matrix of their own.
-        patches = PatchStore()
-        for net in (actor, critic, self.actor_target, self.critic_target):
-            net.use_patches(patches)
+        # A target only runs forward, and finishes it before its twin's next
+        # forward, so it gathers into its twin's conv patch buffers.
+        for online, target in ((actor, self.actor_target), (critic, self.critic_target)):
+            for layer, twin in zip(online.layers, target.layers):
+                if isinstance(layer, Conv2D):
+                    twin.patches = layer.patches
         self.config = config
         self.arbitrage = arbitrage
         self._adam_actor = Adam(config.actor_lr)

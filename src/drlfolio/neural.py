@@ -22,10 +22,9 @@ BLAS. ``Flatten`` flattens channels-last, (H, W, C), so it is a reshape view
 in both directions, and the head Dense after it keeps its weight rows in that
 (H, W, C) order in memory.
 
-Patches. A conv takes its patch matrices from a ``PatchStore``, which keeps
-them by shape, not by layer. The networks that share a store (a ``DDPG``
-agent's four) gather a frozen batch's patches once between them, and a pass
-that runs no backward reuses a matrix instead of holding one of its own.
+Patches. Each conv gathers its patch matrices into one buffer of its own that
+only grows, so batches of one and of many reuse one allocation. A target
+network, which only runs forward, gathers into its online twin's buffers.
 
 Parameters. A ``Network`` owns one contiguous parameter vector ``flat`` and
 one gradient vector ``grad``; every layer's ``weight``, ``bias``,
@@ -45,6 +44,7 @@ from __future__ import annotations
 import base64
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -59,144 +59,32 @@ def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int
     return rng.uniform(-bound, bound, size=shape)
 
 
-def _frozen(x: np.ndarray) -> bool:
-    """True when no one can write x's values: x and every array it views are read-only."""
-    while isinstance(x, np.ndarray):
-        if x.flags.writeable:
-            return False
-        x = x.base
-    return True
-
-
-class _Patches:
-    """One patch matrix: a row per output pixel, the (i, j, c) patch values, an action
-    column if ``wide``, then a column of ones that meets the bias row of the GEMM."""
-
-    # Bytes of patch rows gathered and multiplied at a time in a forward.
-    GATHER_BYTES = 1 << 19
-
-    def __init__(self, key: tuple):
-        (n, c, h, w), kh, kw, self.wide = self.key = key
-        ho, wo = h - kh + 1, w - kw + 1
-        width = kh * kw * c + self.wide + 1
-        col = width * _F8
-        self.cols = np.empty((n * ho * wo, width))
-        self.cols[:, -1] = 1.0
-        if self.wide:
-            self.cols[:, -2] = -0.0
-        # Its rows seen as (kh, kw*c) blocks: the view a gather copies patches into.
-        self._blocks = np.ndarray((n, ho, wo, kh, kw * c), dtype=np.float64, buffer=self.cols,
-                                  strides=(ho * wo * col, wo * col, col, kw * c * _F8, _F8))
-        self.source = None  # the input the patches were gathered from
-        self.frozen = False  # whether that input was frozen when they were
-        self.action = None  # the action in the action column; None for -0.0
-
-    def gather(self, x: np.ndarray, gemm: np.ndarray | None = None) -> np.ndarray | None:
-        """Copy the patches of x, an (N, c, H, W) array, into the matrix. Given
-        ``gemm``, also return ``cols @ gemm``, multiplied a few images at a time
-        while their patches are still in cache: a row's product reads no other
-        row, so it has the bits of one GEMM over the whole matrix."""
-        n, c, h, w = x.shape
-        # Free when x came from a conv; the network input is copied once here.
-        xl = np.ascontiguousarray(x.transpose(0, 2, 3, 1), dtype=np.float64)
-        # Patch (b, i, j) is kh rows of kw*c contiguous values starting at
-        # xl[b, i + r, j, 0].
-        row = w * c * _F8
-        patches = np.ndarray(self._blocks.shape, dtype=np.float64, buffer=xl,
-                             strides=(h * row, row, c * _F8, row, _F8))
-        per = len(self.cols) // n
-        step = max(1, self.GATHER_BYTES // (per * self.cols.shape[1] * _F8))
-        if gemm is None or step >= n:
-            self._blocks[...] = patches
-            return None if gemm is None else self.cols @ gemm
-        out = np.empty((len(self.cols), gemm.shape[1]))
-        for lo in range(0, n, step):
-            rows = slice(lo * per, (lo + step) * per)
-            self._blocks[lo : lo + step] = patches[lo : lo + step]
-            np.matmul(self.cols[rows], gemm, out=out[rows])
-        return out
-
-    def write_action(self, action: np.ndarray | None) -> None:
-        """Write each row's (N, H) action into the action column, or -0.0 for None:
-        (-0.0) * 0.0 is -0.0 and s + -0.0 is s for every s, so a conv without an
-        action meets the column with a zero row and gets exactly its own sums."""
-        if action is not self.action:
-            n, _, h, _ = self.key[0]
-            column = self.cols.reshape(n, h, -1, self.cols.shape[1])[..., -2]
-            column[...] = -0.0 if action is None else action[:, :, None]
-            self.action = action
-
-
-class PatchStore:
-    """Patch matrices by shape, shared by the conv layers that use the store.
-
-    A forward gathers its patches into the matrix of its shape that was
-    gathered longest ago, unless its input is frozen and a matrix already
-    holds that input's patches: then it reuses that one, so a batch that
-    several networks read is gathered once. A conv's parameter backward
-    checks that its matrix still holds its patches; when a later forward has
-    gathered others into it, the store grows by one matrix of that shape and
-    the conv gathers its patches there again. Calls that need k matrices of
-    a shape at once settle on k. The store keeps the matrices of its
-    MAX_SHAPES most recent shapes.
-    """
-
-    MAX_SHAPES = 4
-
-    def __init__(self):
-        self._pools: dict[tuple, list[_Patches]] = {}
-
-    def _pool(self, key: tuple) -> list[_Patches]:
-        """The matrices of a shape, oldest gather first; the shape becomes the most recent."""
-        pool = self._pools[key] = self._pools.pop(key, [])
-        if len(self._pools) > self.MAX_SHAPES:
-            del self._pools[next(iter(self._pools))]
-        return pool
-
-    def take(self, key: tuple, x: np.ndarray, frozen: bool) -> tuple[_Patches, bool]:
-        """A matrix for the patches of x, and whether it holds them already; when
-        it does not, the caller gathers them (``_Patches.gather``)."""
-        pool = self._pool(key)
-        if frozen:
-            for patches in pool:
-                if patches.source is x and patches.frozen:
-                    return patches, True
-        patches = pool.pop(0) if pool else _Patches(key)
-        pool.append(patches)
-        patches.source, patches.frozen = x, frozen
-        return patches, False
-
-    def grow(self, key: tuple, x: np.ndarray) -> _Patches:
-        """A new matrix of the shape, holding the patches of x."""
-        patches = _Patches(key)
-        patches.gather(x)
-        patches.source, patches.frozen = x, _frozen(x)
-        self._pool(key).append(patches)
-        return patches
-
-
 class Conv2D:
     """Valid stride-1 cross-correlation as one GEMM over channels-last patches.
 
-    The patch matrix (``_Patches``) has one row per output pixel and columns
-    ordered ``(i, j, c)``: kernel row, kernel column, input channel, then a
-    column of ones that meets the bias row of the weight matrix. Matrices
-    come from ``patches``, a ``PatchStore`` of the layer's own until
-    ``Network.use_patches`` hands it a shared one.
+    The patch matrix has one row per output pixel and columns ordered
+    ``(i, j, c)``: kernel row, kernel column, input channel, then a column of
+    ones that meets the bias row of the weight matrix. A forward gathers it
+    into the first rows of ``patches.rows``, a buffer that only grows: it is
+    allocated, with its ones column, when the matrix width changes or more
+    rows are needed. ``patches.last`` is the view the latest forward gathered
+    into. A conv that only runs forward may take another conv's ``patches``
+    (``ddpg.DDPG`` gives a target network its online twin's), so a parameter
+    backward whose view another conv has since gathered over raises
+    ProtocolError.
 
     A 1 x k conv can take its last input channel as an action: one value per
     input row, constant along time. ``forward(x, action)`` then reads the
     other channels from ``x`` and writes the action into one patch column
     before the ones, which meets that channel's tap sums
     ``weight[:, -1].sum(axis=(1, 2))``. After such a forward, ``backward``
-    returns the (N, H) action gradient as its input gradient. A 1 x k conv
-    gives the matrix of a frozen input an action column even without an
-    action, and meets it with a zero row, so the matrix is the same one a
-    conv with an action reads.
+    returns the (N, H) action gradient as its input gradient.
     """
 
     kind = "conv2d"
     param_names = ("weight", "bias")
+    # Bytes of patch rows gathered and multiplied at a time in a forward.
+    GATHER_BYTES = 1 << 19
 
     def __init__(self, in_channels: int, out_channels: int, kh: int, kw: int,
                  rng: np.random.Generator | None = None):
@@ -210,8 +98,8 @@ class Conv2D:
         else:
             self.weight = glorot_uniform(rng, (out_channels, in_channels, kh, kw), fan_in, fan_out)
         self.bias = np.zeros(out_channels)
-        self.patches = PatchStore()
-        self._patches = self._x = self._action = None
+        self.patches = SimpleNamespace(rows=np.empty((0, 0)), last=None)
+        self._cols = self._x = None
         self.d_weight = np.zeros_like(self.weight)
         self.d_bias = np.zeros_like(self.bias)
 
@@ -224,29 +112,44 @@ class Conv2D:
         kh, kw = self.kh, self.kw
         if h < kh or w < kw:
             raise ValueError(f"input {x.shape} smaller than kernel ({kh}, {kw})")
-        if action is not None:
-            if kh != 1 or np.shape(action) != (n, h):
-                raise ValueError(f"an action needs a 1 x k kernel and shape {(n, h)}, "
-                                 f"got a {kh} x {kw} kernel and shape {np.shape(action)}")
-            action = np.array(action, dtype=np.float64)  # backward may write it again
+        if action is not None and (kh != 1 or np.shape(action) != (n, h)):
+            raise ValueError(f"an action needs a 1 x k kernel and shape {(n, h)}, "
+                             f"got a {kh} x {kw} kernel and shape {np.shape(action)}")
         ho, wo = h - kh + 1, w - kw + 1
-        k = kh * kw * c
-        frozen = _frozen(x)
-        wide = action is not None or (frozen and kh == 1)
-        patches, held = self.patches.take((x.shape, kh, kw, wide), x, frozen)
-        if wide:
-            patches.write_action(action)
-        self._patches, self._x, self._action = patches, x, action
-        action_rows = (self.weight[:, c:].sum(axis=(2, 3)).T if action is not None
-                       else np.zeros((int(wide), self.out_channels)))
+        per, k = ho * wo, kh * kw * c
+        width = k + self.in_channels - c + 1
+        if self.patches.rows.shape[1] != width or len(self.patches.rows) < n * per:
+            self.patches.rows = np.empty((n * per, width))
+            self.patches.rows[:, -1] = 1.0
+        cols = self._cols = self.patches.last = self.patches.rows[: n * per]
+        self._x = x
+        if action is not None:
+            cols.reshape(n, ho, wo, width)[..., k] = np.asarray(action)[:, :, None]
         gemm = np.concatenate((self.weight[:, :c].transpose(2, 3, 1, 0).reshape(k, -1),
-                               action_rows, self.bias[None]))
-        out = patches.cols @ gemm if held else patches.gather(x, gemm)
+                               self.weight[:, c:].sum(axis=(2, 3)).T, self.bias[None]))
+        # Free when x came from a conv; the network input is copied once here.
+        xl = np.ascontiguousarray(x.transpose(0, 2, 3, 1), dtype=np.float64)
+        # Patch (b, i, j) is kh rows of kw*c contiguous values starting at
+        # xl[b, i + r, j, 0]; the matrix rows seen as (kh, kw*c) blocks take them.
+        row, col = w * c * _F8, width * _F8
+        shape = (n, ho, wo, kh, kw * c)
+        patches = np.ndarray(shape, dtype=np.float64, buffer=xl,
+                             strides=(h * row, row, c * _F8, row, _F8))
+        blocks = np.ndarray(shape, dtype=np.float64, buffer=cols,
+                            strides=(per * col, wo * col, col, kw * c * _F8, _F8))
+        # A few images at a time, multiplied while their patches are in cache:
+        # a row's product reads no other row, so it has the bits of one GEMM.
+        step = max(1, self.GATHER_BYTES // (per * col))
+        out = np.empty((n * per, self.out_channels))
+        for lo in range(0, n, step):
+            span = slice(lo * per, (lo + step) * per)
+            blocks[lo : lo + step] = patches[lo : lo + step]
+            np.matmul(cols[span], gemm, out=out[span])
         return out.reshape(n, ho, wo, self.out_channels).transpose(0, 3, 1, 2)
 
     def backward(self, dout: np.ndarray, input_grad: bool = True,
                  param_grads: bool = True) -> np.ndarray | None:
-        if self._patches is None:
+        if self._cols is None:
             raise ProtocolError("backward before forward")
         n, c, h, w = self._x.shape
         kh, kw = self.kh, self.kw
@@ -254,16 +157,13 @@ class Conv2D:
         _, _, ho, wo = dout.shape
         dmat = np.ascontiguousarray(dout.transpose(0, 2, 3, 1)).reshape(n * ho * wo, -1)
         if param_grads:
-            patches = self._patches
-            if patches.source is not self._x:  # a later forward rebuilt the matrix
-                patches = self._patches = self.patches.grow(patches.key, self._x)
-            if self._action is not None:
-                patches.write_action(self._action)
+            if self.patches.last is not self._cols:
+                raise ProtocolError("another conv's forward gathered over this conv's patches")
             # The ones column makes the last row the bias gradient; an action
             # column's row is the gradient of each of its taps.
-            dw = patches.cols.T @ dmat
+            dw = self._cols.T @ dmat
             self.d_weight[:, :c] = dw[:k].reshape(kh, kw, c, self.out_channels).transpose(3, 2, 0, 1)
-            self.d_weight[:, c:] = dw[k : k + self.in_channels - c].T[:, :, None, None]
+            self.d_weight[:, c:] = dw[k:-1].T[:, :, None, None]
             self.d_bias[...] = dw[-1]
         if not input_grad:
             return None
@@ -465,12 +365,6 @@ class Network:
             grad = self.layers[k].backward(grad, input_grad=input_grad or k > 0,
                                            param_grads=param_grads)
         return grad
-
-    def use_patches(self, store: PatchStore) -> None:
-        """Take every conv's patch matrices from ``store``, shared with whoever else uses it."""
-        for layer in self.layers:
-            if isinstance(layer, Conv2D):
-                layer.patches = store
 
     def params(self) -> list[np.ndarray]:
         return [getattr(layer, name) for layer in self.layers for name in layer.param_names]

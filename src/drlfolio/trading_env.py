@@ -148,7 +148,7 @@ class TradingEnv:
 
         weights, costs, values, rewards, held = settle(
             np.asarray(action_raw)[None], self._relatives[state.t : state.t + 1],
-            state.weights, state.value, self.config)
+            state.weights, state.value, self.config, state.t + 1)
         return Transition(state=state, action=weights[0], reward=float(rewards[0]),
                           cost=float(costs[0]),
                           next_state=self._enter(state.t + 1, held, float(values[0])),
@@ -156,10 +156,12 @@ class TradingEnv:
 
 
 def settle(raw: np.ndarray, y: np.ndarray, held: np.ndarray, value: float,
-           config: EnvConfig) -> tuple[np.ndarray, ...]:
+           config: EnvConfig, day: int) -> tuple[np.ndarray, ...]:
     """Settle consecutive days, one row of raw actions and relatives ``y`` each,
-    entered holding the book ``held`` at ``value``. Returns the per-day
-    (weights, costs, values, log_returns) and the book held after the last day."""
+    entered holding the book ``held`` at ``value``; ``day`` is the first row's
+    return day. Returns the per-day (weights, costs, values, log_returns) and
+    the book held after the last day. A value outside (0, inf), which a large
+    leverage can reach, raises ConfigError."""
     weights = normalize_signed(raw)
     if config.arbitrage_enabled:
         weights = enforce_arbitrage(weights)
@@ -167,6 +169,11 @@ def settle(raw: np.ndarray, y: np.ndarray, held: np.ndarray, value: float,
     drifted = evolve_weights(weights, y)
     costs = transaction_cost(np.concatenate([held[None], drifted[:-1]]), weights, config.mu)
     values, log_returns = step_value(value, weights, y, costs, config.leverage)
+    kept = (values > 0) & (values < np.inf)
+    if not kept.all():
+        k = int(np.argmin(kept))
+        raise ConfigError(f"portfolio value {float(values[k])!r} on day {day + k} is outside "
+                          "(0, inf); lower the leverage")
     return weights, costs, values, log_returns, drifted[-1]
 
 

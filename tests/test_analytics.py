@@ -94,6 +94,12 @@ class TestRunBacktest:
         with pytest.raises(ConfigError):
             run_backtest(constant([1.0, 0, 0, 0, 0]), noisy_market, config, start, end)
 
+    def test_leverage_that_loses_the_value_is_config_error(self, small_market):
+        config = EnvConfig(window=10, episode_len=5, mu=0.0,
+                           leverage=np.array([1.0, 1e308, 1.0, 1.0]))
+        with np.errstate(over="ignore"), pytest.raises(ConfigError, match="value inf on day 21 "):
+            run_backtest(constant([0.0, 1.0, 0.0, 0.0]), small_market, config, 20, 40)
+
     @pytest.mark.parametrize("actions", [
         lambda obs: np.ones(5),
         lambda obs: np.ones((len(obs) - 1, 5)),

@@ -194,6 +194,21 @@ class TestTrain:
         assert capsys.readouterr().err.splitlines() == [
             "config error: leverage must be a positive finite vector of length m+1"]
 
+    def test_leverage_that_loses_the_value_is_config_error(self, market_dir, tmp_path, capsys):
+        d, _ = market_dir
+        cfg = tmp_path / "lev.cfg"
+        cfg.write_text("leverage = 1,1e308,1,1\n")
+        assert run(train_args(d, tmp_path / "run") + ["--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: portfolio value ")
+        assert "outside (0, inf); lower the leverage" in err[0]
+
+    def test_negative_seed_is_config_error(self, market_dir, tmp_path, capsys):
+        d, _ = market_dir
+        assert run(train_args(d, tmp_path / "run", seed=-1)) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: seed must be non-negative, got -1"]
+
     def test_checkpoint_every_snapshots(self, market_dir, tmp_path):
         d, _ = market_dir
         out = tmp_path / "snap"
@@ -335,6 +350,17 @@ class TestBacktest:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.splitlines() == [
             "config error: leverage must be a positive finite vector of length m+1"]
+
+    def test_leverage_that_loses_the_value_is_config_error(self, market_dir, tmp_path, capsys):
+        d, market = market_dir
+        ckpt = fully_invested_checkpoint(tmp_path / "ckpt.json", market)
+        cfg = tmp_path / "lev.cfg"
+        cfg.write_text("leverage = 1,1e308,1,1\n")
+        code = run(["backtest", ckpt, "--market-dir", d, "--out", tmp_path / "bt", "--config", cfg,
+                    "--test-start", market.dates[40], "--test-end", market.dates[90]])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: portfolio value inf on day 40 is outside (0, inf); lower the leverage"]
 
     def test_periodic_checkpoint_backtests(self, market_dir, tmp_path):
         d, market = market_dir

@@ -18,6 +18,7 @@ from drlfolio.ddpg import (
     train,
 )
 from drlfolio import neural
+from drlfolio.errors import ConfigError, ProtocolError
 from drlfolio.neural import (
     build_actor,
     build_critic,
@@ -73,6 +74,13 @@ def entry(cube, row):
     """What ``ReplayBuffer.add`` reads of a transition, for the state on cube row ``row``."""
     return SimpleNamespace(state=SimpleNamespace(cube=cube, row=row), action=np.full(2, row / 2),
                            reward=float(row), done=row % 3 == 0)
+
+
+class TestTrainConfig:
+    def test_negative_seed_is_config_error(self):
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            TrainConfig(seed=-1)
+        assert TrainConfig(seed=0).seed == 0
 
 
 class TestReplayBuffer:
@@ -435,50 +443,36 @@ class TestActorUpdate:
             assert np.array_equal(p, b)
 
 
-def read_only(a):
-    a = np.array(a)
-    a.flags.writeable = False
-    return a
-
-
-def reads_copies(net):
-    """Hand every forward of net a writable copy of its input, so none of its patches is shared."""
-    forward = net.forward
-    net.forward = lambda x, action=None: forward(x.copy(), action)
-
-
 class TestSharedPatches:
     @settings(max_examples=25, deadline=None)
     @given(m=st.integers(1, 4), window=st.integers(5, 12), batch=st.integers(1, 8),
            arbitrage=st.booleans(), seed=st.integers(0, 2**32 - 1))
     def test_updates_match_unshared_copies(self, m, window, batch, arbitrage, seed):
-        """Updates through shared patches leave all four networks bit-identical to
-        updates whose every network call reads its own copy of the batch."""
+        """An agent whose targets gather into their online twins' patch buffers and
+        one whose targets own theirs give bit-identical losses, actions and
+        networks through updates with an ``act`` between them."""
         rng = np.random.default_rng(seed)
 
         def make_batch():
-            return (read_only(1.0 + 0.05 * rng.standard_normal((batch, 4, m, window))),
+            return (1.0 + 0.05 * rng.standard_normal((batch, 4, m, window)),
                     minmax_action_batch(rng.standard_normal((batch, m + 1))),
                     rng.normal(0.0, 0.01, (batch, 1)),
-                    read_only(1.0 + 0.05 * rng.standard_normal((batch, 4, m, window))),
+                    1.0 + 0.05 * rng.standard_normal((batch, 4, m, window)),
                     (rng.random((batch, 1)) < 0.3).astype(np.float64))
 
-        # The second batch is another object of the same shape: its patches are gathered anew.
         batches = [make_batch(), make_batch()]
-        state = SimpleNamespace(obs=read_only(1.0 + 0.05 * rng.standard_normal((4, m, window))))
+        state = SimpleNamespace(obs=1.0 + 0.05 * rng.standard_normal((4, m, window)))
         runs = []
         for shared in (True, False):
             init = np.random.default_rng(seed)
             agent = DDPG(build_actor(m, window, init), build_critic(m, window, init),
                          TrainConfig(batch_size=batch, buffer_capacity=batch), arbitrage=arbitrage)
+            if not shared:  # targets equal to the ones DDPG made, with patch buffers of their own
+                agent.actor_target, agent.critic_target = agent.actor.clone(), agent.critic.clone()
             nets = (agent.actor, agent.critic, agent.actor_target, agent.critic_target)
-            if not shared:
-                for net in nets:
-                    reads_copies(net)
+            assert (agent.actor_target.layers[0].patches is agent.actor.layers[0].patches) == shared
             noise = np.random.default_rng(seed)
             out = [agent.update_critic(batches[0]), agent.update_actor(batches[0])]
-            if shared:
-                assert agent.actor.layers[0]._patches is agent.critic.layers[0]._patches
             out.append(agent.act(state, noise))  # a batch-1 forward between two updates
             for b in (batches[1], batches[0]):
                 out += [agent.update_critic(b), agent.update_actor(b)]
@@ -490,46 +484,44 @@ class TestSharedPatches:
         for got, expected in zip(flats_shared, flats_copies):
             assert got.tobytes() == expected.tobytes()
 
-    def test_updates_reuse_matrices_and_gather_each_batch_once(self, tiny_setup, monkeypatch):
-        """After the first update, updates and acts allocate no patch matrix, and
-        the first convs gather patches twice per update: states and next states."""
+    def test_updates_and_act_allocate_no_patch_buffer(self, tiny_setup):
+        """After the first update, updates and ``act`` gather into the buffers that
+        update left: one per online conv, which its target twin shares."""
         env, agent, buffer, _ = tiny_setup
-        made, gathered = [], []
-        init, gather = neural._Patches.__init__, neural._Patches.gather
-
-        def counted_init(self, key):
-            made.append(key)
-            init(self, key)
-
-        def counted_gather(self, x, gemm=None):
-            gathered.append(x.shape)
-            return gather(self, x, gemm)
-
-        monkeypatch.setattr(neural._Patches, "__init__", counted_init)
-        monkeypatch.setattr(neural._Patches, "gather", counted_gather)
         rng = np.random.default_rng(0)
         state = env.reset(rng)
+        pairs = [(layer, twin)
+                 for online, target in ((agent.actor, agent.actor_target),
+                                        (agent.critic, agent.critic_target))
+                 for layer, twin in zip(online.layers, target.layers)
+                 if isinstance(layer, neural.Conv2D)]
+        assert len(pairs) == 4 and all(layer.patches is twin.patches for layer, twin in pairs)
 
         def update():
             batch = buffer.sample(8, rng)
-            gathered.clear()
             agent.update_critic(batch)
             agent.update_actor(batch)
-            return [shape for shape in gathered if shape[1] == 4]  # price blocks: first convs
 
         agent.act(state, rng)
         update()
-        store = agent.actor.layers[0].patches
-        nets = (agent.actor, agent.critic, agent.actor_target, agent.critic_target)
-        assert all(layer.patches is store for net in nets for layer in net.layers
-                   if isinstance(layer, neural.Conv2D))
-        matrices = {id(p) for pool in store._pools.values() for p in pool}
-        made.clear()
-        assert len(update()) == 2
-        agent.act(state, rng)
-        assert len(update()) == 2
-        assert made == []
-        assert {id(p) for pool in store._pools.values() for p in pool} == matrices
+        buffers = [layer.patches.rows for layer, _ in pairs]
+        for _ in range(2):
+            update()
+            agent.act(state, rng)
+        assert all(layer.patches.rows is rows for (layer, _), rows in zip(pairs, buffers))
+
+    def test_online_backward_after_its_target_gathered_is_refused(self, tiny_setup):
+        """``online.forward; target.forward; online.backward`` raises: the target
+        gathered over the patches the online network's weight gradient needs."""
+        _, agent, buffer, _ = tiny_setup
+        states = buffer.sample(8, np.random.default_rng(0))[0]
+        action = np.zeros((8, states.shape[2]))
+        for online, target, args in ((agent.actor, agent.actor_target, ()),
+                                     (agent.critic, agent.critic_target, (action,))):
+            out = online.forward(states, *args)
+            target.forward(states, *args)
+            with pytest.raises(ProtocolError, match="gathered over"):
+                online.backward(np.ones_like(out), input_grad=False)
 
 
 class TestAdam:

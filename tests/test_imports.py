@@ -1,4 +1,5 @@
-"""Every name that a test module or a demo imports is used in it."""
+"""Every name that a test module, a demo or a package module imports is used in it,
+but for the names the package re-exports."""
 
 import ast
 from pathlib import Path
@@ -24,9 +25,24 @@ def test_scan_finds_an_unused_import():
     assert unused_imports(source) == [(2, "os")]
 
 
+def unused_in(files: list[Path], exempt: tuple = ()) -> list[str]:
+    """``path:line: name`` of each unused import, but for the (path, name) pairs in ``exempt``."""
+    unused = []
+    for path in files:
+        rel = path.relative_to(ROOT).as_posix()
+        unused += [f"{rel}:{line}: {name}" for line, name in unused_imports(path.read_text(encoding="utf-8"))
+                   if (rel, name) not in exempt]
+    return unused
+
+
 def test_tests_and_demos_use_every_import():
     files = sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("demos/*.py")])
     assert len(files) > 10
-    unused = [f"{path.relative_to(ROOT)}:{line}: {name}"
-              for path in files for line, name in unused_imports(path.read_text(encoding="utf-8"))]
-    assert unused == []
+    assert unused_in(files) == []
+
+
+def test_package_modules_use_every_import():
+    # __init__ re-exports the public names; ddpg re-exports minmax_action by name.
+    files = sorted(path for path in ROOT.glob("src/drlfolio/*.py") if path.name != "__init__.py")
+    assert len(files) > 5
+    assert unused_in(files, exempt=(("src/drlfolio/ddpg.py", "minmax_action"),)) == []

@@ -8,14 +8,12 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from drlfolio import neural
 from drlfolio.errors import FormatError, ProtocolError
 from drlfolio.neural import (
     Conv2D,
     Dense,
     Flatten,
     Network,
-    PatchStore,
     ReLU,
     build_actor,
     build_critic,
@@ -404,60 +402,21 @@ class TestCriticInput:
             Conv2D(5, 4, 2, 2, rng).forward(rng.standard_normal((1, 4, 3, 10)), np.ones((1, 3)))
 
 
-def frozen(a):
-    """A read-only copy of a: an input whose conv patches may be shared."""
-    a = np.array(a, dtype=np.float64)
-    a.flags.writeable = False
-    return a
-
-
 class TestPatchSharing:
-    """Conv patch matrices come from a PatchStore keyed by shape; a frozen input's
-    matrix is gathered once and carries an action column for the critic's conv."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(m=st.integers(1, 4), window=st.integers(5, 12), batch=st.integers(1, 8),
-           seed=st.integers(0, 2**32 - 1))
-    def test_zero_action_row_is_bit_identical(self, m, window, batch, seed):
-        """An actionless conv on a frozen input reads the wide matrix through a zero
-        row, in the forward and the weight-gradient GEMM, to the bit of its own."""
-        rng = np.random.default_rng(seed)
-        wide, narrow = Conv2D(4, 16, 1, 3, rng), Conv2D(4, 16, 1, 3)
-        narrow.weight[...] = wide.weight
-        for conv in (wide, narrow):
-            conv.bias[...] = np.linspace(-0.1, 0.1, 16)
-        x = 1.0 + 0.05 * rng.standard_normal((batch, 4, m, window))
-        dout = rng.standard_normal((batch, 16, m, window - 2))
-        out_wide, out_narrow = wide.forward(frozen(x)), narrow.forward(x)
-        assert wide._patches.wide and not narrow._patches.wide
-        assert out_wide.tobytes() == out_narrow.tobytes()
-        wide.backward(dout.copy(), input_grad=False)
-        narrow.backward(dout.copy(), input_grad=False)
-        assert wide.d_weight.tobytes() == narrow.d_weight.tobytes()
-        assert wide.d_bias.tobytes() == narrow.d_bias.tobytes()
-
-    def test_frozen_input_is_gathered_once(self, rng):
-        store = PatchStore()
-        prices, critic = Conv2D(4, 3, 1, 3, rng), Conv2D(5, 3, 1, 3, rng)
-        prices.patches = critic.patches = store
-        x = frozen(rng.standard_normal((2, 4, 3, 7)))
-        critic.forward(x, rng.uniform(-1, 1, (2, 3)))
-        prices.forward(x)
-        assert prices._patches is critic._patches
-        y = frozen(x)  # the same values in another array: gathered again
-        prices.forward(y)
-        assert prices._patches.source is y
+    """Each conv gathers its patches into one buffer that only grows; a conv that
+    only runs forward may gather into another conv's."""
 
     @pytest.mark.parametrize("channels", [4, 16])
     def test_gather_in_blocks_gives_the_bits_of_one_gemm(self, rng, monkeypatch, channels):
-        """A gathering forward multiplies one image at a time here; a forward that
-        reuses the gathered matrix multiplies it whole."""
-        monkeypatch.setattr(neural._Patches, "GATHER_BYTES", 1)
+        """A forward that multiplies one image at a time gives the bits of one
+        that multiplies the whole matrix at once."""
         conv = Conv2D(channels, 16, 1, 3, rng)
         conv.bias[...] = rng.standard_normal(16)
-        x = frozen(rng.standard_normal((7, channels, 5, 12)))
-        gathered = conv.forward(x)
-        assert conv.forward(x).tobytes() == gathered.tobytes()
+        x = rng.standard_normal((7, channels, 5, 12))
+        monkeypatch.setattr(Conv2D, "GATHER_BYTES", 1 << 40)
+        whole = conv.forward(x)
+        monkeypatch.setattr(Conv2D, "GATHER_BYTES", 1)
+        assert conv.forward(x).tobytes() == whole.tobytes()
 
     def test_writable_input_is_gathered_every_time(self, rng):
         conv = Conv2D(2, 3, 1, 3, rng)
@@ -466,47 +425,43 @@ class TestPatchSharing:
         x += 1.0
         assert not np.array_equal(conv.forward(x), first)
 
-    def test_backward_after_another_gather_gathers_its_patches_again(self, rng):
-        """Another conv's forward reuses the matrix; the first conv's backward
-        then gets its own matrix and the same gradients as undisturbed."""
-        store = PatchStore()
-        a, b, alone = Conv2D(2, 3, 1, 3, rng), Conv2D(2, 3, 1, 3, rng), Conv2D(2, 3, 1, 3)
-        a.patches = b.patches = store
-        alone.weight[...] = a.weight
-        x, y = rng.standard_normal((2, 2, 3, 7)), rng.standard_normal((2, 2, 3, 7))
-        dout = rng.standard_normal((2, 3, 3, 5))
-        a.forward(x)
-        shared = a._patches
-        b.forward(y)
-        assert b._patches is shared
-        alone.forward(x)
-        a.backward(dout, input_grad=False)
-        alone.backward(dout, input_grad=False)
-        assert a._patches is not shared
-        assert a.d_weight.tobytes() == alone.d_weight.tobytes()
-        b.forward(y)  # the store now holds two matrices of the shape
-        assert b._patches is not a._patches
+    @pytest.mark.parametrize("with_action", [False, True])
+    def test_smaller_batch_after_larger_gives_a_fresh_convs_bits(self, rng, with_action):
+        """A forward reads the first rows of the buffer a larger batch grew, and
+        gets the output and gradients of a fresh conv to the bit. With an action,
+        an earlier forward without one gathered a wider matrix first."""
+        channels = 5 if with_action else 4
+        used, fresh = Conv2D(channels, 16, 1, 3, rng), Conv2D(channels, 16, 1, 3)
+        used.bias[...] = rng.standard_normal(16)
+        fresh.weight[...], fresh.bias[...] = used.weight, used.bias
 
-    def test_critic_backward_writes_its_action_again(self, rng):
-        store = PatchStore()
-        prices, critic, alone = Conv2D(4, 3, 1, 3, rng), Conv2D(5, 3, 1, 3, rng), Conv2D(5, 3, 1, 3)
-        prices.patches = critic.patches = store
-        alone.weight[...] = critic.weight
-        x = frozen(rng.standard_normal((2, 4, 3, 7)))
-        action = rng.uniform(-1, 1, (2, 3))
-        dout = rng.standard_normal((2, 3, 3, 5))
-        critic.forward(x, action)
-        prices.forward(x)  # same matrix, action column written -0.0
-        alone.forward(x.copy(), action)
-        critic.backward(dout, input_grad=False)
-        alone.backward(dout, input_grad=False)
-        assert critic.d_weight.tobytes() == alone.d_weight.tobytes()
+        def action(n):
+            return rng.uniform(-1, 1, (n, 3)) if with_action else None
 
-    def test_store_keeps_its_most_recent_shapes(self, rng):
-        conv = Conv2D(2, 3, 1, 3, rng)
-        for batch in range(1, PatchStore.MAX_SHAPES + 3):
-            conv.forward(rng.standard_normal((batch, 2, 3, 7)))
-        assert len(conv.patches._pools) == PatchStore.MAX_SHAPES
+        if with_action:
+            used.forward(rng.standard_normal((9, 5, 3, 7)))
+        used.forward(rng.standard_normal((9, 4, 3, 7)), action(9))
+        grown = used.patches.rows
+        x, a, dout = rng.standard_normal((2, 4, 3, 7)), action(2), rng.standard_normal((2, 16, 3, 5))
+        assert used.forward(x, a).tobytes() == fresh.forward(x, a).tobytes()
+        assert used.patches.rows is grown
+        assert used.backward(dout.copy()).tobytes() == fresh.backward(dout.copy()).tobytes()
+        assert used.d_weight.tobytes() == fresh.d_weight.tobytes()
+        assert used.d_bias.tobytes() == fresh.d_bias.tobytes()
+
+    def test_backward_after_a_sharer_gathered_is_refused(self, rng):
+        """The weight gradient needs the conv's own patches: after another conv
+        gathered into the shared buffer, it raises; the input gradient does not."""
+        online, target = Conv2D(2, 3, 1, 3, rng), Conv2D(2, 3, 1, 3, rng)
+        target.patches = online.patches
+        x, dout = rng.standard_normal((2, 2, 3, 7)), rng.standard_normal((2, 3, 3, 5))
+        online.forward(x)
+        target.forward(x)
+        with pytest.raises(ProtocolError, match="gathered over"):
+            online.backward(dout.copy())
+        online.backward(dout.copy(), param_grads=False)
+        online.forward(x)
+        online.backward(dout)
 
 
 class TestExactRewrites:

@@ -165,6 +165,16 @@ class TestStep:
         tr = env.step(np.array([0.0, 0.25, 0.25, 0.5]))
         assert tr.action.tolist() == [0.0, 0.25, 0.25, 0.5]
 
+    # Long the first risky asset, which gains 1%/day, or short it: at leverage
+    # 1e308 its log growth overflows to inf or to -inf, a value of inf or 0.
+    @pytest.mark.parametrize("side, value", [(1.0, "inf"), (-1.0, "0.0")])
+    def test_leverage_that_loses_the_value_is_config_error(self, small_market, side, value):
+        env = make_env(small_market, leverage=np.array([1.0, 1e308, 1.0, 1.0]))
+        env.start_at(30, 5)
+        with np.errstate(over="ignore"), pytest.raises(
+                ConfigError, match=rf"portfolio value {value} on day 31 is outside \(0, inf\)"):
+            env.step(np.array([0.0, side, 0.0, 0.0]))
+
 
 class TestTrajectoryProperties:
     def test_telescoping_over_episode(self, noisy_market, rng):
