@@ -52,8 +52,8 @@ _KEYS: dict[str, tuple[object, tuple[str, ...]]] = {
     "factor_csv": ("", ()),
     "checkpoint": ("", ()),
     "out": ("", _RUNS),
-    # A backtest takes its benchmark from the checkpoint.
-    "benchmark": ("", ("ingest", "train", "compare")),
+    # A backtest and compare take their benchmark from the checkpoint.
+    "benchmark": ("", ("ingest", "train")),
     "group": ("experiment_1", ("compare",)),
     # None unless a file or flag sets it: train falls back to TRAIN_WINDOW and
     # a backtest takes the checkpoint's window.
@@ -341,9 +341,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     # Parse the directory once: the agent's assets are a subset of the universe.
     universe = _read_series(settings)
-    drl_metrics = metric_suite(_backtest_drl(settings, checkpoint, universe))
+    drl_report = _backtest_drl(settings, checkpoint, universe)
+    drl_metrics = metric_suite(drl_report)
 
-    factor_market = _align(universe, str(settings["benchmark"]))
+    # The agent's market holds its benchmark last.
+    factor_market = align(universe, drl_report.asset_ids[-1])
     panel = load_factor_csv(factor_csv, factor_market)
     lo, hi = _test_range(factor_market, settings)
     factor_report = run_factor_backtest(factor_market, panel, lo - 1, hi, long_n, short_n)

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import ConfigError, FormatError
 from .market_data import AlignedMarket
 from .neural import (
-    Conv2D,
     Network,
     build_actor,
     build_critic,
@@ -142,12 +141,6 @@ def policy_weights(raw: np.ndarray, arbitrage: bool):
     return weights, vjp
 
 
-def _blend(target: np.ndarray, online: np.ndarray, tau: float, scratch: np.ndarray) -> None:
-    """In place: target <- tau * online + (1 - tau) * target; scratch has online's shape."""
-    target *= 1.0 - tau
-    target += np.multiply(online, tau, out=scratch)
-
-
 class Adam:
     """Adam over one flat parameter vector, moments and work buffers preallocated."""
 
@@ -170,7 +163,7 @@ class Adam:
 
         ``ascend`` steps along -grad, to climb an objective, without writing
         grad. With a ``target`` vector, each block of it is then blended
-        toward the new parameters as ``soft_update`` does.
+        toward the new parameters: target <- tau * param + (1 - tau) * target.
         """
         if self._m is None:
             self._m, self._v = np.zeros_like(param), np.zeros_like(param)
@@ -196,14 +189,9 @@ class Adam:
             np.multiply(np.divide(m, b1t, out=r), self.lr, out=r)
             p -= np.divide(r, s, out=r)
             if target is not None:
-                _blend(target[block], p, tau, s)
-
-
-def soft_update(target: Network, online: Network, tau: float) -> None:
-    """Blend online parameters into the target: theta_t <- tau*theta + (1-tau)*theta_t."""
-    if [p.shape for p in target.params()] != [p.shape for p in online.params()]:
-        raise ValueError("networks do not share a parameter layout")
-    _blend(target.flat, online.flat, tau, np.empty_like(online.flat))
+                blended = target[block]
+                blended *= 1.0 - tau
+                blended += np.multiply(p, tau, out=s)
 
 
 @dataclass(frozen=True)
@@ -237,12 +225,6 @@ class DDPG:
         self.critic = critic
         self.actor_target = actor.clone()
         self.critic_target = critic.clone()
-        # A target only runs forward, and finishes it before its twin's next
-        # forward, so it gathers into its twin's conv patch buffers.
-        for online, target in ((actor, self.actor_target), (critic, self.critic_target)):
-            for layer, twin in zip(online.layers, target.layers):
-                if isinstance(layer, Conv2D):
-                    twin.patches = layer.patches
         self.config = config
         self.arbitrage = arbitrage
         self._adam_actor = Adam(config.actor_lr)
@@ -302,7 +284,8 @@ class DDPG:
 
 
 # Observation rows per actor forward of the greedy policy. A whole run at once would
-# hold patch matrices for every day: ~130 MB for 500 days of 11 assets at window 50.
+# hold conv outputs and an input copy for every day: ~75 MB for 500 days of 11
+# assets at window 50.
 GREEDY_BLOCK = 64
 
 

@@ -16,15 +16,16 @@ Layout. The public shapes are NCHW: ``Conv2D.forward`` takes and returns
 underneath is channels-last: a conv output is a transposed view of an
 ``(N, H, W, C)`` buffer, so the next conv reads it without a copy and gathers
 each ``kh x kw`` patch as ``kh`` runs of ``kw * C`` contiguous values. A conv
-is one GEMM of a patch matrix whose last column is ones with its weight matrix
-whose last row is the bias, so the bias is added, and its gradient summed, by
-BLAS. ``Flatten`` flattens channels-last, (H, W, C), so it is a reshape view
-in both directions, and the head Dense after it keeps its weight rows in that
-(H, W, C) order in memory.
+multiplies a patch matrix whose last column is ones by its weight matrix whose
+last row is the bias, so the bias is added, and its gradient summed, by BLAS.
+``Flatten`` flattens channels-last, (H, W, C), so it is a reshape view in both
+directions, and the head Dense after it keeps its weight rows in that (H, W, C)
+order in memory.
 
-Patches. Each conv gathers its patch matrices into one buffer of its own that
-only grows, so batches of one and of many reuse one allocation. A target
-network, which only runs forward, gathers into its online twin's buffers.
+Patches. A conv keeps its input, channels-last, from the forward to the
+backward, and gathers its patch matrix a few images at a time into one small
+buffer of its own: for the forward, and again for the weight gradient. No conv
+holds a batch-sized patch matrix, and none reads another's buffer.
 
 Parameters. A ``Network`` owns one contiguous parameter vector ``flat`` and
 one gradient vector ``grad``; every layer's ``weight``, ``bias``,
@@ -44,7 +45,6 @@ from __future__ import annotations
 import base64
 import json
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -60,18 +60,14 @@ def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int
 
 
 class Conv2D:
-    """Valid stride-1 cross-correlation as one GEMM over channels-last patches.
+    """Valid stride-1 cross-correlation as GEMMs over channels-last patches.
 
     The patch matrix has one row per output pixel and columns ordered
     ``(i, j, c)``: kernel row, kernel column, input channel, then a column of
-    ones that meets the bias row of the weight matrix. A forward gathers it
-    into the first rows of ``patches.rows``, a buffer that only grows: it is
-    allocated, with its ones column, when the matrix width changes or more
-    rows are needed. ``patches.last`` is the view the latest forward gathered
-    into. A conv that only runs forward may take another conv's ``patches``
-    (``ddpg.DDPG`` gives a target network its online twin's), so a parameter
-    backward whose view another conv has since gathered over raises
-    ProtocolError.
+    ones that meets the bias row of the weight matrix. It is never built
+    whole: ``_blocks`` gathers it a few images at a time into one buffer the
+    conv owns, once for the forward and again for the weight gradient, from
+    the channels-last input the forward keeps.
 
     A 1 x k conv can take its last input channel as an action: one value per
     input row, constant along time. ``forward(x, action)`` then reads the
@@ -83,7 +79,7 @@ class Conv2D:
 
     kind = "conv2d"
     param_names = ("weight", "bias")
-    # Bytes of patch rows gathered and multiplied at a time in a forward.
+    # Bytes of patch rows gathered at a time: one block, used while in cache.
     GATHER_BYTES = 1 << 19
 
     def __init__(self, in_channels: int, out_channels: int, kh: int, kw: int,
@@ -98,10 +94,44 @@ class Conv2D:
         else:
             self.weight = glorot_uniform(rng, (out_channels, in_channels, kh, kw), fan_in, fan_out)
         self.bias = np.zeros(out_channels)
-        self.patches = SimpleNamespace(rows=np.empty((0, 0)), last=None)
-        self._cols = self._x = None
+        self._block = np.empty((0, 0))
+        self._x = self._action = None
         self.d_weight = np.zeros_like(self.weight)
         self.d_bias = np.zeros_like(self.bias)
+
+    def _blocks(self):
+        """Yield (row slice, patch block) over the patch matrix of the kept input.
+
+        A block is the rows of a few whole images, at most GATHER_BYTES of them
+        (at least one image), gathered into the first rows of ``_block``. That
+        buffer only grows, and only up to one block.
+        """
+        xl, action = self._x, self._action
+        n, h, w, c = xl.shape
+        kh, kw = self.kh, self.kw
+        ho, wo = h - kh + 1, w - kw + 1
+        per, k = ho * wo, kh * kw * c
+        width = k + (action is not None) + 1
+        row, col = w * c * _F8, width * _F8
+        step = max(1, self.GATHER_BYTES // (per * col))
+        images = min(n, step)
+        if self._block.shape[1] != width or len(self._block) < images * per:
+            self._block = np.empty((images * per, width))
+            self._block[:, -1] = 1.0
+        # Patch (b, i, j) is kh rows of kw*c contiguous values starting at
+        # xl[b, i + r, j, 0]; the block rows seen as (kh, kw*c) blocks take them.
+        shape = (n, ho, wo, kh, kw * c)
+        patches = np.ndarray(shape, dtype=np.float64, buffer=xl,
+                             strides=(h * row, row, c * _F8, row, _F8))
+        blocks = np.ndarray((images, *shape[1:]), dtype=np.float64, buffer=self._block,
+                            strides=(per * col, wo * col, col, kw * c * _F8, _F8))
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            blocks[: hi - lo] = patches[lo:hi]
+            cols = self._block[: (hi - lo) * per]
+            if action is not None:
+                cols.reshape(hi - lo, ho, wo, width)[..., k] = action[lo:hi, :, None]
+            yield slice(lo * per, hi * per), cols
 
     def forward(self, x: np.ndarray, action: np.ndarray | None = None) -> np.ndarray:
         # c channels come from x; the rest (none, or the action) from action.
@@ -116,52 +146,34 @@ class Conv2D:
             raise ValueError(f"an action needs a 1 x k kernel and shape {(n, h)}, "
                              f"got a {kh} x {kw} kernel and shape {np.shape(action)}")
         ho, wo = h - kh + 1, w - kw + 1
-        per, k = ho * wo, kh * kw * c
-        width = k + self.in_channels - c + 1
-        if self.patches.rows.shape[1] != width or len(self.patches.rows) < n * per:
-            self.patches.rows = np.empty((n * per, width))
-            self.patches.rows[:, -1] = 1.0
-        cols = self._cols = self.patches.last = self.patches.rows[: n * per]
-        self._x = x
-        if action is not None:
-            cols.reshape(n, ho, wo, width)[..., k] = np.asarray(action)[:, :, None]
-        gemm = np.concatenate((self.weight[:, :c].transpose(2, 3, 1, 0).reshape(k, -1),
-                               self.weight[:, c:].sum(axis=(2, 3)).T, self.bias[None]))
         # Free when x came from a conv; the network input is copied once here.
-        xl = np.ascontiguousarray(x.transpose(0, 2, 3, 1), dtype=np.float64)
-        # Patch (b, i, j) is kh rows of kw*c contiguous values starting at
-        # xl[b, i + r, j, 0]; the matrix rows seen as (kh, kw*c) blocks take them.
-        row, col = w * c * _F8, width * _F8
-        shape = (n, ho, wo, kh, kw * c)
-        patches = np.ndarray(shape, dtype=np.float64, buffer=xl,
-                             strides=(h * row, row, c * _F8, row, _F8))
-        blocks = np.ndarray(shape, dtype=np.float64, buffer=cols,
-                            strides=(per * col, wo * col, col, kw * c * _F8, _F8))
-        # A few images at a time, multiplied while their patches are in cache:
-        # a row's product reads no other row, so it has the bits of one GEMM.
-        step = max(1, self.GATHER_BYTES // (per * col))
-        out = np.empty((n * per, self.out_channels))
-        for lo in range(0, n, step):
-            span = slice(lo * per, (lo + step) * per)
-            blocks[lo : lo + step] = patches[lo : lo + step]
-            np.matmul(cols[span], gemm, out=out[span])
+        self._x = np.ascontiguousarray(x.transpose(0, 2, 3, 1), dtype=np.float64)
+        self._action = None if action is None else np.asarray(action)
+        gemm = np.concatenate((self.weight[:, :c].transpose(2, 3, 1, 0).reshape(kh * kw * c, -1),
+                               self.weight[:, c:].sum(axis=(2, 3)).T, self.bias[None]))
+        # A row's product reads no other row, so blocks give the bits of one GEMM.
+        out = np.empty((n * ho * wo, self.out_channels))
+        for rows, cols in self._blocks():
+            np.matmul(cols, gemm, out=out[rows])
         return out.reshape(n, ho, wo, self.out_channels).transpose(0, 3, 1, 2)
 
     def backward(self, dout: np.ndarray, input_grad: bool = True,
                  param_grads: bool = True) -> np.ndarray | None:
-        if self._cols is None:
+        if self._x is None:
             raise ProtocolError("backward before forward")
-        n, c, h, w = self._x.shape
+        n, h, w, c = self._x.shape
         kh, kw = self.kh, self.kw
         k = kh * kw * c
         _, _, ho, wo = dout.shape
         dmat = np.ascontiguousarray(dout.transpose(0, 2, 3, 1)).reshape(n * ho * wo, -1)
         if param_grads:
-            if self.patches.last is not self._cols:
-                raise ProtocolError("another conv's forward gathered over this conv's patches")
-            # The ones column makes the last row the bias gradient; an action
-            # column's row is the gradient of each of its taps.
-            dw = self._cols.T @ dmat
+            # Summed over the blocks in order; one block is one GEMM. The ones
+            # column makes the last row the bias gradient; an action column's
+            # row is the gradient of each of its taps.
+            dw = None
+            for rows, cols in self._blocks():
+                part = cols.T @ dmat[rows]
+                dw = part if dw is None else np.add(dw, part, out=dw)
             self.d_weight[:, :c] = dw[:k].reshape(kh, kw, c, self.out_channels).transpose(3, 2, 0, 1)
             self.d_weight[:, c:] = dw[k:-1].T[:, :, None, None]
             self.d_bias[...] = dw[-1]

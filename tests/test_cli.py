@@ -487,7 +487,6 @@ class TestCompare:
 
         out = tmp_path / "cmp"
         code = run(["compare", ckpt, factor_csv, "--market-dir", d, "--out", out,
-                    "--benchmark", "benchmark",
                     "--test-start", market.dates[40], "--test-end", market.dates[100],
                     "--window", "6", "--long-n", "3", "--short-n", "3"])
         assert code == EXIT_OK
@@ -501,6 +500,26 @@ class TestCompare:
         # Ranked universe: the factor book earns one percent per day.
         assert float(factor[2]) == pytest.approx(0.01, abs=1e-12)
 
+    def test_benchmark_comes_from_the_checkpoint(self, tmp_path, capsys):
+        """The universe is aligned on the checkpoint's benchmark, which is not the
+        last file by name, and compare takes no --benchmark flag."""
+        market, panel = ranked_factor_universe(n_long=3, n_short=3, n_days=120)
+        d = tmp_path / "universe"
+        write_market_csvs(market, d)
+        factor_csv = write_factor_csv(panel, tmp_path / "factors.csv")
+        ckpt = fully_invested_checkpoint(tmp_path / "ckpt.json", market, window=6)
+        args = ["compare", ckpt, factor_csv, "--market-dir", d, "--out", tmp_path / "cmp",
+                "--long-n", "3", "--short-n", "3",
+                "--test-start", market.dates[40], "--test-end", market.dates[100]]
+        assert sorted(market.asset_ids)[-1] != "benchmark"
+        assert run(args) == EXIT_OK
+        assert "defaulting" not in capsys.readouterr().out
+        factor = (tmp_path / "cmp" / "comparison.csv").read_text().splitlines()[2].split(",")
+        assert float(factor[2]) == pytest.approx(0.01, abs=1e-12)
+        with pytest.raises(SystemExit) as exc:
+            run([*args, "--benchmark", "benchmark"])
+        assert exc.value.code == EXIT_USAGE
+
     def test_parses_each_csv_once(self, tmp_path, monkeypatch):
         market, panel = ranked_factor_universe(n_long=3, n_short=3, n_days=120)
         d = tmp_path / "universe"
@@ -511,7 +530,7 @@ class TestCompare:
         parsed = []
         monkeypatch.setattr(cli, "load_csv", lambda path: parsed.append(path) or load_csv(path))
         code = run(["compare", ckpt, factor_csv, "--market-dir", d, "--out", tmp_path / "cmp",
-                    "--benchmark", "benchmark", "--long-n", "3", "--short-n", "3",
+                    "--long-n", "3", "--short-n", "3",
                     "--test-start", market.dates[40], "--test-end", market.dates[100]])
         assert code == EXIT_OK
         assert sorted(parsed) == sorted(d.glob("*.csv")) and len(parsed) == 7
@@ -529,7 +548,7 @@ class TestCompare:
         parsed = []
         monkeypatch.setattr(cli, "load_csv", lambda path: parsed.append(path) or load_csv(path))
         code = run(["compare", "--config", cfg, "--market-dir", d, "--out", tmp_path / "cmp",
-                    "--benchmark", "benchmark", "--long-n", "3", "--short-n", "3",
+                    "--long-n", "3", "--short-n", "3",
                     "--test-start", market.dates[40], "--test-end", market.dates[100]])
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.splitlines() == [
@@ -549,7 +568,7 @@ class TestCompare:
         ckpt = fully_invested_checkpoint(tmp_path / "ckpt.json", book, window=6)
         out = tmp_path / "cmp"
         code = run(["compare", ckpt, factor_csv, "--market-dir", d, "--out", out,
-                    "--benchmark", "benchmark", "--long-n", "3", "--short-n", "3",
+                    "--long-n", "3", "--short-n", "3",
                     "--test-start", market.dates[40], "--test-end", market.dates[100]])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.splitlines() == [
@@ -565,7 +584,7 @@ class TestCompare:
         ckpt = fully_invested_checkpoint(tmp_path / "ckpt.json", market, window=6)
         out = tmp_path / "cmp"
         code = run(["compare", ckpt, factor_csv, "--market-dir", d, "--out", out,
-                    "--benchmark", "benchmark", "--long-n", "3", "--short-n", "3",
+                    "--long-n", "3", "--short-n", "3",
                     "--test-start", market.dates[40], "--test-end", market.dates[100]])
         assert code == EXIT_OK
         factor = (out / "comparison.csv").read_text().splitlines()[2].split(",")
@@ -579,7 +598,7 @@ class TestCompare:
         ckpt = fully_invested_checkpoint(tmp_path / "ckpt.json", market, window=6)
         out = tmp_path / "cmp"
         code = run(["compare", ckpt, factor_csv, "--market-dir", d, "--out", out,
-                    "--benchmark", "benchmark", "--long-n", "3", "--short-n", "3",
+                    "--long-n", "3", "--short-n", "3",
                     "--test-start", market.dates[40], "--test-end", market.dates[40]])
         assert code == EXIT_CONFIG
         assert "one trading day" in capsys.readouterr().err
@@ -594,7 +613,7 @@ class TestCompare:
         ckpt = overflowing_checkpoint(tmp_path / "ckpt.json", market, 0.0)
         out = tmp_path / "cmp"
         code = run(["compare", ckpt, factor_csv, "--market-dir", d, "--out", out,
-                    "--benchmark", "benchmark", "--long-n", "3", "--short-n", "3",
+                    "--long-n", "3", "--short-n", "3",
                     "--test-start", market.dates[40], "--test-end", market.dates[100]])
         assert code == EXIT_DATA
         err = capsys.readouterr().err
@@ -610,7 +629,7 @@ class TestCompare:
         ckpt = fully_invested_checkpoint(tmp_path / "ckpt.json", market, window=6)
         out = tmp_path / "cmp"
         code = run(["compare", ckpt, factor_csv, "--market-dir", d, "--out", out,
-                    "--benchmark", "benchmark", "--long-n", "3", "--short-n", "3", flag, "0",
+                    "--long-n", "3", "--short-n", "3", flag, "0",
                     "--test-start", market.dates[40], "--test-end", market.dates[100]])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.splitlines() == [
@@ -623,7 +642,7 @@ class TestCompare:
         write_market_csvs(market, d)
         factor_csv = write_factor_csv(panel, tmp_path / "factors.csv")
         code = run(["compare", tmp_path / "no_checkpoint.json", factor_csv, "--market-dir", d,
-                    "--out", tmp_path / "cmp", "--benchmark", "benchmark", "--long-n", "0",
+                    "--out", tmp_path / "cmp", "--long-n", "0",
                     "--test-start", market.dates[40], "--test-end", market.dates[100]])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.splitlines() == [
@@ -639,7 +658,7 @@ class TestCompare:
         ckpt = fully_invested_checkpoint(tmp_path / "ckpt.json", market, window=6)
         out = tmp_path / "cmp"
         code = run(["compare", ckpt, factor_csv, "--market-dir", d, "--out", out,
-                    "--benchmark", "benchmark", "--long-n", "3", "--short-n", "3",
+                    "--long-n", "3", "--short-n", "3",
                     "--test-start", market.dates[40], "--test-end", market.dates[100]])
         assert code == EXIT_DATA
         err = capsys.readouterr().err.splitlines()
@@ -653,7 +672,7 @@ class TestCompare:
         write_market_csvs(market, d)
         ckpt = fully_invested_checkpoint(tmp_path / "ckpt.json", market, window=6)
         code = run(["compare", ckpt, tmp_path / "nope.csv", "--market-dir", d,
-                    "--out", tmp_path / "c", "--benchmark", "benchmark",
+                    "--out", tmp_path / "c",
                     "--test-start", market.dates[40], "--test-end", market.dates[100],
                     "--long-n", "3", "--short-n", "3"])
         assert code == EXIT_DATA
@@ -673,8 +692,8 @@ CLI_SURFACE = {
                "--episode-len": "int", "--checkpoint-every": "int"}),
     "backtest": (["checkpoint"], {**RANGE_FLAGS, "--market-dir": "str"}),
     "compare": (["checkpoint", "factor_csv"],
-                {**RANGE_FLAGS, "--market-dir": "str", "--benchmark": "str", "--long-n": "int",
-                 "--short-n": "int", "--group": "str"}),
+                {**RANGE_FLAGS, "--market-dir": "str", "--long-n": "int", "--short-n": "int",
+                 "--group": "str"}),
 }
 
 TRAIN_DEFAULT_SETTINGS = """\
@@ -735,8 +754,9 @@ class TestCliSurface:
         ("backtest", ["--benchmark", "bench"]),
         ("compare", ["--total-steps", "5"]),
         ("compare", ["--episode-len", "10"]),
+        ("compare", ["--benchmark", "bench"]),
     ], ids=["ingest-train-flags", "ingest-out", "backtest-seed", "backtest-benchmark",
-            "compare-total-steps", "compare-episode-len"])
+            "compare-total-steps", "compare-episode-len", "compare-benchmark"])
     def test_unread_flag_is_usage_error(self, market_dir, capsys, command, flags):
         d, _ = market_dir
         with pytest.raises(SystemExit) as exc:

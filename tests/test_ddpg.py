@@ -14,11 +14,10 @@ from drlfolio.ddpg import (
     TrainConfig,
     explore_action,
     greedy_policy,
-    soft_update,
     train,
 )
 from drlfolio import neural
-from drlfolio.errors import ConfigError, ProtocolError
+from drlfolio.errors import ConfigError
 from drlfolio.neural import (
     build_actor,
     build_critic,
@@ -50,6 +49,11 @@ def fill_buffer(env, buffer, steps, rng):
         if tr.done:
             state = env.reset(rng)
     return state
+
+
+def soft_update(target, online, tau):
+    """The target blend of an Adam step with a zero gradient, which leaves online as is."""
+    Adam(1e-3).step(online.flat, np.zeros_like(online.flat), target=target.flat, tau=tau)
 
 
 @pytest.fixture
@@ -264,10 +268,6 @@ class TestFlatBuffers:
         for t, e in zip(target.params(), expected):
             assert t.tobytes() == e.tobytes()
 
-    def test_soft_update_refuses_other_layout(self, rng):
-        with pytest.raises(ValueError, match="layout"):
-            soft_update(build_actor(2, 6, rng), build_actor(3, 6, rng), 0.5)
-
 
 class TestSoftUpdate:
     def test_tau_one_copies(self, rng):
@@ -444,84 +444,58 @@ class TestActorUpdate:
 
 
 class TestSharedPatches:
-    @settings(max_examples=25, deadline=None)
-    @given(m=st.integers(1, 4), window=st.integers(5, 12), batch=st.integers(1, 8),
-           arbitrage=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_updates_match_unshared_copies(self, m, window, batch, arbitrage, seed):
-        """An agent whose targets gather into their online twins' patch buffers and
-        one whose targets own theirs give bit-identical losses, actions and
-        networks through updates with an ``act`` between them."""
-        rng = np.random.default_rng(seed)
+    """No conv of an agent shares its patch buffer, and none holds more than one block."""
 
-        def make_batch():
-            return (1.0 + 0.05 * rng.standard_normal((batch, 4, m, window)),
-                    minmax_action_batch(rng.standard_normal((batch, m + 1))),
-                    rng.normal(0.0, 0.01, (batch, 1)),
-                    1.0 + 0.05 * rng.standard_normal((batch, 4, m, window)),
-                    (rng.random((batch, 1)) < 0.3).astype(np.float64))
-
-        batches = [make_batch(), make_batch()]
-        state = SimpleNamespace(obs=1.0 + 0.05 * rng.standard_normal((4, m, window)))
-        runs = []
-        for shared in (True, False):
-            init = np.random.default_rng(seed)
-            agent = DDPG(build_actor(m, window, init), build_critic(m, window, init),
-                         TrainConfig(batch_size=batch, buffer_capacity=batch), arbitrage=arbitrage)
-            if not shared:  # targets equal to the ones DDPG made, with patch buffers of their own
-                agent.actor_target, agent.critic_target = agent.actor.clone(), agent.critic.clone()
-            nets = (agent.actor, agent.critic, agent.actor_target, agent.critic_target)
-            assert (agent.actor_target.layers[0].patches is agent.actor.layers[0].patches) == shared
-            noise = np.random.default_rng(seed)
-            out = [agent.update_critic(batches[0]), agent.update_actor(batches[0])]
-            out.append(agent.act(state, noise))  # a batch-1 forward between two updates
-            for b in (batches[1], batches[0]):
-                out += [agent.update_critic(b), agent.update_actor(b)]
-            runs.append((out, [net.flat.copy() for net in nets]))
-        (out_shared, flats_shared), (out_copies, flats_copies) = runs
-        assert np.array(out_shared[:2]).tobytes() == np.array(out_copies[:2]).tobytes()
-        assert out_shared[2].tobytes() == out_copies[2].tobytes()
-        assert np.array(out_shared[3:]).tobytes() == np.array(out_copies[3:]).tobytes()
-        for got, expected in zip(flats_shared, flats_copies):
-            assert got.tobytes() == expected.tobytes()
-
-    def test_updates_and_act_allocate_no_patch_buffer(self, tiny_setup):
-        """After the first update, updates and ``act`` gather into the buffers that
-        update left: one per online conv, which its target twin shares."""
-        env, agent, buffer, _ = tiny_setup
+    def test_updates_and_act_allocate_no_patch_buffer(self):
+        """At 11 x 50 with batch 64 a batch's patches span several blocks. After the
+        first update, updates and ``act`` gather into the buffers that update left,
+        one per conv and none larger than one block."""
+        market = drift_market(200, [0.001] * 11, sigma=0.01, seed=3)
+        env = TradingEnv(market, EnvConfig(window=50, episode_len=70, mu=0.0))
         rng = np.random.default_rng(0)
-        state = env.reset(rng)
-        pairs = [(layer, twin)
-                 for online, target in ((agent.actor, agent.actor_target),
-                                        (agent.critic, agent.critic_target))
-                 for layer, twin in zip(online.layers, target.layers)
-                 if isinstance(layer, neural.Conv2D)]
-        assert len(pairs) == 4 and all(layer.patches is twin.patches for layer, twin in pairs)
+        agent = DDPG(build_actor(11, 50, rng), build_critic(11, 50, rng),
+                     TrainConfig(batch_size=64, buffer_capacity=64))
+        buffer = ReplayBuffer(env.cube, 64)
+        state = fill_buffer(env, buffer, 64, rng)
+        convs = [layer for net in (agent.actor, agent.critic, agent.actor_target,
+                                   agent.critic_target)
+                 for layer in net.layers if isinstance(layer, neural.Conv2D)]
 
         def update():
-            batch = buffer.sample(8, rng)
+            batch = buffer.sample(64, rng)
             agent.update_critic(batch)
             agent.update_actor(batch)
 
         agent.act(state, rng)
         update()
-        buffers = [layer.patches.rows for layer, _ in pairs]
+        buffers = [conv._block for conv in convs]
+        assert len(convs) == 8
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(buffers) for b in buffers[:i])
+        for conv, block in zip(convs, buffers):
+            n, h, w, _ = conv._x.shape
+            assert n == 64 and len(block) < n * h * (w - 2)
+            assert block.nbytes <= neural.Conv2D.GATHER_BYTES
         for _ in range(2):
             update()
             agent.act(state, rng)
-        assert all(layer.patches.rows is rows for (layer, _), rows in zip(pairs, buffers))
+        assert all(conv._block is block for conv, block in zip(convs, buffers))
 
-    def test_online_backward_after_its_target_gathered_is_refused(self, tiny_setup):
-        """``online.forward; target.forward; online.backward`` raises: the target
-        gathered over the patches the online network's weight gradient needs."""
+    def test_target_forward_between_leaves_online_gradient(self, tiny_setup):
+        """``online.forward; target.forward; online.backward`` gives the gradient
+        bits of ``online.forward; online.backward``."""
         _, agent, buffer, _ = tiny_setup
         states = buffer.sample(8, np.random.default_rng(0))[0]
         action = np.zeros((8, states.shape[2]))
         for online, target, args in ((agent.actor, agent.actor_target, ()),
                                      (agent.critic, agent.critic_target, (action,))):
             out = online.forward(states, *args)
-            target.forward(states, *args)
-            with pytest.raises(ProtocolError, match="gathered over"):
-                online.backward(np.ones_like(out), input_grad=False)
+            online.backward(np.ones_like(out), input_grad=False)
+            alone = online.grad.copy()
+            online.grad[...] = 0.0
+            online.forward(states, *args)
+            target.forward(states + 1.0, *args)
+            online.backward(np.ones_like(out), input_grad=False)
+            assert online.grad.tobytes() == alone.tobytes()
 
 
 class TestAdam:

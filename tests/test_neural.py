@@ -403,33 +403,45 @@ class TestCriticInput:
 
 
 class TestPatchSharing:
-    """Each conv gathers its patches into one buffer that only grows; a conv that
-    only runs forward may gather into another conv's."""
+    """Each conv gathers its patches a block of images at a time into a buffer of
+    its own, for the forward and again for the weight gradient."""
 
-    @pytest.mark.parametrize("channels", [4, 16])
-    def test_gather_in_blocks_gives_the_bits_of_one_gemm(self, rng, monkeypatch, channels):
-        """A forward that multiplies one image at a time gives the bits of one
-        that multiplies the whole matrix at once."""
+    @pytest.mark.parametrize("channels, with_action", [(4, False), (16, False), (5, True)],
+                             ids=["4", "16", "5-action"])
+    def test_gather_in_blocks_gives_the_bits_of_one_gemm(self, rng, monkeypatch, channels,
+                                                          with_action):
+        """A conv that gathers one image at a time gives the forward and input or
+        action gradient of one that gathers the whole batch at once, to the bit.
+        Its weight and bias gradients sum the blocks in order: they agree to
+        1e-12, and to the bit for a batch of one image."""
         conv = Conv2D(channels, 16, 1, 3, rng)
         conv.bias[...] = rng.standard_normal(16)
-        x = rng.standard_normal((7, channels, 5, 12))
-        monkeypatch.setattr(Conv2D, "GATHER_BYTES", 1 << 40)
-        whole = conv.forward(x)
-        monkeypatch.setattr(Conv2D, "GATHER_BYTES", 1)
-        assert conv.forward(x).tobytes() == whole.tobytes()
 
-    def test_writable_input_is_gathered_every_time(self, rng):
-        conv = Conv2D(2, 3, 1, 3, rng)
-        x = rng.standard_normal((2, 2, 3, 7))
-        first = conv.forward(x)
-        x += 1.0
-        assert not np.array_equal(conv.forward(x), first)
+        def run(gather_bytes, n):
+            monkeypatch.setattr(Conv2D, "GATHER_BYTES", gather_bytes)
+            data = np.random.default_rng(n)
+            c = channels - with_action
+            x = data.standard_normal((n, c, 5, 12))
+            action = data.uniform(-1, 1, (n, 5)) if with_action else None
+            out = conv.forward(x, action)
+            dx = conv.backward(data.standard_normal(out.shape))
+            return out, dx, conv.d_weight.copy(), conv.d_bias.copy()
+
+        for n in (7, 1):
+            whole, blocks = run(1 << 40, n), run(1, n)
+            for got, expected in zip(blocks[:2], whole[:2]):
+                assert got.tobytes() == expected.tobytes()
+            for got, expected in zip(blocks[2:], whole[2:]):
+                if n == 1:
+                    assert got.tobytes() == expected.tobytes()
+                else:
+                    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("with_action", [False, True])
     def test_smaller_batch_after_larger_gives_a_fresh_convs_bits(self, rng, with_action):
-        """A forward reads the first rows of the buffer a larger batch grew, and
-        gets the output and gradients of a fresh conv to the bit. With an action,
-        an earlier forward without one gathered a wider matrix first."""
+        """A forward and backward read the first rows of the block buffer a larger
+        batch grew, and get the output and gradients of a fresh conv to the bit.
+        With an action, an earlier forward without one gathered a narrower block."""
         channels = 5 if with_action else 4
         used, fresh = Conv2D(channels, 16, 1, 3, rng), Conv2D(channels, 16, 1, 3)
         used.bias[...] = rng.standard_normal(16)
@@ -441,27 +453,20 @@ class TestPatchSharing:
         if with_action:
             used.forward(rng.standard_normal((9, 5, 3, 7)))
         used.forward(rng.standard_normal((9, 4, 3, 7)), action(9))
-        grown = used.patches.rows
+        grown = used._block
         x, a, dout = rng.standard_normal((2, 4, 3, 7)), action(2), rng.standard_normal((2, 16, 3, 5))
         assert used.forward(x, a).tobytes() == fresh.forward(x, a).tobytes()
-        assert used.patches.rows is grown
         assert used.backward(dout.copy()).tobytes() == fresh.backward(dout.copy()).tobytes()
+        assert used._block is grown
         assert used.d_weight.tobytes() == fresh.d_weight.tobytes()
         assert used.d_bias.tobytes() == fresh.d_bias.tobytes()
 
-    def test_backward_after_a_sharer_gathered_is_refused(self, rng):
-        """The weight gradient needs the conv's own patches: after another conv
-        gathered into the shared buffer, it raises; the input gradient does not."""
-        online, target = Conv2D(2, 3, 1, 3, rng), Conv2D(2, 3, 1, 3, rng)
-        target.patches = online.patches
-        x, dout = rng.standard_normal((2, 2, 3, 7)), rng.standard_normal((2, 3, 3, 5))
-        online.forward(x)
-        target.forward(x)
-        with pytest.raises(ProtocolError, match="gathered over"):
-            online.backward(dout.copy())
-        online.backward(dout.copy(), param_grads=False)
-        online.forward(x)
-        online.backward(dout)
+    def test_writable_input_is_gathered_every_time(self, rng):
+        conv = Conv2D(2, 3, 1, 3, rng)
+        x = rng.standard_normal((2, 2, 3, 7))
+        first = conv.forward(x)
+        x += 1.0
+        assert not np.array_equal(conv.forward(x), first)
 
 
 class TestExactRewrites:
