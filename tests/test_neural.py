@@ -461,6 +461,22 @@ class TestPatchSharing:
         assert used.d_weight.tobytes() == fresh.d_weight.tobytes()
         assert used.d_bias.tobytes() == fresh.d_bias.tobytes()
 
+    def test_another_convs_forward_between_leaves_the_gradient(self, rng, monkeypatch):
+        """``conv.forward; other.forward; conv.backward`` gives the input, weight
+        and bias gradient bits of ``conv.forward; conv.backward``, gathering one
+        image or the whole batch at a time."""
+        conv, other = Conv2D(2, 3, 1, 3, rng), Conv2D(2, 3, 1, 3, rng)
+        x, dout = rng.standard_normal((2, 2, 3, 7)), rng.standard_normal((2, 3, 3, 5))
+        for gather_bytes in (1, 1 << 40):
+            monkeypatch.setattr(Conv2D, "GATHER_BYTES", gather_bytes)
+            conv.forward(x)
+            alone = conv.backward(dout.copy()), conv.d_weight.copy(), conv.d_bias.copy()
+            conv.forward(x)
+            other.forward(x + 1.0)
+            between = conv.backward(dout.copy()), conv.d_weight, conv.d_bias
+            for got, expected in zip(between, alone):
+                assert got.tobytes() == expected.tobytes()
+
     def test_writable_input_is_gathered_every_time(self, rng):
         conv = Conv2D(2, 3, 1, 3, rng)
         x = rng.standard_normal((2, 2, 3, 7))
