@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -27,7 +28,7 @@ from .errors import (
     InsufficientUniverseError,
     WindowError,
 )
-from .market_data import AlignedMarket, PriceSeries, align, load_csv
+from .market_data import _DATE, AlignedMarket, PriceSeries, align, load_csv
 from .neural import load_checkpoint, save_checkpoint
 from .trading_env import EnvConfig
 
@@ -44,8 +45,8 @@ _TRAIN_FIELDS = {f.name: f.default for f in fields(TrainConfig)}
 # Every config key: its default, and the subcommands whose cmd_* reads it and
 # so take it as a --flag. The value type (int for a None default) parses both
 # the config file and the flag. TrainConfig keys and their defaults come from
-# its fields. _RUNS are the commands that check the train and test ranges
-# against each other (_check_out_of_sample).
+# its fields. _RUNS are the commands that check the train and test dates and
+# ranges (_check_dates).
 _RUNS = ("train", "backtest", "compare")
 _KEYS: dict[str, tuple[object, tuple[str, ...]]] = {
     "market_dir": ("", ("backtest", "compare")),
@@ -193,9 +194,13 @@ def _test_range(market: AlignedMarket, settings: dict[str, object]) -> tuple[int
     return lo, hi
 
 
-def _check_out_of_sample(settings: dict[str, object]) -> None:
-    tr_s, tr_e = str(settings["train_start"]), str(settings["train_end"])
-    te_s, te_e = str(settings["test_start"]), str(settings["test_end"])
+def _check_dates(settings: dict[str, object]) -> None:
+    """Refuse a set date that is not YYYY-MM-DD, and a test range that overlaps training's."""
+    keys = ("train_start", "train_end", "test_start", "test_end")
+    tr_s, tr_e, te_s, te_e = dates = [str(settings[key]) for key in keys]
+    for key, value in zip(keys, dates):
+        if value and not re.fullmatch(_DATE, value):
+            raise ConfigError(f"{key} {value!r} is not YYYY-MM-DD")
     if tr_s and tr_e and te_s and te_e:
         if te_s <= tr_e and tr_s <= te_e:
             raise ConfigError(
@@ -253,7 +258,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     settings = build_settings(args, window=TRAIN_WINDOW)
-    _check_out_of_sample(settings)
+    _check_dates(settings)
     out = _require_out(settings)
     market = _align(_read_series(settings), str(settings["benchmark"]))
     if settings["train_start"] or settings["train_end"]:
@@ -321,7 +326,7 @@ def _backtest_drl(settings: dict[str, object], checkpoint: str,
 
 def cmd_backtest(args: argparse.Namespace) -> int:
     settings = build_settings(args)
-    _check_out_of_sample(settings)
+    _check_dates(settings)
     out = _require_out(settings)
     metrics = write_report(_backtest_drl(settings, _required(settings, "checkpoint")), out)
     for name in METRIC_NAMES:
@@ -334,7 +339,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     settings = build_settings(args)
     long_n, short_n = int(settings["long_n"]), int(settings["short_n"])
     check_book(long_n, short_n)
-    _check_out_of_sample(settings)
+    _check_dates(settings)
     out = _require_out(settings)
     factor_csv = _required(settings, "factor_csv")
     checkpoint = _required(settings, "checkpoint")

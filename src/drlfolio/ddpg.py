@@ -4,6 +4,8 @@ The policy as deployed is actor -> min-max activation -> benchmark sign rule
 (``policy_weights``). Acting, the target policy and the actor update all go
 through that one chain, and the actor update differentiates through it, so
 the critic is always evaluated on actions the environment could receive.
+Both networks descend a loss, the actor minus the mean Q of its deployed
+weights; each has one ``Adam``, whose step also soft-updates its target.
 """
 
 from __future__ import annotations
@@ -47,8 +49,10 @@ class TrainConfig:
         for name in ("critic_lr", "actor_lr", "noise_var", "discount", "tau"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        if min(self.critic_lr, self.actor_lr, self.tau) <= 0:
-            raise ConfigError("learning rates and tau must be positive")
+        if min(self.critic_lr, self.actor_lr) <= 0:
+            raise ConfigError("learning rates must be positive")
+        if not 0.0 < self.tau <= 1.0:
+            raise ConfigError(f"tau must be in (0, 1], got {self.tau}")
         if self.batch_size < 1 or self.buffer_capacity < self.batch_size:
             raise ConfigError("need 1 <= batch_size <= buffer_capacity")
         if self.noise_var < 0:
@@ -142,7 +146,8 @@ def policy_weights(raw: np.ndarray, arbitrage: bool):
 
 
 class Adam:
-    """Adam over one flat parameter vector, moments and work buffers preallocated."""
+    """Adam on a network's ``flat`` from its ``grad``, soft-updating the target's ``flat``
+    after each step; the moments ``m``, ``v`` and step count ``t`` are its whole state."""
 
     # Elements updated per pass. A block's slices of the parameters, gradient,
     # moments and work buffers stay in cache across the fourteen array
@@ -150,37 +155,27 @@ class Adam:
     BLOCK = 32_768
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, lr: float):
-        self.lr = lr
-        self._m: np.ndarray | None = None
-        self._v: np.ndarray | None = None
-        self._work: np.ndarray | None = None
-        self._t = 0
+    def __init__(self, param: np.ndarray, grad: np.ndarray, target: np.ndarray,
+                 lr: float, tau: float):
+        self.param, self.grad, self.target = param, grad, target
+        self.lr, self.tau = lr, tau
+        self.m, self.v, self.t = np.zeros_like(param), np.zeros_like(param), 0
+        self._work = np.empty((2, min(self.BLOCK, param.size)))
 
-    def step(self, param: np.ndarray, grad: np.ndarray, ascend: bool = False,
-             target: np.ndarray | None = None, tau: float = 0.0) -> None:
-        """In place: m, v <- moments; param -= lr * m_hat / (sqrt(v_hat) + eps).
-
-        ``ascend`` steps along -grad, to climb an objective, without writing
-        grad. With a ``target`` vector, each block of it is then blended
-        toward the new parameters: target <- tau * param + (1 - tau) * target.
-        """
-        if self._m is None:
-            self._m, self._v = np.zeros_like(param), np.zeros_like(param)
-            self._work = np.empty((2, min(self.BLOCK, param.size)))
-        self._t += 1
-        b1t = 1.0 - self.BETA1**self._t
-        b2t = 1.0 - self.BETA2**self._t
-        for lo in range(0, param.size, self.BLOCK):
+    def step(self) -> None:
+        """In place: m, v <- moments of grad; param -= lr * m_hat / (sqrt(v_hat) + eps);
+        then each block of target is blended toward the new parameters:
+        target <- tau * param + (1 - tau) * target. ``grad`` is only read."""
+        self.t += 1
+        b1t = 1.0 - self.BETA1**self.t
+        b2t = 1.0 - self.BETA2**self.t
+        for lo in range(0, self.param.size, self.BLOCK):
             block = slice(lo, lo + self.BLOCK)
-            p, g, m, v = param[block], grad[block], self._m[block], self._v[block]
+            p, g, m, v, target = (a[block] for a in (self.param, self.grad, self.m, self.v,
+                                                     self.target))
             s, r = self._work[:, : p.size]
             m *= self.BETA1
-            # m + (1 - b1) * -g is m - (1 - b1) * g to the bit; g * g ignores the sign.
-            if ascend:
-                m -= np.multiply(g, 1 - self.BETA1, out=s)
-            else:
-                m += np.multiply(g, 1 - self.BETA1, out=s)
+            m += np.multiply(g, 1 - self.BETA1, out=s)
             v *= self.BETA2
             np.multiply(g, 1 - self.BETA2, out=s)
             v += np.multiply(s, g, out=s)
@@ -188,10 +183,8 @@ class Adam:
             s += self.EPS
             np.multiply(np.divide(m, b1t, out=r), self.lr, out=r)
             p -= np.divide(r, s, out=r)
-            if target is not None:
-                blended = target[block]
-                blended *= 1.0 - tau
-                blended += np.multiply(p, tau, out=s)
+            target *= 1.0 - self.tau
+            target += np.multiply(p, self.tau, out=s)
 
 
 @dataclass(frozen=True)
@@ -227,8 +220,10 @@ class DDPG:
         self.critic_target = critic.clone()
         self.config = config
         self.arbitrage = arbitrage
-        self._adam_actor = Adam(config.actor_lr)
-        self._adam_critic = Adam(config.critic_lr)
+        self._adam_actor = Adam(actor.flat, actor.grad, self.actor_target.flat,
+                                config.actor_lr, config.tau)
+        self._adam_critic = Adam(critic.flat, critic.grad, self.critic_target.flat,
+                                 config.critic_lr, config.tau)
 
     # -- acting ------------------------------------------------------------
 
@@ -257,30 +252,28 @@ class DDPG:
     def update_critic(self, batch: tuple[np.ndarray, ...]) -> float:
         """One Adam step on the critic loss, then the critic target's soft update."""
         loss = self.critic_loss(batch)
-        self._adam_critic.step(self.critic.flat, self.critic.grad,
-                               target=self.critic_target.flat, tau=self.config.tau)
+        self._adam_critic.step()
         return loss
 
-    def actor_objective(self, batch: tuple[np.ndarray, ...]) -> float:
-        """Mean Q of the deployed policy on a batch's states; its actor gradient
-        lands in ``actor.grad``."""
+    def actor_loss(self, batch: tuple[np.ndarray, ...]) -> float:
+        """Minus the mean Q of the deployed policy on a batch's states; its actor
+        gradient lands in ``actor.grad``."""
         states = batch[0]
         weights, weights_vjp = policy_weights(self.actor.forward(states), self.arbitrage)
         q = self.critic.forward(states, weights[:, 1:])
-        objective = float(np.mean(q))
+        loss = -float(np.mean(q))
 
         d_weights = np.zeros_like(weights)
-        d_weights[:, 1:] = self.critic.backward(np.full_like(q, 1.0 / q.shape[0]),
+        d_weights[:, 1:] = self.critic.backward(np.full_like(q, -1.0 / q.shape[0]),
                                                 param_grads=False)
         self.actor.backward(weights_vjp(d_weights), input_grad=False)
-        return objective
+        return loss
 
     def update_actor(self, batch: tuple[np.ndarray, ...]) -> float:
-        """One Adam ascent step on the objective, then the actor target's soft update."""
-        objective = self.actor_objective(batch)
-        self._adam_actor.step(self.actor.flat, self.actor.grad, ascend=True,
-                              target=self.actor_target.flat, tau=self.config.tau)
-        return objective
+        """One Adam step on the actor loss, then the actor target's soft update."""
+        loss = self.actor_loss(batch)
+        self._adam_actor.step()
+        return loss
 
 
 # Observation rows per actor forward of the greedy policy. A whole run at once would

@@ -335,7 +335,6 @@ class Network:
 
     def __init__(self, layers: list):
         self.layers = layers
-        self._forward_done = False
         self._head = _head_channels(layers)
         owned = [(layer, name) for layer in layers for name in layer.param_names]
         initial = [getattr(layer, name) for layer, name in owned]
@@ -359,7 +358,6 @@ class Network:
             out = layer.forward(out)
         if not np.all(np.isfinite(out)):
             raise FloatingPointError("network produced non-finite output")
-        self._forward_done = True
         return out
 
     def backward(self, dout: np.ndarray, *, input_grad: bool = True,
@@ -370,8 +368,6 @@ class Network:
         ``input_grad=False`` skips the first layer's input gradient and
         returns None; ``param_grads=False`` leaves ``grad`` untouched.
         """
-        if not self._forward_done:
-            raise ProtocolError("backward before forward")
         grad = np.array(dout, dtype=np.float64)  # layers may overwrite it
         for k in reversed(range(len(self.layers))):
             grad = self.layers[k].backward(grad, input_grad=input_grad or k > 0,

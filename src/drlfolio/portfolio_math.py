@@ -65,10 +65,7 @@ def shorted_weight(short_value: float, other_values_abs_sum: float) -> float:
         raise ValueError("short position value must be positive")
     if other_values_abs_sum < 0:
         raise ValueError("aggregate of other position values cannot be negative")
-    denom = other_values_abs_sum + short_value
-    if denom <= 0:
-        raise DegenerateActionError("total exposure is zero")
-    return -short_value / denom
+    return -short_value / (other_values_abs_sum + short_value)
 
 
 def enforce_arbitrage_batch(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

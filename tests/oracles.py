@@ -126,7 +126,7 @@ def critic_input_by_concat(states, weights):
 
 
 def actor_grad_by_critic_input(actor, critic, states, arbitrage):
-    """Actor gradient of the deployed policy's mean Q, through the critic's input.
+    """Actor gradient of the deployed policy's loss, minus its mean Q, through the critic's input.
 
     The critic's full five-channel input gradient, its action channel summed
     over time, then the policy's VJP and the actor's backward pass. Returns
@@ -134,7 +134,7 @@ def actor_grad_by_critic_input(actor, critic, states, arbitrage):
     """
     weights, weights_vjp = policy_weights(actor.forward(states), arbitrage)
     q = critic.forward(critic_input_by_concat(states, weights))
-    d_input = critic.backward(np.full_like(q, 1.0 / q.shape[0]), param_grads=False)
+    d_input = critic.backward(np.full_like(q, -1.0 / q.shape[0]), param_grads=False)
     d_weights = np.zeros_like(weights)
     d_weights[:, 1:] = d_input[:, 4, :, :].sum(axis=2)
     actor.backward(weights_vjp(d_weights), input_grad=False)

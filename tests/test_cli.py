@@ -15,8 +15,11 @@ from drlfolio.cli import (
     main,
 )
 from drlfolio import cli
-from drlfolio.market_data import load_csv
+from drlfolio.analytics import run_backtest, write_report
+from drlfolio.ddpg import TrainConfig, checkpoint_meta, greedy_policy, train
+from drlfolio.market_data import align, load_csv
 from drlfolio.neural import build_actor, build_critic, load_checkpoint, save_checkpoint
+from drlfolio.trading_env import EnvConfig
 from drlfolio.synthetic import (
     drift_market,
     ranked_factor_universe,
@@ -32,6 +35,19 @@ def market_dir(tmp_path):
     d = tmp_path / "market"
     write_market_csvs(market, d)
     return d, market
+
+
+@pytest.fixture
+def noisy_market_dir(tmp_path):
+    """A market whose observation windows differ from day to day, and as the CLI parses it."""
+    market = drift_market(120, [0.002, -0.001, 0.0], sigma=0.02, seed=5,
+                          asset_ids=["alpha", "beta", "bench"])
+    d = tmp_path / "noisy"
+    write_market_csvs(market, d)
+    return d, align([load_csv(p) for p in sorted(d.glob("*.csv"))], "bench")
+
+
+REPORT_FILES = ("summary.json", "series.csv", "weights.csv", "plot.csv")
 
 
 def run(argv):
@@ -138,6 +154,72 @@ class TestTrain:
         ))
         assert code == EXIT_CONFIG
         assert "out-of-sample" in capsys.readouterr().err
+
+    def test_train_range_trains_on_those_days(self, noisy_market_dir, tmp_path):
+        """--train-start/--train-end train on market.restrict of that range, out of the
+        test range: the checkpoint is the one ddpg.train writes for the restricted market."""
+        d, market = noisy_market_dir
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("batch_size = 8\n")
+        ranges = {"train-start": market.dates[10], "train-end": market.dates[70],
+                  "test-start": market.dates[80], "test-end": market.dates[110]}
+        out = tmp_path / "run"
+        assert run(train_args(d, out, **ranges, **{"total-steps": 30})
+                   + ["--config", cfg]) == EXIT_OK
+
+        env_config = EnvConfig(window=6, episode_len=10)
+        train_config = TrainConfig(batch_size=8, total_steps=30, seed=3)
+        expected = []
+        for name, lo, hi in (("restricted", 10, 70), ("whole", 0, len(market) - 1)):
+            part = market.restrict(lo, hi)
+            actor, critic, _ = train(part, env_config, train_config)
+            save_checkpoint(tmp_path / f"{name}.json", actor, critic,
+                            checkpoint_meta(part, env_config, train_config))
+            expected.append((tmp_path / f"{name}.json").read_bytes())
+        got = (out / "checkpoint.json").read_bytes()
+        assert got == expected[0]
+        assert got != expected[1]
+
+    def test_arbitrage_config_key(self, noisy_market_dir, tmp_path, capsys):
+        """arbitrage = off trains and backtests without the sign rule; a value that is not
+        a boolean is a config error."""
+        d, market = noisy_market_dir
+        cfg = tmp_path / "off.cfg"
+        cfg.write_text("arbitrage = off\nbatch_size = 8\n")
+        out = tmp_path / "run"
+        # Seed 8's actor gives weights the sign rule would flip on every test day.
+        assert run(train_args(d, out, seed=8, **{"total-steps": 30})
+                   + ["--config", cfg]) == EXIT_OK
+        actor, _, meta = load_checkpoint(out / "checkpoint.json")
+        assert meta["arbitrage"] is False
+
+        assert run(["backtest", out / "checkpoint.json", "--market-dir", d,
+                    "--out", tmp_path / "bt", "--test-start", market.dates[40],
+                    "--test-end", market.dates[90]]) == EXIT_OK
+        reports = {}
+        for arbitrage in (False, True):
+            config = EnvConfig(window=6, episode_len=50, arbitrage_enabled=arbitrage)
+            reports[arbitrage] = run_backtest(greedy_policy(actor, arbitrage=arbitrage), market,
+                                              config, 39, 90)
+        write_report(reports[False], tmp_path / "expected")
+        for name in REPORT_FILES:
+            assert (tmp_path / "bt" / name).read_bytes() == (tmp_path / "expected" / name).read_bytes()
+        assert np.all(np.any(reports[False].weights != reports[True].weights, axis=1))
+
+        bad = tmp_path / "maybe.cfg"
+        bad.write_text("arbitrage = maybe\n")
+        capsys.readouterr()
+        assert run(train_args(d, tmp_path / "maybe") + ["--config", bad]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:") and "arbitrage" in err[0]
+
+    def test_tau_above_one_is_config_error(self, market_dir, tmp_path, capsys):
+        d, _ = market_dir
+        cfg = tmp_path / "tau.cfg"
+        cfg.write_text("tau = 2\n")
+        assert run(train_args(d, tmp_path / "run") + ["--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: tau must be in (0, 1], got 2.0"]
 
     def test_config_file_with_flag_override(self, market_dir, tmp_path):
         d, _ = market_dir
@@ -437,6 +519,27 @@ class TestBacktest:
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "non-finite" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [("test_start", "2015-03-1"),
+                                            ("test_end", "2015-3-30"),
+                                            ("train_start", "15-01-01"),
+                                            ("train_end", "2015/01/20")])
+    def test_date_not_yyyy_mm_dd_is_config_error(self, market_dir, tmp_path, capsys, key, value):
+        """Dates compare as strings, so 2015-03-1 would sort after 2015-03-09 and move
+        the range without an error."""
+        d, market = market_dir
+        ckpt = fully_invested_checkpoint(tmp_path / "ckpt.json", market)
+        cfg = tmp_path / "dates.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        out = tmp_path / "bt"
+        code = run(["backtest", ckpt, "--market-dir", d, "--out", out, "--config", cfg,
+                    "--test-start", market.dates[40], "--test-end", market.dates[90]]
+                   if key.startswith("train") else
+                   ["backtest", ckpt, "--market-dir", d, "--out", out, "--config", cfg])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {key} {value!r} is not YYYY-MM-DD"]
+        assert not out.exists()
 
     def test_one_day_test_range_is_config_error(self, market_dir, tmp_path, capsys):
         d, market = market_dir

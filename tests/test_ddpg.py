@@ -53,7 +53,7 @@ def fill_buffer(env, buffer, steps, rng):
 
 def soft_update(target, online, tau):
     """The target blend of an Adam step with a zero gradient, which leaves online as is."""
-    Adam(1e-3).step(online.flat, np.zeros_like(online.flat), target=target.flat, tau=tau)
+    Adam(online.flat, np.zeros_like(online.flat), target.flat, 1e-3, tau).step()
 
 
 @pytest.fixture
@@ -81,10 +81,31 @@ def entry(cube, row):
 
 
 class TestTrainConfig:
-    def test_negative_seed_is_config_error(self):
-        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
-            TrainConfig(seed=-1)
-        assert TrainConfig(seed=0).seed == 0
+    @pytest.mark.parametrize("setting, message", [
+        ({"noise_var": float("nan")}, "noise_var must be finite, got nan"),
+        ({"critic_lr": 0.0}, "learning rates must be positive"),
+        ({"actor_lr": -4e-5}, "learning rates must be positive"),
+        ({"tau": 0.0}, "tau must be in (0, 1], got 0.0"),
+        ({"tau": 2.0}, "tau must be in (0, 1], got 2.0"),
+        ({"batch_size": 0}, "need 1 <= batch_size <= buffer_capacity"),
+        ({"batch_size": 65, "buffer_capacity": 64}, "need 1 <= batch_size <= buffer_capacity"),
+        ({"noise_var": -0.25}, "noise variance cannot be negative"),
+        ({"discount": -0.01}, "discount must be in [0, 1]"),
+        ({"discount": 1.01}, "discount must be in [0, 1]"),
+        ({"total_steps": 0}, "total_steps must be positive"),
+        ({"seed": -1}, "seed must be non-negative, got -1"),
+    ], ids=["non-finite", "critic-lr", "actor-lr", "tau-zero", "tau-above-one", "batch-zero",
+            "batch-above-capacity", "noise-var", "discount-below", "discount-above",
+            "total-steps", "seed"])
+    def test_refusal_is_config_error(self, setting, message):
+        with pytest.raises(ConfigError) as exc:
+            TrainConfig(**setting)
+        assert str(exc.value) == message
+
+    def test_bounds_are_accepted(self):
+        TrainConfig(tau=1.0, discount=0.0, noise_var=0.0, batch_size=1, buffer_capacity=1,
+                    total_steps=1, seed=0)
+        TrainConfig(discount=1.0)
 
 
 class TestReplayBuffer:
@@ -227,7 +248,8 @@ class TestFlatBuffers:
         assert_flat_views(loaded)
         assert loaded.flat.tobytes() == net.flat.tobytes()
 
-        Adam(1e-3).step(net.flat, rng.standard_normal(net.flat.size))
+        Adam(net.flat, rng.standard_normal(net.flat.size), np.zeros_like(net.flat), 1e-3,
+             tau).step()
         assert_flat_views(net)
         soft_update(twin, net, tau)
         assert_flat_views(twin)
@@ -235,23 +257,21 @@ class TestFlatBuffers:
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), lr=st.floats(1e-6, 1e-1), steps=st.integers(1, 4),
-           window=st.sampled_from([6, 30]), ascend=st.booleans(), tau=st.floats(0.0, 1.0))
-    def test_adam_matches_per_array_reference(self, seed, lr, steps, window, ascend, tau):
+           window=st.sampled_from([6, 30]), tau=st.floats(0.0, 1.0))
+    def test_adam_matches_per_array_reference(self, seed, lr, steps, window, tau):
         rng = np.random.default_rng(seed)
         net = build_critic(2, window, rng)  # window 30: more than one Adam block
         target = build_critic(2, window, rng)
         grad_steps = [[rng.standard_normal(p.shape) for p in net.params()] for _ in range(steps)]
-        # An ascent steps along the negated gradient; the target blends in after each step.
-        moves = [[-g for g in grads] for grads in grad_steps] if ascend else grad_steps
         expected_target = [p.copy() for p in target.params()]
         for t in range(1, steps + 1):
-            expected = adam_per_array(net.params(), moves[:t], lr)
+            expected = adam_per_array(net.params(), grad_steps[:t], lr)
             expected_target = soft_update_elementwise(expected_target, expected, tau)
-        opt = Adam(lr)
+        opt = Adam(net.flat, net.grad, target.flat, lr, tau)
         for grads in grad_steps:
-            flat_grad = np.concatenate([g.ravel() for g in grads])
-            opt.step(net.flat, flat_grad, ascend=ascend, target=target.flat, tau=tau)
-            assert flat_grad.tobytes() == np.concatenate([g.ravel() for g in grads]).tobytes()
+            net.grad[...] = np.concatenate([g.ravel() for g in grads])
+            opt.step()
+            assert net.grad.tobytes() == np.concatenate([g.ravel() for g in grads]).tobytes()
         for p, e in zip(net.params(), expected):
             assert p.tobytes() == e.tobytes()
         for p, e in zip(target.params(), expected_target):
@@ -369,15 +389,15 @@ class TestActorUpdate:
         critic.layers[-1].bias[...] = 5.0  # constant Q = 5 everywhere
         agent = DDPG(actor, critic, TrainConfig(batch_size=8, buffer_capacity=64))
         before = [p.copy() for p in actor.params()]
-        objective = agent.update_actor(buffer.sample(8, np.random.default_rng(3)))
-        assert objective == pytest.approx(5.0)
+        loss = agent.update_actor(buffer.sample(8, np.random.default_rng(3)))
+        assert loss == pytest.approx(-5.0)
         for p, b in zip(actor.params(), before):
             assert np.array_equal(p, b)
 
     def test_objective_gradient_matches_fd(self, tiny_setup):
         env, agent, buffer, _ = tiny_setup
         batch = buffer.sample(8, np.random.default_rng(9))
-        agent.actor_objective(batch)
+        agent.actor_loss(batch)
         grads = [g.copy() for g in agent.actor.grads()]
         params = agent.actor.params()
         rng = np.random.default_rng(10)
@@ -385,7 +405,7 @@ class TestActorUpdate:
             flat, gflat = p.reshape(-1), g.reshape(-1)
             for i in rng.choice(flat.size, size=min(3, flat.size), replace=False):
                 fd = central_difference(
-                    lambda: agent.actor_objective(batch), flat, i, h=1e-5)
+                    lambda: agent.actor_loss(batch), flat, i, h=1e-5)
                 assert relative_error(fd, gflat[i], floor=1e-5) < 1e-4
 
     @settings(max_examples=40, deadline=None)
@@ -396,8 +416,8 @@ class TestActorUpdate:
         agent = DDPG(build_actor(m, window, rng), build_critic(m, window, rng),
                      TrainConfig(batch_size=1, buffer_capacity=1), arbitrage=arbitrage)
         states = 1.0 + 0.05 * rng.standard_normal((batch, 4, m, window))
-        # actor_objective reads only the batch's states.
-        agent.actor_objective((states, None, None, None, None))
+        # actor_loss reads only the batch's states.
+        agent.actor_loss((states, None, None, None, None))
         got = agent.actor.grad.copy()
         expected = actor_grad_by_critic_input(agent.actor, agent.critic, states, arbitrage)
         # Where the deployed weights are locally constant in the logits (one
@@ -405,11 +425,11 @@ class TestActorUpdate:
         # rounding in the min-max VJP, hence the absolute floor.
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected) + 1e-15
 
-    def test_ascent_improves_objective(self, tiny_setup):
+    def test_descent_lowers_loss(self, tiny_setup):
         env, agent, buffer, _ = tiny_setup
         batch = buffer.sample(8, np.random.default_rng(11))
         history = [agent.update_actor(batch) for _ in range(30)]
-        assert history[-1] > history[0]
+        assert history[-1] < history[0]
 
     def test_updates_step_along_public_grads(self, tiny_setup):
         env, agent, buffer, config = tiny_setup
@@ -426,9 +446,9 @@ class TestActorUpdate:
                 == [e.tobytes() for e in expected_target])
         assert [p.tobytes() for p in agent.actor_target.params()] == [e.tobytes() for e in actor_target]
 
-        agent.actor_objective(batch)
-        ascent = [[-g for g in agent.actor.grads()]]
-        expected = adam_per_array(agent.actor.params(), ascent, config.actor_lr)
+        agent.actor_loss(batch)
+        actor_grads = [g.copy() for g in agent.actor.grads()]
+        expected = adam_per_array(agent.actor.params(), [actor_grads], config.actor_lr)
         expected_target = soft_update_elementwise(actor_target, expected, config.tau)
         agent.update_actor(batch)
         assert [p.tobytes() for p in agent.actor.params()] == [e.tobytes() for e in expected]
@@ -500,16 +520,16 @@ class TestSharedPatches:
 
 class TestAdam:
     def test_zero_gradient_no_step(self):
-        opt = Adam(0.1)
         p = np.ones(3)
-        opt.step(p, np.zeros(3))
+        Adam(p, np.zeros(3), np.zeros(3), 0.1, 1.0).step()
         assert np.array_equal(p, np.ones(3))
 
     def test_descends_quadratic(self):
-        opt = Adam(0.05)
-        p = np.array([3.0])
+        p, g = np.array([3.0]), np.empty(1)
+        opt = Adam(p, g, np.zeros(1), 0.05, 1.0)
         for _ in range(400):
-            opt.step(p, 2.0 * p)
+            np.multiply(p, 2.0, out=g)
+            opt.step()
         assert abs(p[0]) < 1e-2
 
 
