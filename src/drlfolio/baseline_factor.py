@@ -50,7 +50,8 @@ def load_factor_csv(path: str | Path, market: AlignedMarket) -> FactorPanel:
 
     A row counts where its asset and date are on the market's axes and its
     ep_ratio parses; its turnover counts where that parses too. A later row
-    overwrites an earlier one. A date that is not ``YYYY-MM-DD`` is a FormatError.
+    overwrites an earlier one. A date that is not a ``YYYY-MM-DD`` calendar date
+    is a FormatError.
     """
     path = Path(path)
     asset_pos = {a: i for i, a in enumerate(market.asset_ids)}

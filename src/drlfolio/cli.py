@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -28,7 +27,7 @@ from .errors import (
     InsufficientUniverseError,
     WindowError,
 )
-from .market_data import _DATE, AlignedMarket, PriceSeries, align, load_csv
+from .market_data import AlignedMarket, PriceSeries, align, date_error, load_csv
 from .neural import load_checkpoint, save_checkpoint
 from .trading_env import EnvConfig
 
@@ -93,7 +92,7 @@ def _coerce(key: str, raw: str) -> object:
             return True
         if low in ("0", "false", "off", "no"):
             return False
-        raise ConfigError(f"config key {key}: expected a boolean, got {raw!r}")
+        raise ConfigError(f"config key {key}: expected a boolean, got {raw.strip()!r}")
     if kind is str:
         return raw.strip()
     return kind(raw)
@@ -195,12 +194,14 @@ def _test_range(market: AlignedMarket, settings: dict[str, object]) -> tuple[int
 
 
 def _check_dates(settings: dict[str, object]) -> None:
-    """Refuse a set date that is not YYYY-MM-DD, and a test range that overlaps training's."""
+    """Refuse a set date that is not a YYYY-MM-DD calendar date, and a test range
+    that overlaps training's."""
     keys = ("train_start", "train_end", "test_start", "test_end")
     tr_s, tr_e, te_s, te_e = dates = [str(settings[key]) for key in keys]
     for key, value in zip(keys, dates):
-        if value and not re.fullmatch(_DATE, value):
-            raise ConfigError(f"{key} {value!r} is not YYYY-MM-DD")
+        why = value and date_error(value)
+        if why:
+            raise ConfigError(f"{key} {value!r} {why}")
     if tr_s and tr_e and te_s and te_e:
         if te_s <= tr_e and tr_s <= te_e:
             raise ConfigError(

@@ -2,7 +2,8 @@
 
 CSV schema (one file per asset):
     header ``date,open,high,low,close``, UTF-8, dot decimal separator,
-    ``YYYY-MM-DD`` dates in ASCII digits, so that string order is date order.
+    ``YYYY-MM-DD`` calendar dates in ASCII digits, so that string order is
+    date order.
     A zero or unparseable price cell marks a missing value.
     The header is matched by name, ignoring case and surrounding spaces, and
     columns are then read by position. A file that is not UTF-8 is a
@@ -38,8 +39,9 @@ FEATURES = ("close", "high", "low", "open")
 
 CSV_HEADER = ("date", "open", "high", "low", "close")
 
-# parse_dates matches a block's dates joined by newlines in one pass; checking
-# the joined length too rules out a newline inside one cell.
+# parse_dates matches a block's dates joined by newlines in one pass (checking
+# the joined length too rules out a newline inside one cell), then converts them
+# to datetime64 in one call, which refuses a day or month the calendar lacks.
 _DATE = "[0-9]{4}-[0-9]{2}-[0-9]{2}"
 _DATES = re.compile(f"{_DATE}(?:\n{_DATE})*")
 
@@ -140,19 +142,36 @@ def parse_floats(cells: tuple) -> tuple[np.ndarray, np.ndarray]:
         return values, ok
 
 
+def date_error(text: str) -> str | None:
+    """Why ``text`` is not a YYYY-MM-DD calendar date, or None when it is one."""
+    if not re.fullmatch(_DATE, text):
+        return "is not YYYY-MM-DD"
+    try:
+        np.datetime64(text, "D")
+    except ValueError:
+        return "is not a calendar date"
+    return None
+
+
 def parse_dates(path: Path, cells: tuple) -> list[str]:
-    """The stripped date cells of a block; FormatError names the file and a cell not YYYY-MM-DD."""
+    """The stripped date cells of a block; FormatError names the file and a cell
+    that is not a YYYY-MM-DD calendar date."""
     dates = [(cell or "").strip() for cell in cells]
     joined = "\n".join(dates)
-    if len(joined) != 11 * len(dates) - 1 or not _DATES.fullmatch(joined):
-        bad = next(d for d in dates if not re.fullmatch(_DATE, d))
-        raise FormatError(f"{path}: date {bad!r} is not YYYY-MM-DD")
-    return dates
+    if len(joined) == 11 * len(dates) - 1 and _DATES.fullmatch(joined):
+        try:
+            np.array(dates, dtype="datetime64[D]")
+            return dates
+        except ValueError:
+            pass
+    bad, why = next((d, why) for d in dates if (why := date_error(d)))
+    raise FormatError(f"{path}: date {bad!r} {why}")
 
 
 def load_csv(path: str | Path) -> PriceSeries:
     """Read one asset's OHLC file; the asset id is the file stem. Rows are sorted
-    by date; a date that is not ``YYYY-MM-DD`` or is repeated is an error.
+    by date; a date that is not a ``YYYY-MM-DD`` calendar date or is repeated is
+    an error.
 
     A price cell that is missing, malformed, non-finite or negative reads 0.
     """

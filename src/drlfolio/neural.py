@@ -23,8 +23,8 @@ directions, and the head Dense after it keeps its weight rows in that (H, W, C)
 order in memory.
 
 Patches. A conv keeps its input, channels-last, from the forward to the
-backward, and gathers its patch matrix a few images at a time into one small
-buffer of its own: for the forward, and again for the weight gradient. No conv
+backward and works a few images at a time: it gathers their patch rows into one
+small buffer of its own and runs the ReLU after it on that block. No conv
 holds a batch-sized patch matrix, and none reads another's buffer.
 
 Parameters. A ``Network`` owns one contiguous parameter vector ``flat`` and
@@ -66,8 +66,9 @@ class Conv2D:
     ``(i, j, c)``: kernel row, kernel column, input channel, then a column of
     ones that meets the bias row of the weight matrix. It is never built
     whole: ``_blocks`` gathers it a few images at a time into one buffer the
-    conv owns, once for the forward and again for the weight gradient, from
-    the channels-last input the forward keeps.
+    conv owns, from the channels-last input the forward keeps. In a ``Network``,
+    ``relu`` is the ReLU after the conv (else None), run on each block: the
+    forward clamps and keeps the output in ``relu._out``, the backward masks.
 
     A 1 x k conv can take its last input channel as an action: one value per
     input row, constant along time. ``forward(x, action)`` then reads the
@@ -95,16 +96,16 @@ class Conv2D:
             self.weight = glorot_uniform(rng, (out_channels, in_channels, kh, kw), fan_in, fan_out)
         self.bias = np.zeros(out_channels)
         self._block = np.empty((0, 0))
-        self._x = self._action = None
+        self._x = self._action = self.relu = None
         self.d_weight = np.zeros_like(self.weight)
         self.d_bias = np.zeros_like(self.bias)
 
-    def _blocks(self):
-        """Yield (row slice, patch block) over the patch matrix of the kept input.
+    def _blocks(self, gather: bool = True):
+        """Yield (image slice, row slice, patch block) over the kept input's patch matrix.
 
         A block is the rows of a few whole images, at most GATHER_BYTES of them
-        (at least one image), gathered into the first rows of ``_block``. That
-        buffer only grows, and only up to one block.
+        (at least one image), gathered into the first rows of ``_block`` unless
+        ``gather`` is False (then None). That buffer only grows, up to one block.
         """
         xl, action = self._x, self._action
         n, h, w, c = xl.shape
@@ -127,11 +128,12 @@ class Conv2D:
                             strides=(per * col, wo * col, col, kw * c * _F8, _F8))
         for lo in range(0, n, step):
             hi = min(lo + step, n)
-            blocks[: hi - lo] = patches[lo:hi]
-            cols = self._block[: (hi - lo) * per]
-            if action is not None:
-                cols.reshape(hi - lo, ho, wo, width)[..., k] = action[lo:hi, :, None]
-            yield slice(lo * per, hi * per), cols
+            cols = self._block[: (hi - lo) * per] if gather else None
+            if gather:
+                blocks[: hi - lo] = patches[lo:hi]
+                if action is not None:
+                    cols.reshape(hi - lo, ho, wo, width)[..., k] = action[lo:hi, :, None]
+            yield slice(lo, hi), slice(lo * per, hi * per), cols
 
     def forward(self, x: np.ndarray, action: np.ndarray | None = None) -> np.ndarray:
         # c channels come from x; the rest (none, or the action) from action.
@@ -151,11 +153,17 @@ class Conv2D:
         self._action = None if action is None else np.asarray(action)
         gemm = np.concatenate((self.weight[:, :c].transpose(2, 3, 1, 0).reshape(kh * kw * c, -1),
                                self.weight[:, c:].sum(axis=(2, 3)).T, self.bias[None]))
-        # A row's product reads no other row, so blocks give the bits of one GEMM.
+        # With four or more columns, a row's product does not depend on the rows
+        # beside it, so blocks give the bits of one GEMM.
         out = np.empty((n * ho * wo, self.out_channels))
-        for rows, cols in self._blocks():
-            np.matmul(cols, gemm, out=out[rows])
-        return out.reshape(n, ho, wo, self.out_channels).transpose(0, 3, 1, 2)
+        for _, rows, cols in self._blocks():
+            block = np.matmul(cols, gemm, out=out[rows])
+            if self.relu is not None:  # clamped as ReLU.forward does, while in cache
+                np.maximum(block, 0.0, out=block)
+        out = out.reshape(n, ho, wo, self.out_channels).transpose(0, 3, 1, 2)
+        if self.relu is not None:
+            self.relu._out = out
+        return out
 
     def backward(self, dout: np.ndarray, input_grad: bool = True,
                  param_grads: bool = True) -> np.ndarray | None:
@@ -166,37 +174,42 @@ class Conv2D:
         k = kh * kw * c
         _, _, ho, wo = dout.shape
         dmat = np.ascontiguousarray(dout.transpose(0, 2, 3, 1)).reshape(n * ho * wo, -1)
-        if param_grads:
-            # Summed over the blocks in order; one block is one GEMM. The ones
-            # column makes the last row the bias gradient; an action column's
-            # row is the gradient of each of its taps.
-            dw = None
-            for rows, cols in self._blocks():
-                part = cols.T @ dmat[rows]
+        kept = None if self.relu is None else self.relu._out.transpose(0, 2, 3, 1).reshape(dmat.shape)
+        action = c < self.in_channels
+        taps = [] if action or not input_grad else [(i, j) for i in range(kh) for j in range(kw)]
+        if taps:
+            # The first tap is written as 0.0 + tap, the bits adding it into
+            # zeros gives, and only the part of dx it misses is zeroed.
+            dx = np.empty((n, h, w * c))
+            dx[:, ho:] = 0.0
+            dx[:, :ho, wo * c :] = 0.0
+        # Per block: mask dmat as ReLU.backward does; add the weight-gradient GEMM
+        # (the ones column's row is the bias gradient, an action column's that of
+        # each of its taps); add one GEMM per kernel tap into the block's dx rows.
+        dw = None
+        for images, rows, cols in self._blocks(gather=param_grads):
+            d = dmat[rows]
+            if kept is not None:
+                np.multiply(d, kept[rows] > 0, out=d)
+            if param_grads:
+                part = cols.T @ d
                 dw = part if dw is None else np.add(dw, part, out=dw)
+            for i, j in taps:
+                tap = (d @ self.weight[:, :, i, j]).reshape(-1, ho, wo * c)
+                block = dx[images, i : i + ho, j * c : (j + wo) * c]
+                if i == j == 0:
+                    np.add(tap, 0.0, out=block)
+                else:
+                    block += tap
+        if param_grads:
             self.d_weight[:, :c] = dw[:k].reshape(kh, kw, c, self.out_channels).transpose(3, 2, 0, 1)
             self.d_weight[:, c:] = dw[k:-1].T[:, :, None, None]
             self.d_bias[...] = dw[-1]
         if not input_grad:
             return None
-        if c < self.in_channels:
-            taps = self.weight[:, c:].sum(axis=(2, 3))
-            return (dmat @ taps).reshape(n, h, wo).sum(axis=2)
-        # One GEMM per kernel tap gives that tap's patch gradient as
-        # contiguous (ho, wo*c) rows, added into the (N, H, W*c) rows of dx.
-        # The first tap is written as 0.0 + tap, the bits adding it into
-        # zeros gives, and only the part of dx it misses is zeroed.
-        dx = np.empty((n, h, w * c))
-        dx[:, ho:] = 0.0
-        dx[:, :ho, wo * c :] = 0.0
-        for i in range(kh):
-            for j in range(kw):
-                tap = (dmat @ self.weight[:, :, i, j]).reshape(n, ho, wo * c)
-                rows = dx[:, i : i + ho, j * c : (j + wo) * c]
-                if i == j == 0:
-                    np.add(tap, 0.0, out=rows)
-                else:
-                    rows += tap
+        if action:  # one matrix-vector product: blocks would round its rows differently
+            sums = self.weight[:, c:].sum(axis=(2, 3))
+            return (dmat @ sums).reshape(n, h, wo).sum(axis=2)
         return dx.reshape(n, h, w, c).transpose(0, 3, 1, 2)
 
     def spec(self):
@@ -244,9 +257,9 @@ class ReLU:
     """Rectifier that works in place.
 
     ``forward`` overwrites its input and ``backward`` its upstream gradient,
-    so both must be arrays no one else reads: in a ``Network`` a ReLU
-    follows a Conv2D or Dense layer, whose outputs and input gradients are
-    fresh, and ``Network.backward`` copies the gradient it is handed.
+    so both must be arrays no one else reads: a ``Network`` runs a ReLU after
+    a Dense, whose outputs and input gradients are fresh, and copies the
+    gradient it is handed; a Conv2D runs the ReLU after it itself (``relu``).
     Backward passes the gradient where the kept output is positive, which is
     exactly where the input was.
     """
@@ -336,6 +349,13 @@ class Network:
     def __init__(self, layers: list):
         self.layers = layers
         self._head = _head_channels(layers)
+        # The layers forward and backward call: a conv runs the ReLU after it.
+        self._steps = []
+        for before, layer in zip([None, *layers], layers):
+            if isinstance(before, Conv2D) and isinstance(layer, ReLU):
+                before.relu = layer
+            else:
+                self._steps.append(layer)
         owned = [(layer, name) for layer in layers for name in layer.param_names]
         initial = [getattr(layer, name) for layer, name in owned]
         size = sum(value.size for value in initial)
@@ -352,7 +372,7 @@ class Network:
     def forward(self, x: np.ndarray, action: np.ndarray | None = None) -> np.ndarray:
         """Output for a batch of inputs; ``action`` goes to the first layer, a 1 x k conv."""
         out = np.asarray(x, dtype=np.float64)
-        first, *rest = self.layers
+        first, *rest = self._steps
         out = first.forward(out) if action is None else first.forward(out, action)
         for layer in rest:
             out = layer.forward(out)
@@ -369,8 +389,8 @@ class Network:
         returns None; ``param_grads=False`` leaves ``grad`` untouched.
         """
         grad = np.array(dout, dtype=np.float64)  # layers may overwrite it
-        for k in reversed(range(len(self.layers))):
-            grad = self.layers[k].backward(grad, input_grad=input_grad or k > 0,
+        for k in reversed(range(len(self._steps))):
+            grad = self._steps[k].backward(grad, input_grad=input_grad or k > 0,
                                            param_grads=param_grads)
         return grad
 

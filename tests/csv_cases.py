@@ -18,10 +18,10 @@ PRICE_HEADERS = ("date,open,high,low,close", "Date,Open,High,Low,Close",
 FACTOR_HEADERS = ("date,asset,ep_ratio,turnover", "Date,Asset,EP_Ratio,Turnover",
                   " date , asset,ep_ratio , turnover")
 # Date cells load_csv and load_factor_csv refuse: only YYYY-MM-DD in ASCII
-# digits sorts by date.
+# digits sorts by date, and the day must be on the calendar.
 # A trailing NUL makes a distinct string, which numpy's fixed-width strings would drop.
 BAD_DATES = ("", "2020-01-09\x00", "1/9/2020", "1/10/2020", "20200109", "2020-1-09",
-             "2020-01-09T00:00", "\u0662\u0660\u0662\u0660-01-09")
+             "2020-01-09T00:00", "\u0662\u0660\u0662\u0660-01-09", "2019-02-29", "2020-13-01")
 # Headers both loaders refuse: a blank first line, a missing, extra or moved column.
 BAD_HEADERS = ("", "date,open,high,low", "date,open,high,low,close,volume",
                "date,close,high,low,open", "date,asset,ep_ratio", "asset,date,ep_ratio,turnover")

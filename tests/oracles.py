@@ -6,6 +6,7 @@ code paths it checks.
 """
 
 import csv
+import datetime
 import re
 from pathlib import Path
 
@@ -295,6 +296,16 @@ def _price_cell(cell):
     return value
 
 
+def check_date(path, text):
+    """FormatError unless ``text`` is YYYY-MM-DD and a day ``datetime.date`` takes."""
+    if not re.fullmatch(DATE, text):
+        raise FormatError(f"{path}: date {text!r} is not YYYY-MM-DD")
+    try:
+        datetime.date(*map(int, text.split("-")))
+    except ValueError:
+        raise FormatError(f"{path}: date {text!r} is not a calendar date") from None
+
+
 def load_csv_by_rows(path, asset_id=None):
     """``load_csv`` one dict per row: parse each cell, check each date, sort the rows,
     scan for duplicates."""
@@ -308,8 +319,7 @@ def load_csv_by_rows(path, asset_id=None):
     if not rows:
         raise FormatError(f"{path}: no data rows")
     for row in rows:
-        if not re.fullmatch(DATE, row[0]):
-            raise FormatError(f"{path}: date {row[0]!r} is not YYYY-MM-DD")
+        check_date(path, row[0])
     rows.sort(key=lambda r: r[0])
     for a, b in zip(rows, rows[1:]):
         if a[0] == b[0]:
@@ -330,8 +340,7 @@ def load_factor_csv_by_rows(path, market):
     with Path(path).open("r", encoding="utf-8", newline="") as fh:
         for row in _dict_rows(fh, path, ("date", "asset", "ep_ratio", "turnover")):
             date = (row["date"] or "").strip()
-            if not re.fullmatch(DATE, date):
-                raise FormatError(f"{path}: date {date!r} is not YYYY-MM-DD")
+            check_date(path, date)
             i = asset_pos.get((row["asset"] or "").strip())
             j = date_pos.get(date)
             if i is None or j is None:

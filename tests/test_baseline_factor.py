@@ -186,6 +186,15 @@ class TestFactorCsv:
         loaded = load_factor_csv(path, market)
         assert loaded.ep_ratio[1, 1] == 0.25 and loaded.turnover[1, 1] == 0.5
 
+    def test_impossible_calendar_date_is_format_error(self, tmp_path):
+        market, _ = ranked_factor_universe(n_long=2, n_short=2, n_days=10)
+        path = tmp_path / "factors.csv"
+        path.write_text(f"date,asset,ep_ratio,turnover\n{market.dates[0]},stock00,0.5,0.1\n"
+                        "2015-02-30,stock00,0.5,0.1\n")
+        with pytest.raises(FormatError) as info:
+            load_factor_csv(path, market)
+        assert str(info.value) == f"{path}: date '2015-02-30' is not a calendar date"
+
     def test_non_utf8_file_is_format_error(self, tmp_path):
         market, _ = ranked_factor_universe(n_long=2, n_short=2, n_days=10)
         path = tmp_path / "factors.csv"

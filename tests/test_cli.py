@@ -541,6 +541,28 @@ class TestBacktest:
             f"config error: {key} {value!r} is not YYYY-MM-DD"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [("test_end", "2015-02-30"),
+                                            ("train_start", "2015-13-45"),
+                                            ("train_end", "2015-02-29")])
+    def test_impossible_calendar_date_is_config_error(self, market_dir, tmp_path, capsys, key,
+                                                      value):
+        d, market = market_dir
+        ckpt = fully_invested_checkpoint(tmp_path / "ckpt.json", market)
+        out = tmp_path / "bt"
+        flag = "--" + key.replace("_", "-")
+        code = run(["backtest", ckpt, "--market-dir", d, "--out", out,
+                    "--test-start", market.dates[40], "--test-end", market.dates[90], flag, value])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {key} {value!r} is not a calendar date"]
+        assert not out.exists()
+
+    def test_leap_day_is_a_date(self, market_dir, tmp_path):
+        d, market = market_dir
+        ckpt = fully_invested_checkpoint(tmp_path / "ckpt.json", market)
+        assert run(["backtest", ckpt, "--market-dir", d, "--out", tmp_path / "bt",
+                    "--test-start", market.dates[40], "--test-end", "2016-02-29"]) == EXIT_OK
+
     def test_one_day_test_range_is_config_error(self, market_dir, tmp_path, capsys):
         d, market = market_dir
         ckpt = fully_invested_checkpoint(tmp_path / "ckpt.json", market)
@@ -873,6 +895,14 @@ class TestCliSurface:
         cfg.write_text("total_steps = 5\ncheckpoint_every = 3\ntrain_start = 1990-01-01\n"
                        "seed = 4\nepisode_len = 10\nout = unused\n")
         assert run(["ingest", d, "--config", cfg, "--benchmark", "bench"]) == EXIT_OK
+
+    def test_bad_boolean_quotes_the_value_it_tested(self, market_dir, tmp_path, capsys):
+        d, _ = market_dir
+        cfg = tmp_path / "maybe.cfg"
+        cfg.write_text("arbitrage = maybe\n")
+        assert run(["ingest", d, "--config", cfg, "--benchmark", "bench"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {cfg}:1: config key arbitrage: expected a boolean, got 'maybe'"]
 
     def test_train_default_settings(self, capsys):
         args = build_parser().parse_args(["train"])

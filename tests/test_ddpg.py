@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,7 +29,7 @@ from drlfolio.neural import (
     minmax_action_batch,
     save_checkpoint,
 )
-from drlfolio.synthetic import drift_market
+from drlfolio.synthetic import drift_market, write_market_csvs
 from drlfolio.trading_env import EnvConfig, TradingEnv
 from oracles import (
     ReplayByTransitions,
@@ -607,3 +611,25 @@ class TestGreedyPolicy:
             served.append(expected)
         # The same days of the two markets call for different weights.
         assert np.max(np.abs(served[0] - served[1])) > 1e-3
+
+
+def test_same_checkpoint_bytes_on_one_and_two_blas_threads(tmp_path):
+    """Fixed-seed training at 11 assets x window 50, a few updates past the
+    64-step replay fill, writes the same checkpoint bytes on one and two
+    OpenBLAS threads: each conv's per-block GEMMs round alike however BLAS
+    splits them. The thread count is set for the child processes only."""
+    market = drift_market(200, [0.0004 * k - 0.002 for k in range(11)], sigma=0.02, seed=19)
+    write_market_csvs(market, tmp_path / "market")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": str(threads)}
+        result = subprocess.run(
+            [sys.executable, "-m", "drlfolio.cli", "train", str(tmp_path / "market"),
+             "--out", str(out), "--window", "50", "--episode-len", "60", "--total-steps", "70",
+             "--seed", "3", "--benchmark", market.asset_ids[-1]],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        outputs.append((out / "checkpoint.json").read_bytes())
+    assert outputs[0] == outputs[1]

@@ -116,6 +116,19 @@ class TestLoadCsv:
             load_csv(p)
         assert repr(cell.strip('"')) in str(info.value)
 
+    @pytest.mark.parametrize("cell", ["2015-02-30", "2015-13-45", "2015-02-29", "2015-04-31",
+                                      "2015-00-10", "2015-01-00"])
+    def test_date_must_be_on_the_calendar(self, tmp_path, cell):
+        p = write_csv(tmp_path / "a.csv", ["2015-01-02,1,2,0.5,1.5", f"{cell},1,2,0.5,1.5"])
+        with pytest.raises(FormatError) as info:
+            load_csv(p)
+        assert str(info.value) == f"{p}: date {cell!r} is not a calendar date"
+
+    def test_leap_day_loads(self, tmp_path):
+        p = write_csv(tmp_path / "a.csv", ["2016-03-01,1,2,0.5,1.5", "2016-02-29,1,2,0.5,1.5",
+                                           "2016-02-28,1,2,0.5,1.5"])
+        assert load_csv(p).dates == ("2016-02-28", "2016-02-29", "2016-03-01")
+
     def test_bad_date_named_in_a_later_block(self, tmp_path):
         rows = [f"2020-01-{d:02d},1,2,0.5,1.5" for d in range(1, 29)] + ["2020/01/29,1,2,0.5,1.5"]
         p = write_csv(tmp_path / "a.csv", rows)

@@ -485,6 +485,88 @@ class TestPatchSharing:
         assert not np.array_equal(conv.forward(x), first)
 
 
+def unattached(net):
+    """Copies of ``net``'s layers and parameters outside any Network, so no conv runs a ReLU."""
+    layers = [type(layer)(**{k: v for k, v in layer.spec().items() if k != "kind"})
+              for layer in net.layers]
+    for copy, layer in zip(layers, net.layers):
+        for name in layer.param_names:
+            getattr(copy, name)[...] = getattr(layer, name)
+    return layers
+
+
+def one_at_a_time(layers, x, action, dout, input_grad, param_grads):
+    """Output, input (or action) gradient and parameter gradients of ``layers``
+    called one by one, each ReLU through its own forward and backward."""
+    out = layers[0].forward(x) if action is None else layers[0].forward(x, action)
+    for layer in layers[1:]:
+        out = layer.forward(out)
+    grad = dout.copy()
+    for k in reversed(range(len(layers))):
+        grad = layers[k].backward(grad, input_grad=input_grad or k > 0, param_grads=param_grads)
+    grads = [getattr(layer, "d_" + name) for layer in layers for name in layer.param_names]
+    return out, grad, grads
+
+
+MODES = {"input": (True, False), "params": (False, True), "both": (True, True)}
+
+
+class TestConvReluFusion:
+    """A Network runs the ReLU after a conv inside that conv's block loops and
+    gets the bits of the conv alone followed by ReLU.forward and ReLU.backward."""
+
+    def check(self, net, x, action, dout, mode):
+        input_grad, param_grads = MODES[mode]
+        layers = unattached(net)
+        assert all(getattr(layer, "relu", None) is None for layer in layers)
+        expected = one_at_a_time(layers, x, action, dout, input_grad, param_grads)
+        out = net.forward(x, action)
+        grad = net.backward(dout, input_grad=input_grad, param_grads=param_grads)
+        assert out.tobytes() == expected[0].tobytes()
+        assert (grad is None) == (expected[1] is None)
+        if grad is not None:
+            assert grad.tobytes() == expected[1].tobytes()
+        for got, want in zip(net.grads(), expected[2], strict=True):
+            assert got.tobytes() == want.tobytes()
+        kept = [layer._out for layer in net.layers if isinstance(layer, ReLU)]
+        for got, want in zip(kept, [c._out for c in layers if isinstance(c, ReLU)], strict=True):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("gather_bytes", [1, 1 << 40], ids=["image", "batch"])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("with_action", [False, True], ids=["price", "action"])
+    def test_conv_then_relu(self, rng, monkeypatch, gather_bytes, mode, with_action):
+        """A dout holding +0.0 and -0.0, and a channel whose output is exactly 0."""
+        monkeypatch.setattr(Conv2D, "GATHER_BYTES", gather_bytes)
+        net = Network([Conv2D(5 if with_action else 4, 6, 1, 3, rng), ReLU()])
+        conv = net.layers[0]
+        assert conv.relu is net.layers[1]
+        conv.bias[...] = rng.standard_normal(6)
+        conv.weight[2], conv.bias[2] = 0.0, 0.0
+        x = rng.standard_normal((7, 4, 5, 12))
+        action = rng.uniform(-1, 1, (7, 5)) if with_action else None
+        dout = rng.standard_normal((7, 6, 5, 10))
+        dout[:, :, :, ::4] = 0.0
+        dout[:, :, :, 1::4] = -0.0
+        self.check(net, x, action, dout, mode)
+        assert np.all(net.layers[1]._out[:, 2] == 0.0)
+
+    @pytest.mark.parametrize("gather_bytes", [1, 1 << 40], ids=["image", "batch"])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("critic", [False, True], ids=["actor", "critic"])
+    def test_trading_networks(self, rng, monkeypatch, gather_bytes, mode, critic):
+        """Both convs of the actor and critic, fed by each other's gradients."""
+        monkeypatch.setattr(Conv2D, "GATHER_BYTES", gather_bytes)
+        net = (build_critic if critic else build_actor)(3, 9, rng)
+        for conv in net.layers[:3:2]:
+            conv.bias[...] = rng.standard_normal(16) * 0.1
+            conv.weight[5], conv.bias[5] = 0.0, 0.0
+        x = rng.standard_normal((6, 4, 3, 9))
+        action = rng.uniform(-1, 1, (6, 3)) if critic else None
+        dout = rng.standard_normal((6, 1 if critic else 4))
+        self.check(net, x, action, dout, mode)
+
+
 class TestExactRewrites:
     """Rewrites that must keep the bits of the code they replaced."""
 
