@@ -558,7 +558,7 @@ class TestConvReluFusion:
         """Both convs of the actor and critic, fed by each other's gradients."""
         monkeypatch.setattr(Conv2D, "GATHER_BYTES", gather_bytes)
         net = (build_critic if critic else build_actor)(3, 9, rng)
-        for conv in net.layers[:3:2]:
+        for conv in (layer for layer in net.layers if isinstance(layer, Conv2D)):
             conv.bias[...] = rng.standard_normal(16) * 0.1
             conv.weight[5], conv.bias[5] = 0.0, 0.0
         x = rng.standard_normal((6, 4, 3, 9))
