@@ -8,7 +8,6 @@ sqrt(252), the risk-free rate is zero, standard deviations are population
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .ddpg import TrainLog
-from .market_data import AlignedMarket, price_block, relative_prices
+from .market_data import AlignedMarket, price_block, relative_prices, write_csv
 from .portfolio_math import initial_weights
 from .trading_env import EnvConfig, check_leverage, check_run, settle
 
@@ -177,27 +176,12 @@ def write_report(report: BacktestReport, out_dir: str | Path) -> dict[str, Optio
         json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
 
-    with (out / "series.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["day", "date", "value", "cost", "log_return", "simple_return"])
-        for k, day in enumerate(report.day_indices):
-            writer.writerow([
-                day, report.dates[k], repr(float(report.values[k + 1])),
-                repr(float(report.costs[k])), repr(float(report.log_returns[k])),
-                repr(float(report.simple_returns[k])),
-            ])
-
-    with (out / "weights.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["day", "date", "cash", *report.asset_ids])
-        for k, day in enumerate(report.day_indices):
-            writer.writerow([day, report.dates[k],
-                             *(repr(float(w)) for w in report.weights[k])])
-
-    with (out / "plot.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "value"])
-        for k, v in enumerate(report.values):
-            writer.writerow([k, repr(float(v))])
+    days, dates = report.day_indices, report.dates
+    write_csv(out / "series.csv", ("day", "date", "value", "cost", "log_return", "simple_return"),
+              zip(days, dates, report.values[1:], report.costs, report.log_returns,
+                  report.simple_returns))
+    write_csv(out / "weights.csv", ("day", "date", "cash", *report.asset_ids),
+              ((day, date, *w) for day, date, w in zip(days, dates, report.weights.tolist())))
+    write_csv(out / "plot.csv", ("step", "value"), enumerate(report.values.tolist()))
 
     return metrics

@@ -8,7 +8,6 @@ file values, and every effective setting is printed at startup. Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -27,7 +26,7 @@ from .errors import (
     InsufficientUniverseError,
     WindowError,
 )
-from .market_data import AlignedMarket, PriceSeries, align, date_error, load_csv
+from .market_data import AlignedMarket, PriceSeries, align, date_error, load_csv, write_csv
 from .neural import load_checkpoint, save_checkpoint
 from .trading_env import EnvConfig
 
@@ -143,7 +142,8 @@ def _required(settings: dict[str, object], key: str, source: str = "positional a
 
 
 def _read_series(settings: dict[str, object], only: list[str] | None = None) -> list[PriceSeries]:
-    """Parse the market directory's CSV files in name order; with ``only``, just those assets'."""
+    """Parse the market directory's CSV files in name order; with ``only``, just those
+    assets', in the order of ``only``."""
     market_dir = _required(settings, "market_dir", "positional argument, --market-dir")
     root = Path(market_dir)
     if not root.is_dir():
@@ -157,13 +157,12 @@ def _read_series(settings: dict[str, object], only: list[str] | None = None) -> 
 
 
 def _select(items: list, assets: list[str], name) -> list:
-    """The items whose ``name`` is one of ``assets``, in their order; none may be missing."""
-    wanted = set(assets)
-    kept = [item for item in items if name(item) in wanted]
-    missing = wanted - {name(item) for item in kept}
+    """The item named by each of ``assets``, in the order of ``assets``; none may be missing."""
+    by_name = {name(item): item for item in items}
+    missing = set(assets) - by_name.keys()
     if missing:
         raise FormatError(f"missing price files for assets: {sorted(missing)}")
-    return kept
+    return [by_name[asset] for asset in assets]
 
 
 def _align(series: list[PriceSeries], benchmark: str) -> AlignedMarket:
@@ -359,14 +358,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     columns = ("log_daily_return", "log_annual_sharpe", "log_annual_sortino", "mdd")
     path = out / "comparison.csv"
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "strategy", *columns])
-        for strategy, metrics in (("drl", drl_metrics), ("multi_factor", factor_metrics)):
-            writer.writerow([
-                settings["group"], strategy,
-                *("" if metrics[c] is None else repr(metrics[c]) for c in columns),
-            ])
+    write_csv(path, ("group", "strategy", *columns),
+              ((settings["group"], strategy, *(metrics[c] for c in columns))
+               for strategy, metrics in (("drl", drl_metrics), ("multi_factor", factor_metrics))))
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -10,13 +10,13 @@ weights; each has one ``Adam``, whose step also soft-updates its target.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, FormatError
+from . import market_data
 from .market_data import AlignedMarket
 from .neural import (
     Network,
@@ -201,12 +201,8 @@ class TrainLog:
     records: list[EpisodeRecord] = field(default_factory=list)
 
     def write_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["episode", "step", "mean_daily_return", "final_value", "mean_cost"])
-            for r in self.records:
-                writer.writerow([r.episode, r.start_step, repr(r.mean_daily_return),
-                                 repr(r.final_value), repr(r.mean_cost)])
+        market_data.write_csv(path, ("episode", "step", "mean_daily_return", "final_value",
+                                     "mean_cost"), map(astuple, self.records))
 
 
 class DDPG:
@@ -314,6 +310,8 @@ def check_checkpoint(actor: Network, critic: Network, meta: dict) -> None:
 
     The meta must hold ``assets``, ``benchmark`` and ``window``, and the actor
     must map one (4, len(assets), window) price block to len(assets) + 1 logits.
+    ``assets`` must name each asset once, as a string, and end with the
+    benchmark: the order the actor was trained on.
     """
     for name, net in (("actor", actor), ("critic", critic)):
         if not np.all(np.isfinite(net.flat)):
@@ -328,6 +326,14 @@ def check_checkpoint(actor: Network, critic: Network, meta: dict) -> None:
         raise FormatError(f"checkpoint actor does not fit its meta: {exc}") from exc
     if out.shape != (1, m + 1):
         raise FormatError(f"checkpoint actor gives {out.shape[1]} weights for {m} assets")
+    assets = list(meta["assets"])
+    for k, asset in enumerate(assets):
+        if not isinstance(asset, str):
+            raise FormatError(f"checkpoint meta asset {asset!r} is not a name")
+        if asset in assets[:k]:
+            raise FormatError(f"checkpoint meta lists asset {asset!r} twice")
+    if meta["benchmark"] != assets[-1]:
+        raise FormatError(f"checkpoint meta benchmark {meta['benchmark']!r} is not its last asset")
 
 
 def train(

@@ -10,6 +10,9 @@ CSV schema (one file per asset):
     FormatError. ``read_columns`` reads the file in blocks of ``CSV_BLOCK``
     rows, so its working memory does not grow with the file.
 
+Every CSV file the package writes goes through ``write_csv``, which writes a
+float as its ``repr`` so that it reads back bit for bit.
+
 After alignment the date axis is an opaque ordinal index; positions are what
 the rest of the package works with.
 
@@ -25,7 +28,7 @@ from __future__ import annotations
 import csv
 import re
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import islice, zip_longest
 from pathlib import Path
@@ -116,6 +119,19 @@ def read_columns(path: Path, header: tuple[str, ...]) -> Iterator[list[tuple]]:
                 yield cols + [(None,) * len(block)] * (width - len(cols))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise FormatError(f"{path}: {exc}") from exc
+
+
+def write_csv(path: str | Path, header: Iterable, rows: Iterable[Iterable]) -> None:
+    """Write ``header`` and ``rows`` to ``path`` as UTF-8 CSV in the default dialect.
+
+    A float cell (numpy's float64 too) is written as ``repr(float(v))``, a None
+    cell as an empty cell, and any other cell with ``str``.
+    """
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        # csv writes a cell with str, which for a Python float is its repr.
+        writer.writerows([float(v) if isinstance(v, float) else v for v in row] for row in rows)
 
 
 def parse_floats(cells: tuple) -> tuple[np.ndarray, np.ndarray]:

@@ -551,7 +551,7 @@ def _net_from_payload(payload: dict, name: str) -> Network:
                 raise FormatError(f"parameter shape {arr.shape} != expected {target.shape}")
             arrays.append(arr)
         net.load_stored(arrays)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, MemoryError) as exc:
         raise FormatError(f"malformed {name} network in checkpoint: {exc}") from exc
     return net
 

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
 
-from .baseline_factor import FactorPanel
-from .market_data import AlignedMarket
+from .baseline_factor import FACTOR_HEADER, FactorPanel
+from .market_data import CSV_HEADER, AlignedMarket, write_csv
 
 
 def trading_dates(n_days: int, start: str = "2015-01-01") -> tuple[str, ...]:
@@ -63,12 +62,9 @@ def write_market_csvs(market: AlignedMarket, out_dir: str | Path) -> list[Path]:
     paths = []
     for i, asset in enumerate(market.asset_ids):
         path = out / f"{asset}.csv"
-        with path.open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["date", "open", "high", "low", "close"])
-            for j, d in enumerate(market.dates):
-                writer.writerow([d, repr(float(market.open[i, j])), repr(float(market.high[i, j])),
-                                 repr(float(market.low[i, j])), repr(float(market.close[i, j]))])
+        write_csv(path, CSV_HEADER, zip(market.dates, market.open[i].tolist(),
+                                        market.high[i].tolist(), market.low[i].tolist(),
+                                        market.close[i].tolist()))
         paths.append(path)
     return paths
 
@@ -102,12 +98,7 @@ def ranked_factor_universe(
 
 def write_factor_csv(panel: FactorPanel, path: str | Path) -> Path:
     path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "asset", "ep_ratio", "turnover"])
-        for i, asset in enumerate(panel.asset_ids):
-            for j, d in enumerate(panel.dates):
-                if np.isfinite(panel.ep_ratio[i, j]) and np.isfinite(panel.turnover[i, j]):
-                    writer.writerow([d, asset, repr(float(panel.ep_ratio[i, j])),
-                                     repr(float(panel.turnover[i, j]))])
+    rows = np.argwhere(np.isfinite(panel.ep_ratio) & np.isfinite(panel.turnover)).tolist()
+    write_csv(path, FACTOR_HEADER, ((panel.dates[j], panel.asset_ids[i], panel.ep_ratio[i, j],
+                                     panel.turnover[i, j]) for i, j in rows))
     return path

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -259,3 +260,19 @@ class TestWriteReport:
         weights = (tmp_path / "weights.csv").read_text().splitlines()
         assert weights[0] == "day,date,cash,a,bench"
         assert metrics["mdd"] == 0.0
+
+    def test_csv_text(self, tmp_path):
+        report = dataclasses.replace(report_from_values([1.0, 0.5, 0.25]),
+                                     weights=np.array([[0.0, 1.0, 0.0], [1 / 3, 2 / 3, 0.0]]))
+        write_report(report, tmp_path)
+        expected = {
+            "series.csv": ["day,date,value,cost,log_return,simple_return",
+                           "1,d1,0.5,0.0,-0.6931471805599453,-0.5",
+                           "2,d2,0.25,0.0,-0.6931471805599453,-0.5"],
+            "weights.csv": ["day,date,cash,a,bench",
+                            "1,d1,0.0,1.0,0.0",
+                            "2,d2,0.3333333333333333,0.6666666666666666,0.0"],
+            "plot.csv": ["step,value", "0,1.0", "1,0.5", "2,0.25"],
+        }
+        for name, lines in expected.items():
+            assert (tmp_path / name).read_bytes() == "".join(f"{line}\r\n" for line in lines).encode()

@@ -167,6 +167,24 @@ class TestFactorCsv:
         assert np.allclose(loaded.turnover[:-1], panel.turnover[:-1], atol=1e-15)
         assert np.all(np.isnan(loaded.ep_ratio[-1]))
 
+    def test_text_and_read_back(self, tmp_path):
+        """A row is written where both factors are finite, each float as its repr."""
+        market = drift_market(3, [0.0, 0.0, 0.0], asset_ids=["a", "b", "bench"])
+        nan = np.nan
+        ep = np.array([[0.5, 1 / 3, nan], [2.0, nan, 0.1 + 0.2], [nan, nan, nan]])
+        turnover = np.array([[0.1, 1e-05, 0.25], [nan, 0.75, 3.0], [nan, nan, nan]])
+        path = write_factor_csv(FactorPanel(market.asset_ids, market.dates, ep, turnover),
+                                tmp_path / "factors.csv")
+        lines = ["date,asset,ep_ratio,turnover",
+                 "2015-01-01,a,0.5,0.1",
+                 "2015-01-02,a,0.3333333333333333,1e-05",
+                 "2015-01-03,b,0.30000000000000004,3.0"]
+        assert path.read_bytes() == "".join(f"{line}\r\n" for line in lines).encode()
+        loaded = load_factor_csv(path, market)
+        written = np.isfinite(ep) & np.isfinite(turnover)
+        np.testing.assert_array_equal(loaded.ep_ratio, np.where(written, ep, nan))
+        np.testing.assert_array_equal(loaded.turnover, np.where(written, turnover, nan))
+
     def test_unknown_assets_ignored(self, tmp_path):
         market, panel = ranked_factor_universe(n_long=2, n_short=2, n_days=10)
         path = tmp_path / "factors.csv"

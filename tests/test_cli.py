@@ -15,7 +15,8 @@ from drlfolio.cli import (
     main,
 )
 from drlfolio import cli
-from drlfolio.analytics import run_backtest, write_report
+from drlfolio.analytics import metric_suite, run_backtest, write_report
+from drlfolio.baseline_factor import FactorPanel
 from drlfolio.ddpg import TrainConfig, checkpoint_meta, greedy_policy, train
 from drlfolio.market_data import align, load_csv
 from drlfolio.neural import build_actor, build_critic, load_checkpoint, save_checkpoint
@@ -496,6 +497,71 @@ class TestBacktest:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("change, message", [
+        (lambda p: p["meta"].update(assets=["alpha", "alpha", "bench"]),
+         "checkpoint meta lists asset 'alpha' twice"),
+        (lambda p: p["meta"].update(assets=["alpha", "bench", "beta"]),
+         "checkpoint meta benchmark 'bench' is not its last asset"),
+        (lambda p: p["meta"].update(assets=[["alpha"], "beta", "bench"]),
+         "checkpoint meta asset ['alpha'] is not a name"),
+    ], ids=["repeated-asset", "benchmark-not-last", "asset-not-a-string"])
+    def test_bad_meta_assets_is_data_error(self, market_dir, tmp_path, capsys,
+                                            change, message):
+        d, market = market_dir
+        ckpt = fully_invested_checkpoint(tmp_path / "ckpt.json", market)
+        payload = json.loads(ckpt.read_text())
+        change(payload)
+        ckpt.write_text(json.dumps(payload))
+        code = run(["backtest", ckpt, "--market-dir", d, "--out", tmp_path / "bt",
+                    "--test-start", market.dates[40], "--test-end", market.dates[90]])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.splitlines() == [f"data error: {message}"]
+
+    def test_unallocatable_layer_is_data_error(self, market_dir, tmp_path, capsys):
+        """numpy refuses a 71 PiB weight matrix at once, allocating nothing."""
+        d, market = market_dir
+        ckpt = fully_invested_checkpoint(tmp_path / "ckpt.json", market)
+        payload = json.loads(ckpt.read_text())
+        payload["actor"]["spec"][-1].update(in_dim=10**8, out_dim=10**8)
+        ckpt.write_text(json.dumps(payload))
+        code = run(["backtest", ckpt, "--market-dir", d, "--out", tmp_path / "bt",
+                    "--test-start", market.dates[40], "--test-end", market.dates[90]])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("data error: malformed actor network in checkpoint: Unable to allocate")
+
+    def test_actor_sees_the_checkpoints_asset_order(self, tmp_path):
+        """A library-trained checkpoint lists its assets out of file-name order; backtest and
+        compare feed them to the actor in that order."""
+        market = drift_market(120, [0.002, -0.001, 0.0], sigma=0.02, seed=5,
+                              asset_ids=["zeta", "alpha", "bench"])
+        d = tmp_path / "market"
+        write_market_csvs(market, d)
+        env_config = EnvConfig(window=6, episode_len=10)
+        train_config = TrainConfig(batch_size=8, total_steps=20, seed=3)
+        actor, critic, _ = train(market, env_config, train_config)
+        ckpt = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, actor, critic, checkpoint_meta(market, env_config, train_config))
+        dates = ["--test-start", market.dates[40], "--test-end", market.dates[90]]
+
+        assert run(["backtest", ckpt, "--market-dir", d, "--out", tmp_path / "bt", *dates]) == EXIT_OK
+        expected = run_backtest(greedy_policy(actor), market,
+                                EnvConfig(window=6, episode_len=50), 39, 90)
+        write_report(expected, tmp_path / "expected")
+        for name in REPORT_FILES:
+            assert (tmp_path / "bt" / name).read_bytes() == (tmp_path / "expected" / name).read_bytes()
+
+        ranks = np.array([[1.0], [0.5], [np.nan]]).repeat(len(market), axis=1)
+        factor_csv = write_factor_csv(FactorPanel(market.asset_ids, market.dates, ranks, ranks),
+                                      tmp_path / "factors.csv")
+        assert run(["compare", ckpt, factor_csv, "--market-dir", d, "--out", tmp_path / "cmp",
+                    "--long-n", "1", "--short-n", "1", *dates]) == EXIT_OK
+        drl = (tmp_path / "cmp" / "comparison.csv").read_text().splitlines()[1].split(",")
+        metrics = metric_suite(expected)
+        assert drl[2] == repr(metrics["log_daily_return"])
+        assert drl[5] == repr(metrics["mdd"])
+
     @pytest.mark.parametrize("network", [0, 1], ids=["actor", "critic"])
     def test_non_finite_checkpoint_is_data_error(self, market_dir, tmp_path, capsys, network):
         d, market = market_dir
@@ -624,6 +690,29 @@ class TestCompare:
         assert factor[1] == "multi_factor"
         # Ranked universe: the factor book earns one percent per day.
         assert float(factor[2]) == pytest.approx(0.01, abs=1e-12)
+
+    def test_csv_text(self, tmp_path, monkeypatch):
+        """Hand-set metrics, in the order compare computes them; None is an empty cell."""
+        market, panel = ranked_factor_universe(n_long=3, n_short=3, n_days=120)
+        d = tmp_path / "universe"
+        write_market_csvs(market, d)
+        factor_csv = write_factor_csv(panel, tmp_path / "factors.csv")
+        ckpt = fully_invested_checkpoint(tmp_path / "ckpt.json", market, window=6)
+        metrics = iter([
+            {"log_daily_return": 0.001, "log_annual_sharpe": None,
+             "log_annual_sortino": 1 / 3, "mdd": 0.0},
+            {"log_daily_return": np.float64(0.01), "log_annual_sharpe": 2.5,
+             "log_annual_sortino": None, "mdd": 0.125},
+        ])
+        monkeypatch.setattr(cli, "metric_suite", lambda report: next(metrics))
+        out = tmp_path / "cmp"
+        assert run(["compare", ckpt, factor_csv, "--market-dir", d, "--out", out,
+                    "--long-n", "3", "--short-n", "3", "--group", "g1",
+                    "--test-start", market.dates[40], "--test-end", market.dates[100]]) == EXIT_OK
+        lines = ["group,strategy,log_daily_return,log_annual_sharpe,log_annual_sortino,mdd",
+                 "g1,drl,0.001,,0.3333333333333333,0.0",
+                 "g1,multi_factor,0.01,2.5,,0.125"]
+        assert (out / "comparison.csv").read_bytes() == "".join(f"{line}\r\n" for line in lines).encode()
 
     def test_benchmark_comes_from_the_checkpoint(self, tmp_path, capsys):
         """The universe is aligned on the checkpoint's benchmark, which is not the

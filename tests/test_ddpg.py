@@ -14,8 +14,10 @@ from drlfolio.ddpg import (
     DDPG,
     GREEDY_BLOCK,
     Adam,
+    EpisodeRecord,
     ReplayBuffer,
     TrainConfig,
+    TrainLog,
     explore_action,
     greedy_policy,
     train,
@@ -575,6 +577,16 @@ class TestTrain:
         state = env.start_at(10, 5)
         tr = env.step(policy(state.obs[None])[0])
         assert np.isfinite(tr.reward)
+
+
+def test_train_log_text(tmp_path):
+    log = TrainLog([EpisodeRecord(0, 0, -0.001, 0.95, 0.0025),
+                    EpisodeRecord(1, 252, 1 / 3, np.float64(2.0), 1e-05)])
+    log.write_csv(tmp_path / "trainlog.csv")
+    lines = ["episode,step,mean_daily_return,final_value,mean_cost",
+             "0,0,-0.001,0.95,0.0025",
+             "1,252,0.3333333333333333,2.0,1e-05"]
+    assert (tmp_path / "trainlog.csv").read_bytes() == "".join(f"{line}\r\n" for line in lines).encode()
 
 
 class TestGreedyPolicy:

@@ -46,3 +46,22 @@ def test_package_modules_use_every_import():
     files = sorted(path for path in ROOT.glob("src/drlfolio/*.py") if path.name != "__init__.py")
     assert len(files) > 5
     assert unused_in(files, exempt=(("src/drlfolio/ddpg.py", "minmax_action"),)) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules that ``source`` imports."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module.split(".")[0])
+    return modules
+
+
+def test_only_market_data_writes_csv():
+    # One module knows the CSV format, so every written file reads back the same way.
+    files = sorted(ROOT.glob("src/drlfolio/*.py"))
+    assert len(files) > 5
+    importers = [path.stem for path in files if "csv" in imported_modules(path.read_text(encoding="utf-8"))]
+    assert importers == ["market_data"]

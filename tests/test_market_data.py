@@ -17,7 +17,7 @@ from drlfolio.market_data import (
     price_tensor,
     relative_prices,
 )
-from drlfolio.synthetic import drift_market, market_from_closes
+from drlfolio.synthetic import drift_market, market_from_closes, write_market_csvs
 from csv_cases import price_files
 from oracles import load_csv_by_rows, price_window_by_loops
 
@@ -141,6 +141,33 @@ class TestLoadCsv:
         p.write_bytes(b"date,open,high,low,close\n2020-01-01,1,2,0.5,1.5\xff\n")
         with pytest.raises(FormatError, match="a.csv"):
             load_csv(p)
+
+
+def test_write_market_csvs_text_and_read_back(tmp_path):
+    """One file per asset, each float as its repr, so load_csv reads back the same bits."""
+    market = AlignedMarket(asset_ids=("a", "bench"), dates=("2015-01-02", "2015-01-05"),
+                           open=np.array([[1.0, 0.1], [2.0, 3.0]]),
+                           high=np.array([[1.5, 0.1 + 0.2], [2.0, 3.5]]),
+                           low=np.array([[0.5, 0.1], [1.0, 1 / 3]]),
+                           close=np.array([[1.25, 0.2], [1.5, 3.0]]))
+    paths = write_market_csvs(market, tmp_path)
+    assert paths == [tmp_path / "a.csv", tmp_path / "bench.csv"]
+    expected = [["2015-01-02,1.0,1.5,0.5,1.25", "2015-01-05,0.1,0.30000000000000004,0.1,0.2"],
+                ["2015-01-02,2.0,2.0,1.0,1.5", "2015-01-05,3.0,3.5,0.3333333333333333,3.0"]]
+    for i, (path, rows) in enumerate(zip(paths, expected)):
+        lines = ["date,open,high,low,close", *rows]
+        assert path.read_bytes() == "".join(f"{line}\r\n" for line in lines).encode()
+        s = load_csv(path)
+        assert s.dates == market.dates
+        for name in ("open", "high", "low", "close"):
+            np.testing.assert_array_equal(getattr(s, name), getattr(market, name)[i])
+
+
+def test_write_csv_cells(tmp_path):
+    path = tmp_path / "cells.csv"
+    market_data.write_csv(path, ("a", "b", "c", "d"),
+                          [(np.int64(7), None, np.float64(0.1), "x,y"), [1, 2.5, -0.0, ""]])
+    assert path.read_bytes() == b'a,b,c,d\r\n7,,0.1,"x,y"\r\n1,2.5,-0.0,\r\n'
 
 
 def loaded(load, path):
