@@ -141,7 +141,7 @@ def _required(settings: dict[str, object], key: str, source: str = "positional a
     return value
 
 
-def _read_series(settings: dict[str, object], only: list[str] | None = None) -> list[PriceSeries]:
+def _read_series(settings: dict[str, object], only: tuple | None = None) -> list[PriceSeries]:
     """Parse the market directory's CSV files in name order; with ``only``, just those
     assets', in the order of ``only``."""
     market_dir = _required(settings, "market_dir", "positional argument, --market-dir")
@@ -156,13 +156,20 @@ def _read_series(settings: dict[str, object], only: list[str] | None = None) -> 
     return [load_csv(p) for p in paths]
 
 
-def _select(items: list, assets: list[str], name) -> list:
+def _select(items: list, assets: tuple, name) -> list:
     """The item named by each of ``assets``, in the order of ``assets``; none may be missing."""
     by_name = {name(item): item for item in items}
     missing = set(assets) - by_name.keys()
     if missing:
         raise FormatError(f"missing price files for assets: {sorted(missing)}")
     return [by_name[asset] for asset in assets]
+
+
+def _rows(market: AlignedMarket, assets: tuple) -> AlignedMarket:
+    """The market of ``assets``, in that order, on ``market``'s dates."""
+    rows = _select(list(range(market.n_assets)), assets, market.asset_ids.__getitem__)
+    prices = (market.open, market.high, market.low, market.close)
+    return AlignedMarket(assets, market.dates, *(p[rows] for p in prices))
 
 
 def _align(series: list[PriceSeries], benchmark: str) -> AlignedMarket:
@@ -219,14 +226,10 @@ def _parse_leverage(raw: str) -> np.ndarray | None:
         raise ConfigError(f"bad leverage vector {raw!r}: {exc}") from exc
 
 
-def _env_config(settings: dict[str, object]) -> EnvConfig:
-    return EnvConfig(
-        window=int(settings["window"]),
-        episode_len=int(settings["episode_len"]),
-        mu=float(settings["mu"]),
-        leverage=_parse_leverage(str(settings["leverage"])),
-        arbitrage_enabled=bool(settings["arbitrage"]),
-    )
+def _env_config(settings: dict[str, object], **fields: object) -> EnvConfig:
+    """An EnvConfig of ``fields`` with the configured cost rate and leverage."""
+    return EnvConfig(mu=float(settings["mu"]), leverage=_parse_leverage(str(settings["leverage"])),
+                     **fields)
 
 
 def _train_config(settings: dict[str, object]) -> TrainConfig:
@@ -265,7 +268,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         lo, hi = _resolve_range(market, str(settings["train_start"]),
                                 str(settings["train_end"]), "train")
         market = market.restrict(lo, hi)
-    env_config = _env_config(settings)
+    env_config = _env_config(settings, arbitrage_enabled=settings["arbitrage"],
+                             window=settings["window"], episode_len=settings["episode_len"])
     train_config = _train_config(settings)
 
     every = int(settings["checkpoint_every"])
@@ -292,34 +296,28 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _backtest_drl(settings: dict[str, object], checkpoint: str,
-                  universe: list[PriceSeries] | None = None) -> BacktestReport:
-    """Greedy backtest of the checkpoint over its own assets.
-
-    The assets' series come from ``universe`` when the caller has parsed the
-    market directory already, and are read from it otherwise.
-    """
+                  universe: list[PriceSeries] | None = None
+                  ) -> tuple[BacktestReport, AlignedMarket]:
+    """Greedy backtest of the checkpoint over its own assets, and the market it aligned:
+    all of ``universe``, the directory's series when the caller has parsed them, so
+    the agent trades the universe's dates; otherwise just the agent's files."""
     actor, critic, meta = load_checkpoint(checkpoint)
     try:
         # An actor that overflows, on check_checkpoint's probe or on the test
         # range, is reported by the network's non-finite output check.
         with np.errstate(over="ignore", invalid="ignore"):
-            check_checkpoint(actor, critic, meta)
-            assets = list(meta["assets"])
-            if universe is None:
-                series = _read_series(settings, only=assets)
-            else:
-                series = _select(universe, assets, lambda s: s.asset_id)
-            market = _align(series, str(meta["benchmark"]))
-            window = int(meta["window"])
-            if settings["window"] is not None and int(settings["window"]) != window:
-                raise ConfigError(
-                    f"requested window {settings['window']} != checkpoint window {window}"
-                )
+            trained = check_checkpoint(actor, critic, meta)
+            market = align(universe or _read_series(settings, only=trained.assets),
+                           trained.assets[-1])
+            book = _rows(market, trained.assets)
+            if settings["window"] not in (None, trained.window):
+                raise ConfigError(f"requested window {settings['window']} != "
+                                  f"checkpoint window {trained.window}")
             lo, hi = _test_range(market, settings)
-            config = _env_config({**settings, "window": window, "episode_len": hi - lo,
-                                  "arbitrage": meta.get("arbitrage", True)})
-            policy = greedy_policy(actor, arbitrage=config.arbitrage_enabled)
-            return run_backtest(policy, market, config, lo - 1, hi)
+            config = _env_config(settings, window=trained.window, episode_len=hi - lo,
+                                 arbitrage_enabled=trained.arbitrage)
+            policy = greedy_policy(actor, arbitrage=trained.arbitrage)
+            return run_backtest(policy, book, config, lo - 1, hi), market
     except FloatingPointError as exc:
         raise FormatError(f"checkpoint actor: {exc}") from exc
 
@@ -328,7 +326,7 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     settings = build_settings(args)
     _check_dates(settings)
     out = _require_out(settings)
-    metrics = write_report(_backtest_drl(settings, _required(settings, "checkpoint")), out)
+    metrics = write_report(_backtest_drl(settings, _required(settings, "checkpoint"))[0], out)
     for name in METRIC_NAMES:
         print(f"{name} = {metrics[name]!r}")
     print(f"wrote report files to {out}")
@@ -344,16 +342,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     factor_csv = _required(settings, "factor_csv")
     checkpoint = _required(settings, "checkpoint")
 
-    # Parse the directory once: the agent's assets are a subset of the universe.
-    universe = _read_series(settings)
-    drl_report = _backtest_drl(settings, checkpoint, universe)
+    # Parse and align the directory once: the agent's assets are a subset of the
+    # universe, and both strategies trade its dates.
+    drl_report, universe = _backtest_drl(settings, checkpoint, _read_series(settings))
     drl_metrics = metric_suite(drl_report)
 
-    # The agent's market holds its benchmark last.
-    factor_market = align(universe, drl_report.asset_ids[-1])
-    panel = load_factor_csv(factor_csv, factor_market)
-    lo, hi = _test_range(factor_market, settings)
-    factor_report = run_factor_backtest(factor_market, panel, lo - 1, hi, long_n, short_n)
+    panel = load_factor_csv(factor_csv, universe)
+    lo, hi = _test_range(universe, settings)
+    factor_report = run_factor_backtest(universe, panel, lo - 1, hi, long_n, short_n)
     factor_metrics = metric_suite(factor_report)
 
     columns = ("log_daily_return", "log_annual_sharpe", "log_annual_sortino", "mdd")

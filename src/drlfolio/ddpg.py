@@ -293,7 +293,7 @@ def greedy_policy(actor: Network, arbitrage: bool = True):
 
 def checkpoint_meta(market: AlignedMarket, env_config: EnvConfig,
                     train_config: TrainConfig) -> dict:
-    """The meta block every checkpoint of a training run carries; a backtest reads it back."""
+    """The meta block every checkpoint of a training run carries; ``check_checkpoint`` reads it."""
     return {
         "assets": list(market.asset_ids),
         "benchmark": market.asset_ids[market.benchmark_index],
@@ -304,36 +304,50 @@ def checkpoint_meta(market: AlignedMarket, env_config: EnvConfig,
     }
 
 
-def check_checkpoint(actor: Network, critic: Network, meta: dict) -> None:
-    """Raise FormatError unless the networks are finite and the meta names what a
-    backtest reads and fits the actor.
+@dataclass(frozen=True)
+class CheckpointMeta:
+    """What a backtest reads of a meta: the actor's assets in order, benchmark last."""
 
-    The meta must hold ``assets``, ``benchmark`` and ``window``, and the actor
-    must map one (4, len(assets), window) price block to len(assets) + 1 logits.
-    ``assets`` must name each asset once, as a string, and end with the
-    benchmark: the order the actor was trained on.
-    """
+    assets: tuple[str, ...]
+    window: int
+    arbitrage: bool
+
+
+def check_checkpoint(actor: Network, critic: Network, meta: dict) -> CheckpointMeta:
+    """The typed fields of a loaded checkpoint's meta; FormatError unless the networks are
+    finite, the meta holds ``assets``, a list naming each asset once, ``benchmark``, its
+    last entry, ``window``, an int of at least 1 (not a bool or float), and ``arbitrage``,
+    a bool, and the actor maps one (4, len(assets), window) block to len(assets) + 1 logits."""
     for name, net in (("actor", actor), ("critic", critic)):
         if not np.all(np.isfinite(net.flat)):
             raise FormatError(f"checkpoint {name} has non-finite parameters")
-    missing = [key for key in ("assets", "benchmark", "window") if key not in meta]
+    missing = [key for key in ("assets", "benchmark", "window", "arbitrage") if key not in meta]
     if missing:
         raise FormatError(f"checkpoint meta lacks {', '.join(missing)}")
+    assets, window, arbitrage = meta["assets"], meta["window"], meta["arbitrage"]
+    if not isinstance(assets, list) or not assets:
+        raise FormatError(f"checkpoint meta assets {assets!r} is not a non-empty list")
+    seen = set()
+    for asset in assets:
+        if not isinstance(asset, str):
+            raise FormatError(f"checkpoint meta asset {asset!r} is not a name")
+        if asset in seen:
+            raise FormatError(f"checkpoint meta lists asset {asset!r} twice")
+        seen.add(asset)
+    if meta["benchmark"] != assets[-1]:
+        raise FormatError(f"checkpoint meta benchmark {meta['benchmark']!r} is not its last asset")
+    if type(window) is not int or window < 1:
+        raise FormatError(f"checkpoint meta window {window!r} is not a positive integer")
+    if type(arbitrage) is not bool:
+        raise FormatError(f"checkpoint meta arbitrage {arbitrage!r} is not true or false")
+    m = len(assets)
     try:
-        m, window = len(meta["assets"]), int(meta["window"])
         out = actor.forward(np.zeros((1, 4, m, window)))
-    except (TypeError, ValueError) as exc:
+    except (ValueError, MemoryError) as exc:
         raise FormatError(f"checkpoint actor does not fit its meta: {exc}") from exc
     if out.shape != (1, m + 1):
         raise FormatError(f"checkpoint actor gives {out.shape[1]} weights for {m} assets")
-    assets = list(meta["assets"])
-    for k, asset in enumerate(assets):
-        if not isinstance(asset, str):
-            raise FormatError(f"checkpoint meta asset {asset!r} is not a name")
-        if asset in assets[:k]:
-            raise FormatError(f"checkpoint meta lists asset {asset!r} twice")
-    if meta["benchmark"] != assets[-1]:
-        raise FormatError(f"checkpoint meta benchmark {meta['benchmark']!r} is not its last asset")
+    return CheckpointMeta(tuple(assets), window, arbitrage)
 
 
 def train(
@@ -358,7 +372,11 @@ def train(
     agent = DDPG(actor, critic, train_config, arbitrage=env_config.arbitrage_enabled)
 
     env = TradingEnv(market, env_config)
-    buffer = ReplayBuffer(env.cube, train_config.buffer_capacity)
+    try:
+        buffer = ReplayBuffer(env.cube, train_config.buffer_capacity)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"buffer_capacity {train_config.buffer_capacity} cannot be "
+                          f"allocated: {exc}") from exc
     log = TrainLog()
     meta = checkpoint_meta(market, env_config, train_config)
 

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drlfolio.cli import (
     EXIT_CONFIG,
@@ -17,7 +19,8 @@ from drlfolio.cli import (
 from drlfolio import cli
 from drlfolio.analytics import metric_suite, run_backtest, write_report
 from drlfolio.baseline_factor import FactorPanel
-from drlfolio.ddpg import TrainConfig, checkpoint_meta, greedy_policy, train
+from drlfolio.ddpg import (CheckpointMeta, TrainConfig, check_checkpoint, checkpoint_meta,
+                           greedy_policy, train)
 from drlfolio.market_data import align, load_csv
 from drlfolio.neural import build_actor, build_critic, load_checkpoint, save_checkpoint
 from drlfolio.trading_env import EnvConfig
@@ -292,6 +295,18 @@ class TestTrain:
         assert capsys.readouterr().err.splitlines() == [
             "config error: seed must be non-negative, got -1"]
 
+    @pytest.mark.parametrize("capacity", [2**62, 10**17])
+    def test_unallocatable_replay_ring_is_config_error(self, market_dir, tmp_path, capsys,
+                                                       capacity):
+        """numpy refuses both rings at once, allocating nothing."""
+        d, _ = market_dir
+        cfg = tmp_path / "ring.cfg"
+        cfg.write_text(f"buffer_capacity = {capacity}\n")
+        assert run(train_args(d, tmp_path / "run") + ["--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"config error: buffer_capacity {capacity} cannot be allocated: ")
+
     def test_checkpoint_every_snapshots(self, market_dir, tmp_path):
         d, _ = market_dir
         out = tmp_path / "snap"
@@ -382,6 +397,34 @@ def overflowing_checkpoint(path, market, bias, window=6):
             "window": window, "mu": 0.0025, "arbitrage": True, "seed": 0}
     save_checkpoint(path, actor, critic, meta)
     return path
+
+
+# A meta field of a 3-asset, window-6 checkpoint: its JSON text (None leaves the
+# key out) and the one-line data error a backtest gives for it.
+HOSTILE_META = [
+    *(("window", text, f"checkpoint meta window {shown} is not a positive integer")
+      for text, shown in [("1e400", "inf"), ("6.7", "6.7"), ('"6"', "'6'"), ("true", "True"),
+                          ("0", "0"), ("-3", "-3"), ("null", "None"), ("[6]", "[6]")]),
+    ("window", str(10**14), "checkpoint actor does not fit its meta: Unable to allocate"),
+    *(("arbitrage", text, f"checkpoint meta arbitrage {shown} is not true or false")
+      for text, shown in [('"no"', "'no'"), ("null", "None"), ("0", "0")]),
+    ("arbitrage", None, "checkpoint meta lacks arbitrage"),
+    *(("assets", text, f"checkpoint meta assets {shown} is not a non-empty list")
+      for text, shown in [('"abc"', "'abc'"), ("{}", "{}"), ("[]", "[]")]),
+]
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(n_assets=st.integers(2, 4), window=st.integers(5, 12), arbitrage=st.booleans())
+def test_checkpoint_meta_round_trip(n_assets, window, arbitrage):
+    """What a run writes in its meta, through JSON, is what check_checkpoint gives back."""
+    ids = [f"a{i}" for i in range(n_assets)]
+    market = drift_market(window + 2, [0.0] * n_assets, asset_ids=ids)
+    rng = np.random.default_rng(window)
+    actor, critic = build_actor(n_assets, window, rng), build_critic(n_assets, window, rng)
+    env_config = EnvConfig(window=window, arbitrage_enabled=arbitrage)
+    meta = json.loads(json.dumps(checkpoint_meta(market, env_config, TrainConfig())))
+    assert check_checkpoint(actor, critic, meta) == CheckpointMeta(tuple(ids), window, arbitrage)
 
 
 class TestBacktest:
@@ -516,6 +559,32 @@ class TestBacktest:
                     "--test-start", market.dates[40], "--test-end", market.dates[90]])
         assert code == EXIT_DATA
         assert capsys.readouterr().err.splitlines() == [f"data error: {message}"]
+
+    @pytest.mark.parametrize("key, value, message", HOSTILE_META,
+                             ids=[f"{key}={value}" for key, value, _ in HOSTILE_META])
+    def test_hostile_meta_is_one_data_error_line(self, market_dir, tmp_path, capsys, key, value,
+                                                 message):
+        """``value`` is the meta field's JSON text; None leaves the key out."""
+        d, market = market_dir
+        ckpt = fully_invested_checkpoint(tmp_path / "ckpt.json", market)
+        payload = json.loads(ckpt.read_text())
+        if value is None:
+            del payload["meta"][key]
+            ckpt.write_text(json.dumps(payload))
+        else:
+            payload["meta"][key] = "@value"
+            ckpt.write_text(json.dumps(payload).replace('"@value"', value))
+        out = tmp_path / "bt"
+        code = run(["backtest", ckpt, "--market-dir", d, "--out", out,
+                    "--test-start", market.dates[40], "--test-end", market.dates[90]])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        if message.endswith("Unable to allocate"):
+            assert err[0].startswith(f"data error: {message} ")
+        else:
+            assert err[0] == f"data error: {message}"
+        assert not list(out.iterdir())
 
     def test_unallocatable_layer_is_data_error(self, market_dir, tmp_path, capsys):
         """numpy refuses a 71 PiB weight matrix at once, allocating nothing."""
@@ -749,6 +818,28 @@ class TestCompare:
         assert code == EXIT_OK
         assert sorted(parsed) == sorted(d.glob("*.csv")) and len(parsed) == 7
 
+    def test_both_strategies_trade_the_universes_dates(self, tmp_path, monkeypatch):
+        """A non-book asset that lacks one test-range day takes that day out of both runs."""
+        market, panel = ranked_factor_universe(n_long=3, n_short=3, n_days=120)
+        d = tmp_path / "universe"
+        write_market_csvs(market, d)
+        lines = (d / "stock05.csv").read_text().splitlines(keepends=True)
+        assert lines[61].startswith(market.dates[60])
+        (d / "stock05.csv").write_text("".join(lines[:61] + lines[62:]))
+        factor_csv = write_factor_csv(panel, tmp_path / "factors.csv")
+        book = drift_market(120, [0.0, 0.0, 0.0], asset_ids=["stock00", "stock03", "benchmark"])
+        ckpt = fully_invested_checkpoint(tmp_path / "ckpt.json", book, window=6)
+        reports = []
+        monkeypatch.setattr(cli, "metric_suite",
+                            lambda report: reports.append(report) or metric_suite(report))
+        assert run(["compare", ckpt, factor_csv, "--market-dir", d, "--out", tmp_path / "cmp",
+                    "--long-n", "3", "--short-n", "3",
+                    "--test-start", market.dates[40], "--test-end", market.dates[100]]) == EXIT_OK
+        drl, factor = reports
+        assert drl.asset_ids == ("stock00", "stock03", "benchmark")
+        assert drl.dates == factor.dates
+        assert drl.dates == market.dates[40:60] + market.dates[61:101]
+
     @pytest.mark.parametrize("missing", ["checkpoint", "factor_csv"])
     def test_missing_input_file_is_usage_error_before_any_work(self, tmp_path, capsys,
                                                                monkeypatch, missing):
@@ -773,8 +864,8 @@ class TestCompare:
         market, panel = ranked_factor_universe(n_long=3, n_short=3, n_days=120)
         d = tmp_path / "universe"
         first = write_market_csvs(market, d)[0]
-        # A late listing: the universe's common dates begin on the test start,
-        # while the agent's assets keep their history.
+        # A late listing: the universe's common dates begin on the test start, and
+        # both strategies trade those dates, so the agent has no window behind it.
         lines = first.read_text().splitlines(keepends=True)
         (d / "late.csv").write_text(lines[0] + "".join(lines[41:]))
         factor_csv = write_factor_csv(panel, tmp_path / "factors.csv")
@@ -786,7 +877,7 @@ class TestCompare:
                     "--test-start", market.dates[40], "--test-end", market.dates[100]])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.splitlines() == [
-            "config error: first return day 0 has 0 days of history, need 1"]
+            "config error: first return day 0 has 0 days of history, need 6"]
         assert not (out / "comparison.csv").exists()
 
     def test_header_matched_by_name(self, tmp_path):

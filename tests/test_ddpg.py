@@ -18,12 +18,13 @@ from drlfolio.ddpg import (
     ReplayBuffer,
     TrainConfig,
     TrainLog,
+    check_checkpoint,
     explore_action,
     greedy_policy,
     train,
 )
 from drlfolio import neural
-from drlfolio.errors import ConfigError
+from drlfolio.errors import ConfigError, FormatError
 from drlfolio.neural import (
     build_actor,
     build_critic,
@@ -623,6 +624,26 @@ class TestGreedyPolicy:
             served.append(expected)
         # The same days of the two markets call for different weights.
         assert np.max(np.abs(served[0] - served[1])) > 1e-3
+
+
+def test_repeat_check_compares_each_meta_asset_a_bounded_number_of_times():
+    """A meta's asset list comes from a file: a check that compares every pair of its
+    2001 names, the last repeating the first, would compare names two million times."""
+    compared = []
+
+    class Name(str):
+        __hash__ = str.__hash__
+
+        def __eq__(self, other):
+            compared.append(other)
+            return str.__eq__(self, other)
+
+    names = [Name(f"a{i}") for i in range(2000)] + [Name("a0")]
+    meta = {"assets": names, "benchmark": names[-1], "window": 6, "arbitrage": True}
+    rng = np.random.default_rng(0)
+    with pytest.raises(FormatError, match=r"^checkpoint meta lists asset 'a0' twice$"):
+        check_checkpoint(build_actor(3, 6, rng), build_critic(3, 6, rng), meta)
+    assert len(compared) < 3 * len(names)
 
 
 def test_same_checkpoint_bytes_on_one_and_two_blas_threads(tmp_path):

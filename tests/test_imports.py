@@ -65,3 +65,31 @@ def test_only_market_data_writes_csv():
     assert len(files) > 5
     importers = [path.stem for path in files if "csv" in imported_modules(path.read_text(encoding="utf-8"))]
     assert importers == ["market_data"]
+
+
+def meta_reads(source: str) -> list[int]:
+    """Lines of ``source`` that subscript a name ``meta`` or call ``.get`` on it."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Subscript):
+            target = node.value
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "get":
+            target = node.func.value
+        else:
+            continue
+        if isinstance(target, ast.Name) and target.id == "meta":
+            lines.append(node.lineno)
+    return lines
+
+
+def test_scan_finds_meta_reads():
+    source = "meta = {}\nw = meta['window']\na = meta.get('arbitrage')\nb = payload['meta']\n"
+    assert meta_reads(source) == [2, 3]
+
+
+def test_only_ddpg_reads_a_checkpoint_meta():
+    # check_checkpoint types every field a backtest reads; everyone else reads its result.
+    files = sorted(ROOT.glob("src/drlfolio/*.py"))
+    assert len(files) > 5
+    readers = [path.stem for path in files if meta_reads(path.read_text(encoding="utf-8"))]
+    assert readers == ["ddpg"]
