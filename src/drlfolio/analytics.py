@@ -178,10 +178,10 @@ def write_report(report: BacktestReport, out_dir: str | Path) -> dict[str, Optio
 
     days, dates = report.day_indices, report.dates
     write_csv(out / "series.csv", ("day", "date", "value", "cost", "log_return", "simple_return"),
-              zip(days, dates, report.values[1:], report.costs, report.log_returns,
-                  report.simple_returns))
+              (days, dates, report.values[1:], report.costs, report.log_returns,
+               report.simple_returns))
     write_csv(out / "weights.csv", ("day", "date", "cash", *report.asset_ids),
-              ((day, date, *w) for day, date, w in zip(days, dates, report.weights.tolist())))
-    write_csv(out / "plot.csv", ("step", "value"), enumerate(report.values.tolist()))
+              (days, dates, *report.weights.T))
+    write_csv(out / "plot.csv", ("step", "value"), (range(len(report.values)), report.values))
 
     return metrics

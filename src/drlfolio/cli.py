@@ -354,9 +354,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     columns = ("log_daily_return", "log_annual_sharpe", "log_annual_sortino", "mdd")
     path = out / "comparison.csv"
-    write_csv(path, ("group", "strategy", *columns),
-              ((settings["group"], strategy, *(metrics[c] for c in columns))
-               for strategy, metrics in (("drl", drl_metrics), ("multi_factor", factor_metrics))))
+    rows = [(settings["group"], strategy, *(metrics[c] for c in columns))
+            for strategy, metrics in (("drl", drl_metrics), ("multi_factor", factor_metrics))]
+    write_csv(path, ("group", "strategy", *columns), list(zip(*rows)))
     print(f"wrote {path}")
     return EXIT_OK
 

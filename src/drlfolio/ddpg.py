@@ -10,7 +10,7 @@ weights; each has one ``Adam``, whose step also soft-updates its target.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -201,8 +201,9 @@ class TrainLog:
     records: list[EpisodeRecord] = field(default_factory=list)
 
     def write_csv(self, path: str | Path) -> None:
+        columns = [[getattr(r, f.name) for r in self.records] for f in fields(EpisodeRecord)]
         market_data.write_csv(path, ("episode", "step", "mean_daily_return", "final_value",
-                                     "mean_cost"), map(astuple, self.records))
+                                     "mean_cost"), columns)
 
 
 class DDPG:

@@ -10,8 +10,8 @@ CSV schema (one file per asset):
     FormatError. ``read_columns`` reads the file in blocks of ``CSV_BLOCK``
     rows, so its working memory does not grow with the file.
 
-Every CSV file the package writes goes through ``write_csv``, which writes a
-float as its ``repr`` so that it reads back bit for bit.
+Every CSV file the package writes goes through ``write_csv``: one column at a
+time, ``CSV_BLOCK`` rows per write, a float as its ``repr`` to read back exactly.
 
 After alignment the date axis is an opaque ordinal index; positions are what
 the rest of the package works with.
@@ -28,9 +28,9 @@ from __future__ import annotations
 import csv
 import re
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import islice, zip_longest
+from itertools import chain, islice, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +52,7 @@ _DATES = re.compile(f"{_DATE}(?:\n{_DATE})*")
 # so this bounds its working memory: on a 39k-row factor file the traced
 # peak of load_factor_csv is 1.1 MiB at 512 rows, 18.6 MiB unblocked.
 CSV_BLOCK = 512
+_QUOTED = re.compile('[,"\r\n]')  # a written cell holding one of these is quoted
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -121,17 +122,30 @@ def read_columns(path: Path, header: tuple[str, ...]) -> Iterator[list[tuple]]:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def write_csv(path: str | Path, header: Iterable, rows: Iterable[Iterable]) -> None:
-    """Write ``header`` and ``rows`` to ``path`` as UTF-8 CSV in the default dialect.
+def write_csv(path: str | Path, header: Sequence, columns: Sequence[Sequence]) -> None:
+    """Write ``header`` and one sequence per column to ``path``, as ``csv.writer`` would.
 
-    A float cell (numpy's float64 too) is written as ``repr(float(v))``, a None
-    cell as an empty cell, and any other cell with ``str``.
+    ``_cell`` writes a float (numpy's too) as its ``repr``, None as an empty cell, else ``str``,
+    quoted if it holds ``,``, ``"``, ``\\r`` or ``\\n``. A numpy column is listed per block.
     """
+    n = len(columns[0]) if len(columns) else 0
+    if len(header) != len(columns) or any(len(c) != n for c in columns):
+        raise ValueError("write_csv needs one column per header cell, all of one length")
+    blocks = ([c[lo:lo + CSV_BLOCK] for c in columns] for lo in range(0, n, CSV_BLOCK))
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        # csv writes a cell with str, which for a Python float is its repr.
-        writer.writerows([float(v) if isinstance(v, float) else v for v in row] for row in rows)
+        for block in chain([[(h,) for h in header]], blocks):
+            cells = (map(_cell, c.tolist() if isinstance(c, np.ndarray) else c) for c in block)
+            rows = map(",".join, zip(*cells))
+            if len(block) == 1:  # csv quotes a lone empty cell, so its row is not blank
+                rows = (row or '""' for row in rows)
+            fh.write("\r\n".join(rows) + "\r\n")
+
+
+def _cell(v) -> str:
+    if isinstance(v, float):
+        return float.__repr__(v)
+    text = "" if v is None else str(v)
+    return '"' + text.replace('"', '""') + '"' if _QUOTED.search(text) else text
 
 
 def parse_floats(cells: tuple) -> tuple[np.ndarray, np.ndarray]:

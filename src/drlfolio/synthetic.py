@@ -62,9 +62,8 @@ def write_market_csvs(market: AlignedMarket, out_dir: str | Path) -> list[Path]:
     paths = []
     for i, asset in enumerate(market.asset_ids):
         path = out / f"{asset}.csv"
-        write_csv(path, CSV_HEADER, zip(market.dates, market.open[i].tolist(),
-                                        market.high[i].tolist(), market.low[i].tolist(),
-                                        market.close[i].tolist()))
+        write_csv(path, CSV_HEADER, (market.dates, market.open[i], market.high[i],
+                                     market.low[i], market.close[i]))
         paths.append(path)
     return paths
 
@@ -98,7 +97,8 @@ def ranked_factor_universe(
 
 def write_factor_csv(panel: FactorPanel, path: str | Path) -> Path:
     path = Path(path)
-    rows = np.argwhere(np.isfinite(panel.ep_ratio) & np.isfinite(panel.turnover)).tolist()
-    write_csv(path, FACTOR_HEADER, ((panel.dates[j], panel.asset_ids[i], panel.ep_ratio[i, j],
-                                     panel.turnover[i, j]) for i, j in rows))
+    i, j = np.nonzero(np.isfinite(panel.ep_ratio) & np.isfinite(panel.turnover))
+    write_csv(path, FACTOR_HEADER, (np.array(panel.dates, dtype=object)[j],
+                                    np.array(panel.asset_ids, dtype=object)[i],
+                                    panel.ep_ratio[i, j], panel.turnover[i, j]))
     return path

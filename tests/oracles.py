@@ -7,6 +7,7 @@ code paths it checks.
 
 import csv
 import datetime
+import io
 import re
 from pathlib import Path
 
@@ -352,3 +353,12 @@ def load_factor_csv_by_rows(path, market):
                 continue
     return FactorPanel(asset_ids=market.asset_ids, dates=market.dates,
                        ep_ratio=ep, turnover=turnover)
+
+
+def write_csv_by_rows(header, rows):
+    """The bytes of ``csv.writer`` fed ``header`` then ``rows``, a float cell as ``float(v)``."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows([float(v) if isinstance(v, float) else v for v in row] for row in rows)
+    return text.getvalue().encode("utf-8")

@@ -590,6 +590,12 @@ def test_train_log_text(tmp_path):
     assert (tmp_path / "trainlog.csv").read_bytes() == "".join(f"{line}\r\n" for line in lines).encode()
 
 
+
+def test_empty_train_log_is_its_header(tmp_path):
+    # A run that ends no episode (train_default's benchmark runs) logs the header alone.
+    TrainLog().write_csv(tmp_path / "trainlog.csv")
+    assert (tmp_path / "trainlog.csv").read_bytes() == b"episode,step,mean_daily_return,final_value,mean_cost\r\n"
+
 class TestGreedyPolicy:
     WINDOW = 8
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from datetime import date
 from unittest import mock
 
@@ -19,7 +20,7 @@ from drlfolio.market_data import (
 )
 from drlfolio.synthetic import drift_market, market_from_closes, write_market_csvs
 from csv_cases import price_files
-from oracles import load_csv_by_rows, price_window_by_loops
+from oracles import load_csv_by_rows, price_window_by_loops, write_csv_by_rows
 
 
 def write_csv(path, rows):
@@ -166,8 +167,74 @@ def test_write_market_csvs_text_and_read_back(tmp_path):
 def test_write_csv_cells(tmp_path):
     path = tmp_path / "cells.csv"
     market_data.write_csv(path, ("a", "b", "c", "d"),
-                          [(np.int64(7), None, np.float64(0.1), "x,y"), [1, 2.5, -0.0, ""]])
+                          [(np.int64(7), 1), [None, 2.5], np.array([0.1, -0.0]), ("x,y", "")])
     assert path.read_bytes() == b'a,b,c,d\r\n7,,0.1,"x,y"\r\n1,2.5,-0.0,\r\n'
+
+
+EDGE_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e308, 0.1 + 0.2]
+cells = st.one_of(
+    st.floats() | st.sampled_from(EDGE_FLOATS),
+    st.floats().map(np.float64),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.integers(),
+    st.none(),
+    st.text(alphabet=',"\r\n a1\u00e9\u65e5', max_size=4),
+)
+
+
+@st.composite
+def tables(draw):
+    """A header and 1-4 columns of 0-9 rows: mixed cells in a list, or a float64 array."""
+    width, n = draw(st.integers(1, 4)), draw(st.integers(0, 9))
+    header = draw(st.lists(cells, min_size=width, max_size=width))
+    columns = [draw(st.one_of(st.lists(cells, min_size=n, max_size=n),
+                              st.lists(st.floats(), min_size=n, max_size=n).map(np.array)))
+               for _ in range(width)]
+    return header, columns
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=tables(), block=st.sampled_from([1, 2, 3, 512]))
+def test_write_csv_matches_csv_writer(tmp_path, table, block):
+    # Small blocks put the rows of one table in up to ten blocks.
+    header, columns = table
+    path = tmp_path / "table.csv"
+    with mock.patch.object(market_data, "CSV_BLOCK", block):
+        market_data.write_csv(path, header, columns)
+    assert path.read_bytes() == write_csv_by_rows(header, zip(*columns))
+
+
+def test_write_csv_quotes_a_lone_empty_cell(tmp_path):
+    # csv.writer writes "" for a row of one empty cell, so the row is not blank.
+    path = tmp_path / "one.csv"
+    market_data.write_csv(path, ("",), [["", None, "a", 'b"']])
+    assert path.read_bytes() == b'""\r\n""\r\n""\r\na\r\n"b"""\r\n'
+    assert path.read_bytes() == write_csv_by_rows(("",), [[""], [None], ["a"], ['b"']])
+
+
+@pytest.mark.parametrize("header, columns", [(("a", "b"), [[1, 2], [3]]), (("a",), [[1], [2]])])
+def test_write_csv_refuses_ragged_columns(tmp_path, header, columns):
+    with pytest.raises(ValueError, match="one column per header cell"):
+        market_data.write_csv(tmp_path / "bad.csv", header, columns)
+
+
+def write_peak(path, n):
+    """Traced peak of writing an n-row table: a date column and three float64 columns."""
+    rng = np.random.default_rng(0)
+    columns = [tuple(f"2020-01-{k % 28 + 1:02d}" for k in range(n)), *rng.standard_normal((3, n))]
+    tracemalloc.start()
+    try:
+        market_data.write_csv(path, ("date", "a", "b", "c"), columns)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_csv_memory_does_not_grow_with_rows(tmp_path):
+    # One block of cells is held at a time; the 40k-row file's text is ~3 MB.
+    small, large = write_peak(tmp_path / "small.csv", 10_000), write_peak(tmp_path / "large.csv", 40_000)
+    assert large < small * 1.1 + 16 * 1024, (small, large)
 
 
 def loaded(load, path):
