@@ -21,12 +21,14 @@ market = drift_market(120, [0.004, -0.002, 0.0005], sigma=0.01, seed=3,
 write_market_csvs(market, workdir)
 print(f"wrote {[p.name for p in sorted(workdir.glob('*.csv'))]} under {workdir}")
 
-# Ingest one file: dates come back sorted, zero marks a missing price.
+# Ingest each file as a one-asset market: dates come back sorted, zero marks a
+# missing price.
 series = [load_csv(p) for p in sorted(workdir.glob("*.csv"))]
-print(f"loaded {len(series)} series, first asset {series[0].asset_id!r}, "
+print(f"loaded {len(series)} series, first asset {series[0].asset_ids[0]!r}, "
       f"{len(series[0])} days")
 
-# Alignment intersects the date axes and moves the benchmark to the last slot.
+# Alignment joins the markets on their common dates and moves the benchmark to
+# the last slot.
 aligned = align(series, benchmark="index")
 print(f"aligned market: assets {aligned.asset_ids}, {len(aligned)} days")
 

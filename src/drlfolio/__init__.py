@@ -4,7 +4,6 @@ analytics, and a rank-based long-short baseline."""
 
 from .market_data import (
     AlignedMarket,
-    PriceSeries,
     PriceTensor,
     align,
     load_csv,

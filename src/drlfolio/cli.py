@@ -26,7 +26,7 @@ from .errors import (
     InsufficientUniverseError,
     WindowError,
 )
-from .market_data import AlignedMarket, PriceSeries, align, date_error, load_csv, write_csv
+from .market_data import AlignedMarket, align, date_error, load_csv, write_csv
 from .neural import load_checkpoint, save_checkpoint
 from .trading_env import EnvConfig
 
@@ -141,9 +141,9 @@ def _required(settings: dict[str, object], key: str, source: str = "positional a
     return value
 
 
-def _read_series(settings: dict[str, object], only: tuple | None = None) -> list[PriceSeries]:
-    """Parse the market directory's CSV files in name order; with ``only``, just those
-    assets', in the order of ``only``."""
+def _read_series(settings: dict[str, object], only: tuple | None = None) -> list[AlignedMarket]:
+    """Parse the market directory's CSV files in name order, a one-asset market each;
+    with ``only``, just those assets', in the order of ``only``."""
     market_dir = _required(settings, "market_dir", "positional argument, --market-dir")
     root = Path(market_dir)
     if not root.is_dir():
@@ -172,9 +172,9 @@ def _rows(market: AlignedMarket, assets: tuple) -> AlignedMarket:
     return AlignedMarket(assets, market.dates, *(p[rows] for p in prices))
 
 
-def _align(series: list[PriceSeries], benchmark: str) -> AlignedMarket:
+def _align(series: list[AlignedMarket], benchmark: str) -> AlignedMarket:
     if not benchmark:
-        benchmark = series[-1].asset_id
+        benchmark = series[-1].asset_ids[-1]
         print(f"note: no benchmark configured, defaulting to {benchmark!r}")
     return align(series, benchmark)
 
@@ -296,7 +296,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _backtest_drl(settings: dict[str, object], checkpoint: str,
-                  universe: list[PriceSeries] | None = None
+                  universe: list[AlignedMarket] | None = None
                   ) -> tuple[BacktestReport, AlignedMarket]:
     """Greedy backtest of the checkpoint over its own assets, and the market it aligned:
     all of ``universe``, the directory's series when the caller has parsed them, so

@@ -368,11 +368,13 @@ def train(
     seeds = np.random.SeedSequence(train_config.seed).spawn(4)
     rng_init, rng_env, rng_noise, rng_sample = (np.random.default_rng(s) for s in seeds)
 
+    # The networks grow with the window, so check the market holds an episode first.
+    env = TradingEnv(market, env_config)
+    env.start_days()
     actor = build_actor(market.n_assets, env_config.window, rng_init)
     critic = build_critic(market.n_assets, env_config.window, rng_init)
     agent = DDPG(actor, critic, train_config, arbitrage=env_config.arbitrage_enabled)
 
-    env = TradingEnv(market, env_config)
     try:
         buffer = ReplayBuffer(env.cube, train_config.buffer_capacity)
     except (ValueError, MemoryError) as exc:

@@ -4,7 +4,9 @@ CSV schema (one file per asset):
     header ``date,open,high,low,close``, UTF-8, dot decimal separator,
     ``YYYY-MM-DD`` calendar dates in ASCII digits, so that string order is
     date order.
-    A zero or unparseable price cell marks a missing value.
+    A zero or unparseable price cell marks a missing value. On a day with
+    all four prices, the low may not be above the open or close, nor the
+    open or close above the high.
     The header is matched by name, ignoring case and surrounding spaces, and
     columns are then read by position. A file that is not UTF-8 is a
     FormatError. ``read_columns`` reads the file in blocks of ``CSV_BLOCK``
@@ -13,8 +15,10 @@ CSV schema (one file per asset):
 Every CSV file the package writes goes through ``write_csv``: one column at a
 time, ``CSV_BLOCK`` rows per write, a float as its ``repr`` to read back exactly.
 
-After alignment the date axis is an opaque ordinal index; positions are what
-the rest of the package works with.
+One type holds prices: ``load_csv`` reads a file as a one-asset
+``AlignedMarket``, and ``align`` joins markets on their shared dates. After
+alignment the date axis is an opaque ordinal index; positions are what the
+rest of the package works with.
 
 Observations: ``price_block`` builds the normalized windows of a run of
 consecutive days in one vectorized pass, as one read-only
@@ -59,44 +63,6 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr, dtype=np.float64)
     out.flags.writeable = False
     return out
-
-
-@dataclass(frozen=True)
-class PriceSeries:
-    """One asset's daily OHLC history. Zero prices mean "missing that day"."""
-
-    asset_id: str
-    dates: tuple[str, ...]
-    open: np.ndarray
-    high: np.ndarray
-    low: np.ndarray
-    close: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.dates)
-        for name in ("open", "high", "low", "close"):
-            arr = getattr(self, name)
-            if arr.shape != (n,):
-                raise FormatError(f"{self.asset_id}: {name} length {arr.shape} != {n} dates")
-            object.__setattr__(self, name, _freeze(arr))
-        if any(a >= b for a, b in zip(self.dates, self.dates[1:])):
-            raise FormatError(f"{self.asset_id}: dates are not strictly increasing")
-        if any(np.any(getattr(self, name) < 0) for name in ("open", "high", "low", "close")):
-            raise FormatError(f"{self.asset_id}: negative price")
-        # OHLC ordering is only checkable on days where all four prices exist.
-        full = (self.open > 0) & (self.high > 0) & (self.low > 0) & (self.close > 0)
-        bad = full & (
-            (self.low > self.open)
-            | (self.low > self.close)
-            | (self.open > self.high)
-            | (self.close > self.high)
-        )
-        if np.any(bad):
-            day = self.dates[int(np.flatnonzero(bad)[0])]
-            raise FormatError(f"{self.asset_id}: inconsistent OHLC on {day}")
-
-    def __len__(self) -> int:
-        return len(self.dates)
 
 
 def read_columns(path: Path, header: tuple[str, ...]) -> Iterator[list[tuple]]:
@@ -198,12 +164,14 @@ def parse_dates(path: Path, cells: tuple) -> list[str]:
     raise FormatError(f"{path}: date {bad!r} {why}")
 
 
-def load_csv(path: str | Path) -> PriceSeries:
-    """Read one asset's OHLC file; the asset id is the file stem. Rows are sorted
-    by date; a date that is not a ``YYYY-MM-DD`` calendar date or is repeated is
-    an error.
+def load_csv(path: str | Path) -> AlignedMarket:
+    """Read one asset's OHLC file as a one-asset market whose asset id is the file
+    stem. Rows are sorted by date; a date that is not a ``YYYY-MM-DD`` calendar
+    date or is repeated is an error.
 
-    A price cell that is missing, malformed, non-finite or negative reads 0.
+    A price cell that is missing, malformed, non-finite or negative reads 0. On
+    a day with all four prices, a low above the open or close, or an open or
+    close above the high, is an error.
     """
     path = Path(path)
     dates, blocks = [], []
@@ -223,14 +191,12 @@ def load_csv(path: str | Path) -> PriceSeries:
     if dup.size:
         raise FormatError(f"{path}: duplicate date {keys[dup[0]]}")
     prices = prices[:, order]
-    return PriceSeries(
-        asset_id=path.stem,
-        dates=tuple(keys.tolist()),
-        open=prices[0],
-        high=prices[1],
-        low=prices[2],
-        close=prices[3],
-    )
+    open_, high, low, close = prices
+    bad = (prices > 0).all(axis=0) & ((low > np.minimum(open_, close))
+                                      | (np.maximum(open_, close) > high))
+    if bad.any():
+        raise FormatError(f"{path.stem}: inconsistent OHLC on {keys[np.argmax(bad)]}")
+    return AlignedMarket((path.stem,), tuple(keys.tolist()), *prices[:, None])
 
 
 @dataclass(frozen=True)
@@ -293,40 +259,31 @@ class AlignedMarket:
         )
 
 
-def align(series: list[PriceSeries], benchmark: str) -> AlignedMarket:
-    """Restrict all series to their common dates and put the benchmark last."""
-    if len(series) < 2:
-        raise AlignmentError("need at least two price series (one benchmark, one asset)")
-    ids = [s.asset_id for s in series]
+def align(markets: list[AlignedMarket], benchmark: str) -> AlignedMarket:
+    """Join every asset row of ``markets``, in input order, on the dates they all
+    share, and move the benchmark's row last."""
+    ids = [asset for market in markets for asset in market.asset_ids]
+    if len(ids) < 2:
+        raise AlignmentError("need at least two assets (one benchmark, one asset)")
     if len(set(ids)) != len(ids):
         raise AlignmentError("duplicate asset ids")
     if benchmark not in ids:
         raise AlignmentError(f"benchmark {benchmark!r} not among assets {ids}")
 
-    common = set(series[0].dates)
-    for s in series[1:]:
-        common &= set(s.dates)
-    if not common:
-        raise AlignmentError(
-            "no common trading days across " + ", ".join(ids)
-        )
-    dates = tuple(sorted(common))
+    dates = tuple(sorted(set(markets[0].dates).intersection(*(m.dates for m in markets[1:]))))
+    if not dates:
+        raise AlignmentError("no common trading days across " + ", ".join(ids))
 
-    ordered = [s for s in series if s.asset_id != benchmark]
-    ordered.append(next(s for s in series if s.asset_id == benchmark))
-
-    m, t = len(ordered), len(dates)
-    mats = {name: np.empty((m, t)) for name in ("open", "high", "low", "close")}
-    for i, s in enumerate(ordered):
-        pos = {d: k for k, d in enumerate(s.dates)}
-        idx = np.array([pos[d] for d in dates], dtype=np.intp)
-        for name in mats:
-            mats[name][i] = getattr(s, name)[idx]
-
+    columns = []
+    for market in markets:
+        pos = {d: k for k, d in enumerate(market.dates)}
+        columns.append(np.array([pos[d] for d in dates], dtype=np.intp))
+    rows = [k for k, asset in enumerate(ids) if asset != benchmark] + [ids.index(benchmark)]
     return AlignedMarket(
-        asset_ids=tuple(s.asset_id for s in ordered),
-        dates=dates,
-        **mats,
+        tuple(ids[k] for k in rows),
+        dates,
+        *(np.concatenate([m.feature(name)[:, idx] for m, idx in zip(markets, columns)])[rows]
+          for name in ("open", "high", "low", "close")),
     )
 
 

@@ -111,21 +111,24 @@ class TradingEnv:
         self._state: Optional[EnvState] = None
         self._end_t: int = 0
 
-    def reset(self, rng: np.random.Generator | int) -> EnvState:
-        """Start an episode on a day drawn uniformly with ``rng``, a generator or a seed.
-
-        Start days range over [window, len(market) - episode_len - 1] so every
-        window day has a defined price relative; the market must therefore
-        hold at least window + episode_len + 1 days.
-        """
+    def start_days(self) -> tuple[int, int]:
+        """The first and last day an episode may start on: [window, len(market) -
+        episode_len - 1], so every window day has a defined price relative. A
+        market of fewer than window + episode_len + 1 days raises ConfigError."""
         n, ep = self.config.window, self.config.episode_len
         lo, hi = n, len(self.market) - ep - 1
         if hi < lo:
             raise ConfigError(
                 f"market has {len(self.market)} days, need at least {n + ep + 1}"
             )
+        return lo, hi
+
+    def reset(self, rng: np.random.Generator | int) -> EnvState:
+        """Start an episode on a day of ``start_days`` drawn uniformly with ``rng``,
+        a generator or a seed."""
+        lo, hi = self.start_days()
         t0 = int(np.random.default_rng(rng).integers(lo, hi + 1))
-        return self.start_at(t0, ep)
+        return self.start_at(t0, self.config.episode_len)
 
     def start_at(self, t0: int, n_steps: int) -> EnvState:
         """Begin a deterministic run of n_steps decision days starting at day t0."""

@@ -71,10 +71,18 @@ def csv_text(draw, header: str, rows: list[str]) -> str:
     return end.join(lines) + draw(st.sampled_from([end, ""]))
 
 
+def inconsistent(values: tuple[float, ...], kind: int) -> tuple[float, ...]:
+    """Consistent positive (open, high, low, close) with one rule broken: the low above
+    the open (kind 0) or the close (1), or the open (2) or the close (3) above the high."""
+    o, h, low, c = values
+    broken = [(low / 2, h, low, c), (o, h, low, low / 2), (h + 1, h, low, c), (o, h, low, h + 1)]
+    return broken[kind]
+
+
 @st.composite
 def price_files(draw) -> str:
-    """A price file, mostly loadable: unsorted days, consistent OHLC, odd cells reading 0,
-    now and then a malformed date."""
+    """A price file, mostly loadable: unsorted days, mostly consistent OHLC, odd cells
+    reading 0, now and then a malformed date or a day whose OHLC is inconsistent."""
     header = draw(st.sampled_from(PRICE_HEADERS * 4 + BAD_HEADERS))
     days = draw(st.lists(st.integers(1, 60), max_size=14, unique=True))
     if days and draw(st.integers(0, 9)) == 0:
@@ -84,9 +92,12 @@ def price_files(draw) -> str:
         low = draw(st.one_of(st.integers(1, 300).map(float), st.floats(0.01, 1000.0)))
         a, b, c = (draw(st.sampled_from([0.0, 0.5, 1.0, 3.0])) for _ in range(3))
         values = (low + a, low + max(a, b) + c, low, low + b)  # open, high, low, close
+        spoil = draw(st.integers(0, 29)) == 0
+        if spoil:  # and no odd cell, so the day has all four prices
+            values = inconsistent(values, draw(st.integers(0, 3)))
         iso = (date(2019, 12, 25) + timedelta(days=day)).isoformat()
         cell_date = iso if draw(st.integers(0, 19)) else draw(st.sampled_from(BAD_DATES))
-        cells = [draw(key(cell_date))] + [draw(cell(v)) for v in values]
+        cells = [draw(key(cell_date))] + [draw(spellings(v) if spoil else cell(v)) for v in values]
         rows.append(draw(shaped(cells)))
     return draw(csv_text(header, rows))
 

@@ -17,7 +17,7 @@ from drlfolio.analytics import BacktestReport
 from drlfolio.baseline_factor import FactorPanel
 from drlfolio.ddpg import policy_weights
 from drlfolio.errors import FormatError
-from drlfolio.market_data import PriceSeries
+from drlfolio.market_data import AlignedMarket
 from drlfolio.trading_env import TradingEnv
 
 DATE = "[0-9]{4}-[0-9]{2}-[0-9]{2}"
@@ -307,9 +307,9 @@ def check_date(path, text):
         raise FormatError(f"{path}: date {text!r} is not a calendar date") from None
 
 
-def load_csv_by_rows(path, asset_id=None):
+def load_csv_by_rows(path):
     """``load_csv`` one dict per row: parse each cell, check each date, sort the rows,
-    scan for duplicates."""
+    scan for duplicates, then check each day with four prices for low <= open, close <= high."""
     path = Path(path)
     with path.open("r", encoding="utf-8", newline="") as fh:
         rows = [
@@ -325,10 +325,11 @@ def load_csv_by_rows(path, asset_id=None):
     for a, b in zip(rows, rows[1:]):
         if a[0] == b[0]:
             raise FormatError(f"{path}: duplicate date {a[0]}")
+    for day, o, h, low, c in rows:
+        if min(o, h, low, c) > 0 and (low > o or low > c or o > h or c > h):
+            raise FormatError(f"{path.stem}: inconsistent OHLC on {day}")
     cols = np.array([r[1:] for r in rows], dtype=np.float64)
-    return PriceSeries(asset_id=path.stem if asset_id is None else asset_id,
-                       dates=tuple(r[0] for r in rows),
-                       open=cols[:, 0], high=cols[:, 1], low=cols[:, 2], close=cols[:, 3])
+    return AlignedMarket((path.stem,), tuple(r[0] for r in rows), *cols.T[:, None])
 
 
 def load_factor_csv_by_rows(path, market):

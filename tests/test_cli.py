@@ -16,7 +16,7 @@ from drlfolio.cli import (
     build_settings,
     main,
 )
-from drlfolio import cli
+from drlfolio import cli, ddpg
 from drlfolio.analytics import metric_suite, run_backtest, write_report
 from drlfolio.baseline_factor import FactorPanel
 from drlfolio.ddpg import (CheckpointMeta, TrainConfig, check_checkpoint, checkpoint_meta,
@@ -321,6 +321,19 @@ class TestTrain:
         assert run(train_args(d, tmp_path / "narrow", window=window)) == EXIT_CONFIG
         assert capsys.readouterr().err.splitlines() == [
             "config error: window must be >= 5 for two time-axis convolutions"]
+
+    @pytest.mark.parametrize("window", [100_000_000, 10**12])
+    def test_window_past_the_market_is_config_error_before_any_network(
+            self, market_dir, tmp_path, capsys, monkeypatch, window):
+        """The day count is checked before the networks, whose head grows with the window."""
+        d, _ = market_dir
+        built = []
+        monkeypatch.setattr(ddpg, "build_actor", lambda *args: built.append(args))
+        monkeypatch.setattr(ddpg, "build_critic", lambda *args: built.append(args))
+        assert run(train_args(d, tmp_path / "wide", window=window)) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: market has 120 days, need at least {window + 10 + 1}"]
+        assert built == []
 
     def test_negative_checkpoint_every_is_config_error(self, market_dir, tmp_path, capsys):
         d, _ = market_dir

@@ -11,7 +11,6 @@ from drlfolio import market_data
 from drlfolio.errors import AlignmentError, FormatError, WindowError
 from drlfolio.market_data import (
     AlignedMarket,
-    PriceSeries,
     align,
     load_csv,
     price_block,
@@ -29,9 +28,10 @@ def write_csv(path, rows):
 
 
 def series(asset, dates, closes):
-    closes = np.asarray(closes, dtype=float)
-    return PriceSeries(
-        asset_id=asset,
+    """A one-asset market, as load_csv returns."""
+    closes = np.asarray(closes, dtype=float)[None]
+    return AlignedMarket(
+        asset_ids=(asset,),
         dates=tuple(dates),
         open=closes.copy(),
         high=closes * 1.01,
@@ -49,8 +49,9 @@ class TestLoadCsv:
         ])
         s = load_csv(p)
         assert len(s) == 3
-        assert s.asset_id == "a"
-        assert s.close[2] == 2.5
+        assert s.asset_ids == ("a",)
+        assert s.close.shape == (1, 3)
+        assert s.close[0, 2] == 2.5
 
     def test_blank_cell_becomes_missing_zero(self, tmp_path):
         p = write_csv(tmp_path / "a.csv", [
@@ -58,7 +59,7 @@ class TestLoadCsv:
             "2020-01-02,1.5,2.5,1.0,",
         ])
         s = load_csv(p)
-        assert s.close[1] == 0.0
+        assert s.close[0, 1] == 0.0
 
     def test_duplicate_date_rejected(self, tmp_path):
         p = write_csv(tmp_path / "a.csv", [
@@ -85,19 +86,29 @@ class TestLoadCsv:
             "2020-01-01,1,2,0.5,oops",
             "2020-01-02,1.5,2.5,1.0,2.0",
         ])
-        assert load_csv(p).close[0] == 0.0
+        assert load_csv(p).close[0, 0] == 0.0
 
     def test_negative_price_becomes_missing(self, tmp_path):
         p = write_csv(tmp_path / "a.csv", [
             "2020-01-01,1,2,0.5,-3",
             "2020-01-02,1.5,2.5,1.0,2.0",
         ])
-        assert load_csv(p).close[0] == 0.0
+        assert load_csv(p).close[0, 0] == 0.0
 
     def test_bad_ohlc_ordering_rejected(self, tmp_path):
         p = write_csv(tmp_path / "a.csv", ["2020-01-01,5,2,0.5,1.5"])
         with pytest.raises(FormatError, match="OHLC"):
             load_csv(p)
+
+    @pytest.mark.parametrize("row", ["5,6,5.5,5.2", "5.5,6,5.1,5", "5,6,4,6.5", "6.5,6,4,5"])
+    def test_inconsistent_ohlc_message(self, tmp_path, row):
+        # low above open, low above close, close above high, open above high;
+        # the first bad day in date order is named, whatever the file order.
+        p = write_csv(tmp_path / "a.csv", [f"2020-01-03,{row}", "2020-01-01,1,2,0.5,1.5",
+                                           f"2020-01-02,{row}"])
+        with pytest.raises(FormatError) as info:
+            load_csv(p)
+        assert str(info.value) == "a: inconsistent OHLC on 2020-01-02"
 
     @pytest.mark.parametrize("header", ["Date,Open,High,Low,Close", " date , open,high,low,close"])
     def test_header_matched_by_name_read_by_position(self, tmp_path, header):
@@ -105,7 +116,7 @@ class TestLoadCsv:
         p.write_text(f"{header}\n2020-01-01,1,2,0.5,1.5\n2020-01-02,1.5,2.5,1.0,2.0\n")
         s = load_csv(p)
         assert s.dates == ("2020-01-01", "2020-01-02")
-        assert s.open.tolist() == [1.0, 1.5] and s.close.tolist() == [1.5, 2.0]
+        assert s.open.tolist() == [[1.0, 1.5]] and s.close.tolist() == [[1.5, 2.0]]
 
     @pytest.mark.parametrize("cell", ["", "1/9/2020", "20200109", "2020-01-09\x00",
                                       '"2020-01-09\n2020-01-10"', "\u0662020-01-09"])
@@ -159,9 +170,9 @@ def test_write_market_csvs_text_and_read_back(tmp_path):
         lines = ["date,open,high,low,close", *rows]
         assert path.read_bytes() == "".join(f"{line}\r\n" for line in lines).encode()
         s = load_csv(path)
-        assert s.dates == market.dates
+        assert s.asset_ids == market.asset_ids[i:i + 1] and s.dates == market.dates
         for name in ("open", "high", "low", "close"):
-            np.testing.assert_array_equal(getattr(s, name), getattr(market, name)[i])
+            np.testing.assert_array_equal(getattr(s, name), getattr(market, name)[i:i + 1])
 
 
 def test_write_csv_cells(tmp_path):
@@ -292,6 +303,21 @@ class TestAlign:
         b = series("b", ["d1"], [2])
         with pytest.raises(AlignmentError, match="zzz"):
             align([a, b], benchmark="zzz")
+
+    def test_joins_every_row_of_a_wider_market(self):
+        ab = align([series("a", ["d1", "d2", "d3"], [1, 2, 3]),
+                    series("b", ["d1", "d2", "d3"], [4, 5, 6])], benchmark="b")
+        c = series("c", ["d2", "d3", "d4"], [7, 8, 9])
+        market = align([ab, c], benchmark="a")
+        assert market.asset_ids == ("b", "c", "a")
+        assert market.dates == ("d2", "d3")
+        assert market.close.tolist() == [[5, 6], [7, 8], [2, 3]]
+        assert market.high.tolist() == (np.array([[5, 6], [7, 8], [2, 3]]) * 1.01).tolist()
+
+    def test_repeated_asset_across_markets(self):
+        ab = align([series("a", ["d1"], [1]), series("b", ["d1"], [2])], benchmark="b")
+        with pytest.raises(AlignmentError, match="duplicate"):
+            align([ab, series("a", ["d1"], [3])], benchmark="b")
 
 
 class TestPriceTensor:
