@@ -15,7 +15,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .ddpg import TrainLog
 from .market_data import AlignedMarket, price_block, relative_prices, write_csv
 from .portfolio_math import initial_weights
 from .trading_env import EnvConfig, check_leverage, check_run, settle
@@ -140,8 +139,8 @@ def metric_suite(report: BacktestReport) -> dict[str, Optional[float]]:
     }
 
 
-def training_slope(log: TrainLog) -> tuple[float, float]:
-    """OLS of a train log's per-episode mean daily return against the episode's
+def training_slope(log) -> tuple[float, float]:
+    """OLS of a ``ddpg.TrainLog``'s per-episode mean daily return against the episode's
     start step. Returns (slope, intercept).
     """
     x = np.array([r.start_step for r in log.records], dtype=np.float64)

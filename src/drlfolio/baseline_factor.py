@@ -48,13 +48,14 @@ class FactorPanel:
 def load_factor_csv(path: str | Path, market: AlignedMarket) -> FactorPanel:
     """Align a long-format factor file onto the market's assets and dates.
 
-    A row counts where its asset and date are on the market's axes and its
-    ep_ratio parses; its turnover counts where that parses too. A later row
-    overwrites an earlier one. A date that is not a ``YYYY-MM-DD`` calendar date
-    is a FormatError.
+    A row counts where its asset is one of the market's risky assets, its date
+    is on the market's axis and its ep_ratio parses; its turnover counts where
+    that parses too. The benchmark's rows are skipped, so it is never scored.
+    A later row overwrites an earlier one. A date that is not a ``YYYY-MM-DD``
+    calendar date is a FormatError.
     """
     path = Path(path)
-    asset_pos = {a: i for i, a in enumerate(market.asset_ids)}
+    asset_pos = {a: i for i, a in enumerate(market.asset_ids[:-1])}
     date_pos = {d: j for j, d in enumerate(market.dates)}
     shape = (market.n_assets, len(market))
     ep = np.full(shape, np.nan)

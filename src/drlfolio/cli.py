@@ -168,8 +168,7 @@ def _select(items: list, assets: tuple, name) -> list:
 def _rows(market: AlignedMarket, assets: tuple) -> AlignedMarket:
     """The market of ``assets``, in that order, on ``market``'s dates."""
     rows = _select(list(range(market.n_assets)), assets, market.asset_ids.__getitem__)
-    prices = (market.open, market.high, market.low, market.close)
-    return AlignedMarket(assets, market.dates, *(p[rows] for p in prices))
+    return AlignedMarket(assets, market.dates, *market.prices[:, rows])
 
 
 def _align(series: list[AlignedMarket], benchmark: str) -> AlignedMarket:
@@ -251,10 +250,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     print(f"benchmark: {market.asset_ids[market.benchmark_index]}")
     print(f"days: {len(market)} ({market.dates[0]} to {market.dates[-1]})")
     for i, asset in enumerate(market.asset_ids):
-        missing = int(np.sum(
-            (market.open[i] == 0) | (market.high[i] == 0)
-            | (market.low[i] == 0) | (market.close[i] == 0)
-        ))
+        missing = int(np.sum((market.prices[:, i] == 0).any(axis=0)))
         print(f"missing[{asset}] = {missing}")
     return EXIT_OK
 

@@ -16,9 +16,10 @@ Every CSV file the package writes goes through ``write_csv``: one column at a
 time, ``CSV_BLOCK`` rows per write, a float as its ``repr`` to read back exactly.
 
 One type holds prices: ``load_csv`` reads a file as a one-asset
-``AlignedMarket``, and ``align`` joins markets on their shared dates. After
-alignment the date axis is an opaque ordinal index; positions are what the
-rest of the package works with.
+``AlignedMarket``, and ``align`` joins markets on their shared dates. A market's
+prices are one read-only (4, m, T) array in ``OHLC`` order. After alignment the
+date axis is an opaque ordinal index; positions are what the rest of the
+package works with.
 
 Observations: ``price_block`` builds the normalized windows of a run of
 consecutive days in one vectorized pass, as one read-only
@@ -33,7 +34,7 @@ import csv
 import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, islice, zip_longest
 from pathlib import Path
 
@@ -44,7 +45,9 @@ from .errors import AlignmentError, FormatError, WindowError
 
 FEATURES = ("close", "high", "low", "open")
 
-CSV_HEADER = ("date", "open", "high", "low", "close")
+OHLC = ("open", "high", "low", "close")  # the rows of AlignedMarket.prices, in CSV order
+CSV_HEADER = ("date", *OHLC)
+_FEATURE_ROWS = [OHLC.index(name) for name in FEATURES]
 
 # parse_dates matches a block's dates joined by newlines in one pass (checking
 # the joined length too rules out a newline inside one cell), then converts them
@@ -57,12 +60,6 @@ _DATES = re.compile(f"{_DATE}(?:\n{_DATE})*")
 # peak of load_factor_csv is 1.1 MiB at 512 rows, 18.6 MiB unblocked.
 CSV_BLOCK = 512
 _QUOTED = re.compile('[,"\r\n]')  # a written cell holding one of these is quoted
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr, dtype=np.float64)
-    out.flags.writeable = False
-    return out
 
 
 def read_columns(path: Path, header: tuple[str, ...]) -> Iterator[list[tuple]]:
@@ -203,7 +200,9 @@ def load_csv(path: str | Path) -> AlignedMarket:
 class AlignedMarket:
     """m assets on one shared date axis, investment benchmark in the last slot.
 
-    Price matrices are (m, T); row order matches ``asset_ids``.
+    The four (m, T) price matrices are copied into one read-only float64
+    (4, m, T) array, ``prices``, in ``OHLC`` order; ``open``, ``high``, ``low``
+    and ``close`` are its rows. Asset order matches ``asset_ids``.
     """
 
     asset_ids: tuple[str, ...]
@@ -212,16 +211,21 @@ class AlignedMarket:
     high: np.ndarray
     low: np.ndarray
     close: np.ndarray
+    prices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m, t = len(self.asset_ids), len(self.dates)
-        for name in ("open", "high", "low", "close"):
-            arr = getattr(self, name)
-            if arr.shape != (m, t):
-                raise AlignmentError(f"{name} has shape {arr.shape}, expected {(m, t)}")
-            object.__setattr__(self, name, _freeze(arr))
+        for name in OHLC:
+            shape = getattr(self, name).shape
+            if shape != (m, t):
+                raise AlignmentError(f"{name} has shape {shape}, expected {(m, t)}")
         if m < 1:
             raise AlignmentError("need at least one asset, the benchmark")
+        prices = np.array([getattr(self, name) for name in OHLC], dtype=np.float64)
+        prices.flags.writeable = False
+        object.__setattr__(self, "prices", prices)
+        for name, row in zip(OHLC, prices):
+            object.__setattr__(self, name, row)
 
     @property
     def benchmark_index(self) -> int:
@@ -249,14 +253,7 @@ class AlignedMarket:
         """New market containing day positions lo..hi inclusive."""
         if not (0 <= lo <= hi < len(self)):
             raise ValueError(f"bad restriction [{lo}, {hi}] for length {len(self)}")
-        return AlignedMarket(
-            asset_ids=self.asset_ids,
-            dates=self.dates[lo : hi + 1],
-            open=self.open[:, lo : hi + 1],
-            high=self.high[:, lo : hi + 1],
-            low=self.low[:, lo : hi + 1],
-            close=self.close[:, lo : hi + 1],
-        )
+        return AlignedMarket(self.asset_ids, self.dates[lo : hi + 1], *self.prices[:, :, lo : hi + 1])
 
 
 def align(markets: list[AlignedMarket], benchmark: str) -> AlignedMarket:
@@ -279,12 +276,8 @@ def align(markets: list[AlignedMarket], benchmark: str) -> AlignedMarket:
         pos = {d: k for k, d in enumerate(market.dates)}
         columns.append(np.array([pos[d] for d in dates], dtype=np.intp))
     rows = [k for k, asset in enumerate(ids) if asset != benchmark] + [ids.index(benchmark)]
-    return AlignedMarket(
-        tuple(ids[k] for k in rows),
-        dates,
-        *(np.concatenate([m.feature(name)[:, idx] for m, idx in zip(markets, columns)])[rows]
-          for name in ("open", "high", "low", "close")),
-    )
+    prices = np.concatenate([m.prices[:, :, idx] for m, idx in zip(markets, columns)], axis=1)
+    return AlignedMarket(tuple(ids[k] for k in rows), dates, *prices[:, rows])
 
 
 @dataclass(frozen=True)
@@ -294,13 +287,6 @@ class PriceTensor:
     data: np.ndarray
     t: int
     window: int
-
-    def __post_init__(self):
-        if self.data.ndim != 3 or self.data.shape[0] != len(FEATURES):
-            raise ValueError(f"bad tensor shape {self.data.shape}")
-        if self.data.shape[2] != self.window:
-            raise ValueError("tensor width disagrees with window")
-        object.__setattr__(self, "data", _freeze(self.data))
 
 
 def price_block(market: AlignedMarket, first: int, last: int, window: int) -> np.ndarray:
@@ -320,13 +306,11 @@ def price_block(market: AlignedMarket, first: int, last: int, window: int) -> np
     if last < first:
         raise WindowError(f"empty day range [{first}, {last}]")
 
-    denom = market.close[:, first : last + 1].T[:, :, None]  # (days, m, 1)
-    tradeable = denom > 0
-    data = np.ones((last - first + 1, len(FEATURES), market.n_assets, window))
-    for f, name in enumerate(FEATURES):
-        prices = market.feature(name)[:, first - window + 1 : last + 1]
-        windows = sliding_window_view(prices, window, axis=1).transpose(1, 0, 2)
-        np.divide(windows, denom, out=data[:, f], where=tradeable & (windows > 0))
+    denom = market.close[:, first : last + 1].T[:, None, :, None]  # (days, 1, m, 1)
+    prices = market.prices[_FEATURE_ROWS, :, first - window + 1 : last + 1]  # (4, m, span)
+    windows = sliding_window_view(prices, window, axis=2).transpose(2, 0, 1, 3)
+    data = np.ones(windows.shape)
+    np.divide(windows, denom, out=data, where=(denom > 0) & (windows > 0))
     # The close feature's last column, the anchor, is c / c or a missing 1:
     # exactly one either way.
     data.flags.writeable = False

@@ -62,8 +62,7 @@ def write_market_csvs(market: AlignedMarket, out_dir: str | Path) -> list[Path]:
     paths = []
     for i, asset in enumerate(market.asset_ids):
         path = out / f"{asset}.csv"
-        write_csv(path, CSV_HEADER, (market.dates, market.open[i], market.high[i],
-                                     market.low[i], market.close[i]))
+        write_csv(path, CSV_HEADER, (market.dates, *market.prices[:, i]))
         paths.append(path)
     return paths
 

@@ -334,8 +334,8 @@ def load_csv_by_rows(path):
 
 def load_factor_csv_by_rows(path, market):
     """``load_factor_csv`` one dict per row, each row checking its date and then
-    writing its cells in file order."""
-    asset_pos = {a: i for i, a in enumerate(market.asset_ids)}
+    writing its cells in file order; the benchmark's rows are skipped."""
+    asset_pos = {a: i for i, a in enumerate(market.asset_ids) if i != market.benchmark_index}
     date_pos = {d: j for j, d in enumerate(market.dates)}
     ep = np.full((market.n_assets, len(market)), np.nan)
     turnover = np.full_like(ep, np.nan)

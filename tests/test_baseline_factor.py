@@ -157,6 +157,19 @@ class TestFactorBacktest:
         # Benchmark sits in the last risky slot; factor data is missing there.
         assert np.all(report.weights[:, -1] == 0.0)
 
+    def test_benchmark_with_factors_never_selected(self, tmp_path):
+        market, panel = ranked_factor_universe(n_long=3, n_short=3, n_days=40)
+        ep, turnover = panel.ep_ratio.copy(), panel.turnover.copy()
+        ep[-1], turnover[-1] = 5.0, 0.0  # the best score in the universe, if it were read
+        path = write_factor_csv(FactorPanel(market.asset_ids, market.dates, ep, turnover),
+                                tmp_path / "factors.csv")
+        loaded = load_factor_csv(path, market)
+        assert np.all(np.isnan(loaded.ep_ratio[-1])) and np.all(np.isnan(loaded.turnover[-1]))
+        report = run_factor_backtest(market, loaded, 5, 20, long_n=3, short_n=3)
+        assert np.all(report.weights[:, -1] == 0.0)
+        np.testing.assert_array_equal(report.weights,
+                                      run_factor_backtest(market, panel, 5, 20, 3, 3).weights)
+
 
 class TestFactorCsv:
     def test_round_trip(self, tmp_path):

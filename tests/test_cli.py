@@ -84,6 +84,26 @@ class TestIngest:
         assert "benchmark: bench" in out
         assert f"days: {len(market)}" in out
 
+    def test_missing_day_counts(self, tmp_path, capsys):
+        market = drift_market(10, [0.0, 0.0, 0.0], asset_ids=["a", "b", "bench"])
+        d = tmp_path / "market"
+        write_market_csvs(market, d)
+        # (file, day, column): a's two blanks on day 2 count as one missing day.
+        for name, day, col in [("a", 2, 1), ("a", 2, 4), ("a", 5, 2), ("bench", 7, 3)]:
+            path = d / f"{name}.csv"
+            lines = path.read_text().splitlines()
+            cells = lines[1 + day].split(",")
+            cells[col] = ""
+            lines[1 + day] = ",".join(cells)
+            path.write_text("\n".join(lines) + "\n")
+        assert run(["ingest", d, "--benchmark", "bench"]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()  # the settings come first
+        assert out[out.index("assets: 3"):] == [
+            "assets: 3", "benchmark: bench",
+            f"days: 10 ({market.dates[0]} to {market.dates[-1]})",
+            "missing[a] = 2", "missing[b] = 0", "missing[bench] = 1",
+        ]
+
     def test_empty_dir_is_usage_error(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()

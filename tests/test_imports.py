@@ -67,6 +67,66 @@ def test_only_market_data_writes_csv():
     assert importers == ["market_data"]
 
 
+def ohlc_reads(source: str) -> list[int]:
+    """Lines of ``source`` that read an ``open``, ``high``, ``low`` or ``close``
+    attribute without calling it, or call ``.feature``."""
+    tree = ast.parse(source)
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    called = {id(node.func) for node in calls}
+    return sorted({node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                   and node.attr in ("open", "high", "low", "close") and id(node) not in called}
+                  | {node.lineno for node in calls if isinstance(node.func, ast.Attribute)
+                     and node.func.attr == "feature"})
+
+
+def test_scan_finds_ohlc_reads():
+    source = "a = m.close[:, 0]\nfh.close()\nb = m.feature('open')\nc = m.prices[3]\nd = path.open()\n"
+    assert ohlc_reads(source) == [1, 3]
+
+
+def test_only_market_data_reads_a_market_field_by_field():
+    # Everyone else reads AlignedMarket.prices, so the four fields have one layout.
+    files = sorted(ROOT.glob("src/drlfolio/*.py"))
+    assert len(files) > 5
+    readers = [path.stem for path in files if ohlc_reads(path.read_text(encoding="utf-8"))]
+    assert readers == ["market_data"]
+
+
+def package_imports(source: str) -> set[str]:
+    """The ``drlfolio`` modules that ``source`` imports from: ``from .x``, ``from . import x``
+    or ``from drlfolio.x``."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        path = node.module.split(".") if node.module else []
+        if node.level == 0:
+            if path[0] != "drlfolio":
+                continue
+            path = path[1:]
+        modules |= {path[0]} if path else {alias.name for alias in node.names}
+    return modules
+
+
+def test_scan_finds_package_imports():
+    source = ("from .ddpg import TrainLog\nfrom . import neural\nfrom drlfolio.cli import main\n"
+              "from drlfolio import analytics\nfrom numpy.linalg import norm\n")
+    assert package_imports(source) == {"ddpg", "neural", "cli", "analytics"}
+
+
+def test_simulation_modules_do_not_depend_on_the_trainer():
+    # The backtest and the factor baseline run without the networks or the trainer.
+    direct = {path.stem: package_imports(path.read_text(encoding="utf-8"))
+              for path in ROOT.glob("src/drlfolio/*.py")}
+    for name in ("market_data", "portfolio_math", "trading_env", "analytics", "baseline_factor"):
+        reached, todo = set(), [name]
+        while todo:
+            new = direct[todo.pop()] - reached
+            reached |= new
+            todo += new
+        assert not reached & {"neural", "ddpg"}, name
+
+
 def meta_reads(source: str) -> list[int]:
     """Lines of ``source`` that subscript a name ``meta`` or call ``.get`` on it."""
     lines = []

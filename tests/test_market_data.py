@@ -8,8 +8,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from drlfolio import market_data
+from drlfolio.cli import _rows
 from drlfolio.errors import AlignmentError, FormatError, WindowError
 from drlfolio.market_data import (
+    OHLC,
     AlignedMarket,
     align,
     load_csv,
@@ -475,3 +477,64 @@ def test_restrict_and_position_range():
     assert len(sub) == 10
     assert sub.dates[0] == market.dates[10]
     assert np.array_equal(sub.close, market.close[:, 10:20])
+
+
+def align_by_fields(markets, benchmark):
+    """``align`` one asset and one field at a time: (asset ids, dates, {field: (m, T) rows})."""
+    dates = sorted(set(markets[0].dates).intersection(*(m.dates for m in markets[1:])))
+    rows = {asset: {name: [getattr(m, name)[i, m.dates.index(d)] for d in dates] for name in OHLC}
+            for m in markets for i, asset in enumerate(m.asset_ids)}
+    ids = [asset for asset in rows if asset != benchmark] + [benchmark]
+    return tuple(ids), tuple(dates), {name: np.array([rows[a][name] for a in ids]) for name in OHLC}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(m=st.integers(1, 4), t=st.integers(1, 30), integer=st.booleans(), data=st.data())
+def test_prices_contract(m, t, integer, data):
+    """``prices`` is one read-only float64 (4, m, T) block whose rows are the four fields."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    raw = rng.integers(0, 4, size=(4, m, t))  # a zero marks a missing price
+    if not integer:
+        raw = raw * rng.uniform(0.5, 2.0, size=raw.shape)
+    ids = tuple(f"a{i}" for i in range(m))
+    dates = tuple(f"d{j:03d}" for j in range(t))
+    market = AlignedMarket(ids, dates, *raw)
+    assert market.prices.dtype == np.float64 and market.prices.shape == (4, m, t)
+    assert not market.prices.flags.writeable
+    assert market.prices.tolist() == raw.tolist()
+    for k, name in enumerate(OHLC):
+        row = market.feature(name)
+        assert row is getattr(market, name) and np.shares_memory(row, market.prices)
+        assert not row.flags.writeable and np.array_equal(row, market.prices[k])
+
+    lo = data.draw(st.integers(0, t - 1), label="lo")
+    hi = data.draw(st.integers(lo, t - 1), label="hi")
+    sub = market.restrict(lo, hi)
+    for name in OHLC:
+        assert np.array_equal(getattr(sub, name), getattr(market, name)[:, lo : hi + 1])
+
+    assets = data.draw(st.permutations(ids), label="order")[: data.draw(st.integers(1, m))]
+    picked = _rows(market, tuple(assets))
+    assert picked.asset_ids == tuple(assets)
+    for name in OHLC:
+        expected = [getattr(market, name)[ids.index(a)] for a in assets]
+        assert np.array_equal(getattr(picked, name), expected)
+
+    # Join a second, one- or two-asset market on a subset of the days plus days of its own.
+    shared = data.draw(st.sets(st.sampled_from(dates), min_size=1), label="shared")
+    other_dates = tuple(sorted(shared | {f"e{j:03d}" for j in range(data.draw(st.integers(0, 3)))}))
+    other_ids = ("b0", "b1")[: data.draw(st.integers(1, 2), label="width")]
+    other = AlignedMarket(other_ids, other_dates,
+                          *rng.uniform(1.0, 2.0, size=(4, len(other_ids), len(other_dates))))
+    benchmark = data.draw(st.sampled_from(ids + other_ids), label="benchmark")
+    joined = align([market, other], benchmark)
+    ref_ids, ref_dates, ref_rows = align_by_fields([market, other], benchmark)
+    assert (joined.asset_ids, joined.dates) == (ref_ids, ref_dates)
+    for name in OHLC:
+        assert np.array_equal(getattr(joined, name), ref_rows[name])
+
+    fields = dict(zip(OHLC, raw))
+    bad = data.draw(st.sampled_from(OHLC), label="bad")
+    fields[bad] = np.ones((m, t + 1))
+    with pytest.raises(AlignmentError, match=f"^{bad} has shape"):
+        AlignedMarket(ids, dates, **fields)
