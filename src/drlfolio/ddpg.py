@@ -26,6 +26,8 @@ from .neural import (
     minmax_forward_batch,
     minmax_vjp_batch,
     save_checkpoint,
+    scratch,
+    split,
 )
 from .portfolio_math import enforce_arbitrage_batch
 from .trading_env import EnvConfig, EnvState, TradingEnv, Transition
@@ -160,31 +162,37 @@ class Adam:
         self.param, self.grad, self.target = param, grad, target
         self.lr, self.tau = lr, tau
         self.m, self.v, self.t = np.zeros_like(param), np.zeros_like(param), 0
-        self._work = np.empty((2, min(self.BLOCK, param.size)))
 
     def step(self) -> None:
         """In place: m, v <- moments of grad; param -= lr * m_hat / (sqrt(v_hat) + eps);
         then each block of target is blended toward the new parameters:
-        target <- tau * param + (1 - tau) * target. ``grad`` is only read."""
+        target <- tau * param + (1 - tau) * target. ``grad`` is only read. The blocks
+        are split between the workers; each element sees the same operations either way."""
         self.t += 1
         b1t = 1.0 - self.BETA1**self.t
         b2t = 1.0 - self.BETA2**self.t
-        for lo in range(0, self.param.size, self.BLOCK):
-            block = slice(lo, lo + self.BLOCK)
-            p, g, m, v, target = (a[block] for a in (self.param, self.grad, self.m, self.v,
-                                                     self.target))
-            s, r = self._work[:, : p.size]
-            m *= self.BETA1
-            m += np.multiply(g, 1 - self.BETA1, out=s)
-            v *= self.BETA2
-            np.multiply(g, 1 - self.BETA2, out=s)
-            v += np.multiply(s, g, out=s)
-            np.sqrt(np.divide(v, b2t, out=s), out=s)
-            s += self.EPS
-            np.multiply(np.divide(m, b1t, out=r), self.lr, out=r)
-            p -= np.divide(r, s, out=r)
-            target *= 1.0 - self.tau
-            target += np.multiply(p, self.tau, out=s)
+        size, width = self.param.size, min(self.BLOCK, self.param.size)
+
+        def run(part, first, last):
+            work = scratch(part, 2 * width).reshape(2, width)
+            for lo in range(first * self.BLOCK, min(last * self.BLOCK, size), self.BLOCK):
+                block = slice(lo, lo + self.BLOCK)
+                p, g, m, v, target = (a[block] for a in (self.param, self.grad, self.m, self.v,
+                                                         self.target))
+                s, r = work[:, : p.size]
+                m *= self.BETA1
+                m += np.multiply(g, 1 - self.BETA1, out=s)
+                v *= self.BETA2
+                np.multiply(g, 1 - self.BETA2, out=s)
+                v += np.multiply(s, g, out=s)
+                np.sqrt(np.divide(v, b2t, out=s), out=s)
+                s += self.EPS
+                np.multiply(np.divide(m, b1t, out=r), self.lr, out=r)
+                p -= np.divide(r, s, out=r)
+                target *= 1.0 - self.tau
+                target += np.multiply(p, self.tau, out=s)
+
+        split(-(-size // self.BLOCK), run)
 
 
 @dataclass(frozen=True)

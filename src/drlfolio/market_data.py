@@ -271,13 +271,14 @@ def align(markets: list[AlignedMarket], benchmark: str) -> AlignedMarket:
     if not dates:
         raise AlignmentError("no common trading days across " + ", ".join(ids))
 
-    columns = []
-    for market in markets:
+    order = [asset for asset in ids if asset != benchmark] + [benchmark]
+    slot = {asset: k for k, asset in enumerate(order)}
+    prices = np.empty((4, len(order), len(dates)))
+    for market in markets:  # each market's rows gathered straight into their slots
         pos = {d: k for k, d in enumerate(market.dates)}
-        columns.append(np.array([pos[d] for d in dates], dtype=np.intp))
-    rows = [k for k, asset in enumerate(ids) if asset != benchmark] + [ids.index(benchmark)]
-    prices = np.concatenate([m.prices[:, :, idx] for m, idx in zip(markets, columns)], axis=1)
-    return AlignedMarket(tuple(ids[k] for k in rows), dates, *prices[:, rows])
+        columns = np.array([pos[d] for d in dates], dtype=np.intp)
+        prices[:, [slot[asset] for asset in market.asset_ids]] = market.prices[:, :, columns]
+    return AlignedMarket(tuple(order), dates, *prices)
 
 
 @dataclass(frozen=True)

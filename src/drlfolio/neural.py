@@ -23,9 +23,13 @@ directions, and the head Dense after it keeps its weight rows in that (H, W, C)
 order in memory.
 
 Patches. A conv keeps its input, channels-last, from the forward to the
-backward and works a few images at a time: it gathers their patch rows into one
-small buffer of its own and runs the ReLU after it on that block. No conv
-holds a batch-sized patch matrix, and none reads another's buffer.
+backward and works a few images at a time: it gathers their patch rows into a
+small scratch buffer and runs the ReLU after it on that block. No conv holds a
+batch-sized patch matrix.
+
+Workers. ``split`` lets the conv block loops, the head ``Dense`` GEMMs and the
+optimizer's block loop run in two parts on two threads, with the same bits as
+one; see the section below.
 
 Parameters. A ``Network`` owns one contiguous parameter vector ``flat`` and
 one gradient vector ``grad``; every layer's ``weight``, ``bias``,
@@ -44,6 +48,9 @@ from __future__ import annotations
 
 import base64
 import json
+import os
+import queue
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +59,113 @@ from .errors import ConfigError, FormatError, ProtocolError
 from .portfolio_math import initial_weights
 
 _F8 = np.dtype(np.float64).itemsize
+
+
+# ---------------------------------------------------------------------------
+# Two workers inside one layer. ``split`` runs a loop's units in two contiguous
+# parts: the caller runs part 0 and one helper thread, started on the first
+# split and kept for the life of the process, runs part 1. Each part writes
+# disjoint outputs with the same calls one worker would make, so the bits do
+# not depend on the worker count. Each worker has one scratch buffer, shared by
+# every layer; one lock lets a single loop use them at a time.
+
+# 2 when the process may use two CPUs and OpenBLAS runs one thread, else 1: a
+# second BLAS thread and the helper would compete for the same cores. Set by
+# ``workers`` on the first split.
+WORKERS: int | None = None
+
+
+def blas_threads() -> int | None:
+    """Thread count numpy's OpenBLAS reports, or None when it cannot be queried."""
+    import ctypes
+
+    for lib in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            fn = getattr(handle, symbol, None)
+            if fn is not None:
+                fn.restype, fn.argtypes = ctypes.c_int, []
+                return fn()
+    return None
+
+
+def workers() -> int:
+    """``WORKERS``, set from the rule above on the first call."""
+    global WORKERS
+    if WORKERS is None:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        WORKERS = 2 if cpus >= 2 and blas_threads() == 1 else 1
+    return WORKERS
+
+
+class _Helper:
+    """One daemon thread that runs the part-1 calls it is handed, one at a time."""
+
+    def __init__(self):
+        self.thread = None
+        self._tasks, self._done = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def run(self, part1, part0) -> None:
+        """Run ``part1()`` on the helper while the caller runs ``part0()``; raise either's error."""
+        if self.thread is None:
+            self.thread = threading.Thread(target=self._serve, name="drlfolio-helper", daemon=True)
+            self.thread.start()
+        self._tasks.put(part1)
+        try:
+            part0()
+        finally:
+            error = self._done.get()  # part 1 may still use the buffers until here
+        if error is not None:
+            raise error
+
+    def _serve(self) -> None:
+        while True:
+            part1 = self._tasks.get()
+            try:
+                part1()
+            except BaseException as exc:  # handed to the caller, which raises it
+                self._done.put(exc)
+            else:
+                self._done.put(None)
+
+
+_HELPER, _LOCK = _Helper(), threading.Lock()
+_SCRATCH = [np.empty(0), np.empty(0)]
+
+
+def _after_fork() -> None:
+    """A forked child has no helper thread and no split under way: start afresh."""
+    global _HELPER, _LOCK
+    _HELPER, _LOCK = _Helper(), threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork)
+
+
+def scratch(part: int, size: int) -> np.ndarray:
+    """The first ``size`` floats of worker ``part``'s scratch buffer, grown if needed.
+
+    Only valid inside a ``split`` work call; the next loop overwrites it."""
+    if _SCRATCH[part].size < size:
+        _SCRATCH[part] = np.empty(size)
+    return _SCRATCH[part][:size]
+
+
+def split(units: int, work, worth: bool = True) -> None:
+    """Run ``work(part, lo, hi)`` over units ``[0, units)``: as ``work(0, 0, units)``,
+    or, when ``worth`` is set, there are two units or more and ``workers()`` is 2, as
+    ``work(0, 0, half)`` on the caller and ``work(1, half, units)`` on the helper."""
+    with _LOCK:
+        if not worth or units < 2 or workers() < 2:
+            work(0, 0, units)
+            return
+        half = (units + 1) // 2
+        _HELPER.run(lambda: work(1, half, units), lambda: work(0, 0, half))
 
 
 def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
@@ -65,8 +179,8 @@ class Conv2D:
     The patch matrix has one row per output pixel and columns ordered
     ``(i, j, c)``: kernel row, kernel column, input channel, then a column of
     ones that meets the bias row of the weight matrix. It is never built
-    whole: ``_blocks`` gathers it a few images at a time into one buffer the
-    conv owns, from the channels-last input the forward keeps. In a ``Network``,
+    whole: ``_blocks`` gathers it a few images at a time into a worker's scratch
+    buffer, from the channels-last input the forward keeps. In a ``Network``,
     ``relu`` is the ReLU after the conv (else None), run on each block: the
     forward clamps and keeps the output in ``relu._out``, the backward masks.
 
@@ -95,17 +209,18 @@ class Conv2D:
         else:
             self.weight = glorot_uniform(rng, (out_channels, in_channels, kh, kw), fan_in, fan_out)
         self.bias = np.zeros(out_channels)
-        self._block = np.empty((0, 0))
         self._x = self._action = self.relu = None
         self.d_weight = np.zeros_like(self.weight)
         self.d_bias = np.zeros_like(self.bias)
 
-    def _blocks(self, gather: bool = True):
-        """Yield (image slice, row slice, patch block) over the kept input's patch matrix.
+    def _blocks(self, work, gather: bool = True) -> None:
+        """Call ``work(b, images, rows, cols)`` for each block b of the kept input's patch
+        matrix, with its image slice, its row slice and its patch rows.
 
-        A block is the rows of a few whole images, at most GATHER_BYTES of them
-        (at least one image), gathered into the first rows of ``_block`` unless
-        ``gather`` is False (then None). That buffer only grows, up to one block.
+        A block is the rows of a few whole images, at most GATHER_BYTES of them (at
+        least one image), gathered into the worker's scratch buffer unless ``gather``
+        is False (then ``cols`` is None). ``split`` divides the blocks between the
+        workers at a block boundary, so each block's GEMMs are the same calls either way.
         """
         xl, action = self._x, self._action
         n, h, w, c = xl.shape
@@ -116,24 +231,29 @@ class Conv2D:
         row, col = w * c * _F8, width * _F8
         step = max(1, self.GATHER_BYTES // (per * col))
         images = min(n, step)
-        if self._block.shape[1] != width or len(self._block) < images * per:
-            self._block = np.empty((images * per, width))
-            self._block[:, -1] = 1.0
         # Patch (b, i, j) is kh rows of kw*c contiguous values starting at
         # xl[b, i + r, j, 0]; the block rows seen as (kh, kw*c) blocks take them.
         shape = (n, ho, wo, kh, kw * c)
         patches = np.ndarray(shape, dtype=np.float64, buffer=xl,
                              strides=(h * row, row, c * _F8, row, _F8))
-        blocks = np.ndarray((images, *shape[1:]), dtype=np.float64, buffer=self._block,
-                            strides=(per * col, wo * col, col, kw * c * _F8, _F8))
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            cols = self._block[: (hi - lo) * per] if gather else None
+
+        def run(part, first, last):
             if gather:
-                blocks[: hi - lo] = patches[lo:hi]
-                if action is not None:
-                    cols.reshape(hi - lo, ho, wo, width)[..., k] = action[lo:hi, :, None]
-            yield slice(lo, hi), slice(lo * per, hi * per), cols
+                block = scratch(part, images * per * width).reshape(images * per, width)
+                block[:, -1] = 1.0
+                blocks = np.ndarray((images, *shape[1:]), dtype=np.float64, buffer=block,
+                                    strides=(per * col, wo * col, col, kw * c * _F8, _F8))
+            for b in range(first, last):
+                lo, hi = b * step, min((b + 1) * step, n)
+                cols = None
+                if gather:
+                    cols = block[: (hi - lo) * per]
+                    blocks[: hi - lo] = patches[lo:hi]
+                    if action is not None:
+                        cols.reshape(hi - lo, ho, wo, width)[..., k] = action[lo:hi, :, None]
+                work(b, slice(lo, hi), slice(lo * per, hi * per), cols)
+
+        split(-(-n // step), run)
 
     def forward(self, x: np.ndarray, action: np.ndarray | None = None) -> np.ndarray:
         # c channels come from x; the rest (none, or the action) from action.
@@ -156,10 +276,13 @@ class Conv2D:
         # With four or more columns, a row's product does not depend on the rows
         # beside it, so blocks give the bits of one GEMM.
         out = np.empty((n * ho * wo, self.out_channels))
-        for _, rows, cols in self._blocks():
+
+        def block_forward(_, images, rows, cols):
             block = np.matmul(cols, gemm, out=out[rows])
             if self.relu is not None:  # clamped as ReLU.forward does, while in cache
                 np.maximum(block, 0.0, out=block)
+
+        self._blocks(block_forward)
         out = out.reshape(n, ho, wo, self.out_channels).transpose(0, 3, 1, 2)
         if self.relu is not None:
             self.relu._out = out
@@ -183,17 +306,17 @@ class Conv2D:
             dx = np.empty((n, h, w * c))
             dx[:, ho:] = 0.0
             dx[:, :ho, wo * c :] = 0.0
-        # Per block: mask dmat as ReLU.backward does; add the weight-gradient GEMM
+        parts = {}
+
+        # Per block: mask dmat as ReLU.backward does; keep the weight-gradient GEMM
         # (the ones column's row is the bias gradient, an action column's that of
         # each of its taps); add one GEMM per kernel tap into the block's dx rows.
-        dw = None
-        for images, rows, cols in self._blocks(gather=param_grads):
+        def block_backward(b, images, rows, cols):
             d = dmat[rows]
             if kept is not None:
                 np.multiply(d, kept[rows] > 0, out=d)
             if param_grads:
-                part = cols.T @ d
-                dw = part if dw is None else np.add(dw, part, out=dw)
+                parts[b] = cols.T @ d
             for i, j in taps:
                 tap = (d @ self.weight[:, :, i, j]).reshape(-1, ho, wo * c)
                 block = dx[images, i : i + ho, j * c : (j + wo) * c]
@@ -201,7 +324,13 @@ class Conv2D:
                     np.add(tap, 0.0, out=block)
                 else:
                     block += tap
+
+        self._blocks(block_backward, gather=param_grads)
         if param_grads:
+            # The parts summed in block order, as one worker running the blocks would.
+            dw = parts[0]
+            for b in range(1, len(parts)):
+                dw += parts[b]
             self.d_weight[:, :c] = dw[:k].reshape(kh, kw, c, self.out_channels).transpose(3, 2, 0, 1)
             self.d_weight[:, c:] = dw[k:-1].T[:, :, None, None]
             self.d_bias[...] = dw[-1]
@@ -232,22 +361,42 @@ class Dense:
         self.d_weight = np.zeros_like(self.weight)
         self.d_bias = np.zeros_like(self.bias)
 
+    def _worth_splitting(self, n: int) -> bool:
+        """Whether the GEMMs of an n-row batch go to ``split``. With four or more output
+        columns a row's product does not depend on the rows beside it; numpy sends a
+        one-row product to a matrix-vector routine with other bits, so each part keeps
+        two rows. At batch 64 the 11 x 50 head (33M multiply-adds) splits and the
+        3 x 10 head (1.2M) stays inline, under the 2**22 floor."""
+        return self.out_dim >= 4 and n >= 4 and n * self.in_dim * self.out_dim >= 1 << 22
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ValueError(f"dense expects (N, {self.in_dim}), got {x.shape}")
         self._x = x
-        out = x @ self.weight
-        out += self.bias
+        out = np.empty((len(x), self.out_dim))
+
+        def rows_forward(_, lo, hi):
+            rows = np.matmul(x[lo:hi], self.weight, out=out[lo:hi])
+            rows += self.bias
+
+        split(len(x), rows_forward, self._worth_splitting(len(x)))
         return out
 
     def backward(self, dout: np.ndarray, input_grad: bool = True,
                  param_grads: bool = True) -> np.ndarray | None:
         if self._x is None:
             raise ProtocolError("backward before forward")
-        if param_grads:
-            np.matmul(self._x.T, dout, out=self.d_weight)
+        x, worth = self._x, self._worth_splitting(len(dout))
+        if param_grads:  # split by weight rows
+            split(self.in_dim, lambda _, lo, hi: np.matmul(x[:, lo:hi].T, dout,
+                                                           out=self.d_weight[lo:hi]), worth)
             np.sum(dout, axis=0, out=self.d_bias)
-        return dout @ self.weight.T if input_grad else None
+        if not input_grad:
+            return None
+        dx = np.empty((len(dout), self.in_dim))
+        split(len(dout), lambda _, lo, hi: np.matmul(dout[lo:hi], self.weight.T, out=dx[lo:hi]),
+              worth)
+        return dx
 
     def spec(self):
         return {"kind": self.kind, "in_dim": self.in_dim, "out_dim": self.out_dim}

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -23,7 +24,7 @@ from drlfolio.ddpg import (
     greedy_policy,
     train,
 )
-from drlfolio import neural
+from drlfolio import cli, neural
 from drlfolio.errors import ConfigError, FormatError
 from drlfolio.neural import (
     build_actor,
@@ -471,12 +472,15 @@ class TestActorUpdate:
 
 
 class TestSharedPatches:
-    """No conv of an agent shares its patch buffer, and none holds more than one block."""
+    """The convs and Adam of an agent share one scratch buffer per worker, none
+    larger than one block."""
 
-    def test_updates_and_act_allocate_no_patch_buffer(self):
+    def test_updates_and_act_allocate_no_patch_buffer(self, monkeypatch):
         """At 11 x 50 with batch 64 a batch's patches span several blocks. After the
-        first update, updates and ``act`` gather into the buffers that update left,
-        one per conv and none larger than one block."""
+        first update, updates and ``act`` gather into the two buffers that update
+        left, one per worker and none larger than one conv block or Adam block."""
+        monkeypatch.setattr(neural, "WORKERS", 2)
+        monkeypatch.setattr(neural, "_SCRATCH", [np.empty(0), np.empty(0)])
         market = drift_market(200, [0.001] * 11, sigma=0.01, seed=3)
         env = TradingEnv(market, EnvConfig(window=50, episode_len=70, mu=0.0))
         rng = np.random.default_rng(0)
@@ -495,17 +499,16 @@ class TestSharedPatches:
 
         agent.act(state, rng)
         update()
-        buffers = [conv._block for conv in convs]
-        assert len(convs) == 8
-        assert not any(np.shares_memory(a, b) for i, a in enumerate(buffers) for b in buffers[:i])
-        for conv, block in zip(convs, buffers):
-            n, h, w, _ = conv._x.shape
-            assert n == 64 and len(block) < n * h * (w - 2)
-            assert block.nbytes <= neural.Conv2D.GATHER_BYTES
+        buffers = list(neural._SCRATCH)
+        assert len(convs) == 8 and not any(hasattr(conv, "_block") for conv in convs)
+        assert not np.shares_memory(*buffers)
+        largest = max(neural.Conv2D.GATHER_BYTES, 2 * Adam.BLOCK * 8)
+        for block in buffers:
+            assert 0 < block.nbytes <= largest
         for _ in range(2):
             update()
             agent.act(state, rng)
-        assert all(conv._block is block for conv, block in zip(convs, buffers))
+        assert all(now is block for now, block in zip(neural._SCRATCH, buffers))
 
     def test_target_forward_between_leaves_online_gradient(self, tiny_setup):
         """``online.forward; target.forward; online.backward`` gives the gradient
@@ -654,9 +657,11 @@ def test_repeat_check_compares_each_meta_asset_a_bounded_number_of_times():
 
 def test_same_checkpoint_bytes_on_one_and_two_blas_threads(tmp_path):
     """Fixed-seed training at 11 assets x window 50, a few updates past the
-    64-step replay fill, writes the same checkpoint bytes on one and two
-    OpenBLAS threads: each conv's per-block GEMMs round alike however BLAS
-    splits them. The thread count is set for the child processes only."""
+    64-step replay fill, writes the same checkpoint and trainlog bytes on one and
+    two OpenBLAS threads: each conv's per-block GEMMs round alike however BLAS
+    splits them. The thread count is set for the child processes only. It also
+    pins the two-worker split against inline runs: on a host with two CPUs, one
+    BLAS thread turns the split on and two turn it off."""
     market = drift_market(200, [0.0004 * k - 0.002 for k in range(11)], sigma=0.02, seed=19)
     write_market_csvs(market, tmp_path / "market")
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -670,5 +675,75 @@ def test_same_checkpoint_bytes_on_one_and_two_blas_threads(tmp_path):
              "--seed", "3", "--benchmark", market.asset_ids[-1]],
             env=env, capture_output=True, text=True, timeout=300)
         assert result.returncode == 0, result.stderr
-        outputs.append((out / "checkpoint.json").read_bytes())
+        outputs.append([(out / name).read_bytes() for name in ("checkpoint.json", "trainlog.csv")])
     assert outputs[0] == outputs[1]
+    assert outputs[0][1].count(b"\n") == 2  # the header and one finished episode
+
+
+class TestTwoWorkers:
+    """The two-worker split in training, backtests and the rule that turns it on."""
+
+    def test_split_and_inline_write_the_same_bytes(self, tmp_path, monkeypatch):
+        """At 11 x 50, training with the split forced on and then off writes the same
+        checkpoint and trainlog bytes, and the greedy backtests of the two
+        checkpoints deploy the same weights."""
+        market = drift_market(200, [0.0004 * k - 0.002 for k in range(11)], sigma=0.02, seed=19)
+        write_market_csvs(market, tmp_path / "market")
+        outputs = []
+        for workers in (2, 1):
+            helper = neural._Helper()
+            monkeypatch.setattr(neural, "WORKERS", workers)
+            monkeypatch.setattr(neural, "_HELPER", helper)
+            out = tmp_path / f"workers{workers}"
+            assert cli.main(["train", str(tmp_path / "market"), "--out", str(out),
+                             "--window", "50", "--episode-len", "60", "--total-steps", "70",
+                             "--seed", "3", "--benchmark", market.asset_ids[-1]]) == 0
+            assert cli.main(["backtest", str(out / "checkpoint.json"),
+                             "--market-dir", str(tmp_path / "market"), "--out", str(out / "bt"),
+                             "--test-start", market.dates[120],
+                             "--test-end", market.dates[-1]]) == 0
+            assert (helper.thread is not None) == (workers == 2)
+            outputs.append([(out / name).read_bytes()
+                            for name in ("checkpoint.json", "trainlog.csv", "bt/weights.csv")])
+        assert outputs[0] == outputs[1]
+
+    def test_no_helper_starts_at_the_smoke_shape(self, monkeypatch):
+        """At 3 x 10 every conv batch is one block, Adam's vector one block and the
+        head Dense below the split size, so training starts no thread."""
+        helper = neural._Helper()
+        monkeypatch.setattr(neural, "WORKERS", 2)
+        monkeypatch.setattr(neural, "_HELPER", helper)
+        market = drift_market(150, [0.002, -0.001, 0.0], sigma=0.01, seed=11)
+        threads = threading.active_count()
+        train(market, EnvConfig(window=10, episode_len=60),
+              TrainConfig(batch_size=64, buffer_capacity=600, total_steps=140, seed=1))
+        assert threading.active_count() == threads
+        assert helper.thread is None
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2
+                        or neural.blas_threads() is None,
+                        reason="needs two CPUs and an OpenBLAS that reports its threads")
+    @pytest.mark.parametrize("blas, pin, starts", [("1", False, True), ("1", True, False),
+                                                   ("2", False, False)],
+                             ids=["two-cpus-one-blas-thread", "pinned-to-one-cpu",
+                                  "two-blas-threads"])
+    def test_rule_starts_a_helper_only_with_two_cpus_and_one_blas_thread(self, blas, pin,
+                                                                          starts):
+        """A child process runs one 11 x 50 actor forward at batch 64, which splits
+        when the rule allows: the helper starts only with two CPUs and one BLAS thread."""
+        code = "\n".join([
+            "import os, threading",
+            "import numpy as np",
+            "from drlfolio import neural",
+            f"if {pin}: os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})",
+            "threads = threading.active_count()",
+            "actor = neural.build_actor(11, 50, np.random.default_rng(0))",
+            "actor.forward(np.random.default_rng(1).standard_normal((64, 4, 11, 50)))",
+            "print(neural.WORKERS, threading.active_count() - threads)",
+        ])
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": blas}
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == (["2", "1"] if starts else ["1", "0"])

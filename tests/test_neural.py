@@ -1,12 +1,16 @@
 import base64
 import hashlib
 import json
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from drlfolio import neural
+from drlfolio.ddpg import Adam
 
 from drlfolio.errors import FormatError, ProtocolError
 from drlfolio.neural import (
@@ -403,8 +407,8 @@ class TestCriticInput:
 
 
 class TestPatchSharing:
-    """Each conv gathers its patches a block of images at a time into a buffer of
-    its own, for the forward and again for the weight gradient."""
+    """Each conv gathers its patches a block of images at a time into a worker's
+    scratch buffer, for the forward and again for the weight gradient."""
 
     @pytest.mark.parametrize("channels, with_action", [(4, False), (16, False), (5, True)],
                              ids=["4", "16", "5-action"])
@@ -439,7 +443,7 @@ class TestPatchSharing:
 
     @pytest.mark.parametrize("with_action", [False, True])
     def test_smaller_batch_after_larger_gives_a_fresh_convs_bits(self, rng, with_action):
-        """A forward and backward read the first rows of the block buffer a larger
+        """A forward and backward read the first rows of the scratch buffer a larger
         batch grew, and get the output and gradients of a fresh conv to the bit.
         With an action, an earlier forward without one gathered a narrower block."""
         channels = 5 if with_action else 4
@@ -453,11 +457,11 @@ class TestPatchSharing:
         if with_action:
             used.forward(rng.standard_normal((9, 5, 3, 7)))
         used.forward(rng.standard_normal((9, 4, 3, 7)), action(9))
-        grown = used._block
+        grown = neural._SCRATCH[0]
         x, a, dout = rng.standard_normal((2, 4, 3, 7)), action(2), rng.standard_normal((2, 16, 3, 5))
         assert used.forward(x, a).tobytes() == fresh.forward(x, a).tobytes()
         assert used.backward(dout.copy()).tobytes() == fresh.backward(dout.copy()).tobytes()
-        assert used._block is grown
+        assert neural._SCRATCH[0] is grown
         assert used.d_weight.tobytes() == fresh.d_weight.tobytes()
         assert used.d_bias.tobytes() == fresh.d_bias.tobytes()
 
@@ -483,6 +487,142 @@ class TestPatchSharing:
         first = conv.forward(x)
         x += 1.0
         assert not np.array_equal(conv.forward(x), first)
+
+
+def _net(with_action: bool, rng) -> Network:
+    """Two 4-channel convs and a head Dense whose batch-64 GEMMs reach the split size."""
+    return Network([Conv2D(4 + with_action, 4, 1, 3, rng), ReLU(), Conv2D(4, 4, 1, 3, rng),
+                    ReLU(), Flatten(), Dense(4 * 8 * 36, 64, rng), ReLU(), Dense(64, 5, rng)])
+
+
+def _forward_backward(net, x, action, dout):
+    out = net.forward(x, action)
+    return out, net.backward(dout), net.grad.copy()
+
+
+class TestTwoWorkers:
+    """``split`` runs a loop in two parts on two threads with the bits of one."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(gather_bytes=st.integers(1, 1 << 20), n=st.integers(1, 70), with_action=st.booleans())
+    def test_network_bits_for_any_gather_size_and_worker_count(self, gather_bytes, n,
+                                                               with_action):
+        """At any GATHER_BYTES the outputs and input (or action) gradients equal those of
+        one worker at the default size, to the bit, and the parameter gradients equal
+        those of one worker at the same size: they sum the conv blocks in block order,
+        so across sizes they agree to 1e-12."""
+        rng = np.random.default_rng(n)
+        net = _net(with_action, rng)
+        x = rng.standard_normal((n, 4, 8, 40))
+        action = rng.uniform(-1, 1, (n, 8)) if with_action else None
+        dout = rng.standard_normal((n, 5))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(neural, "WORKERS", 1)
+            reference = _forward_backward(net, x, action, dout)
+            patch.setattr(Conv2D, "GATHER_BYTES", gather_bytes)
+            runs = []
+            for workers in (1, 2):
+                patch.setattr(neural, "WORKERS", workers)
+                runs.append(_forward_backward(net, x, action, dout))
+        for out, dx, grad in runs:
+            assert out.tobytes() == reference[0].tobytes()
+            assert dx.tobytes() == reference[1].tobytes()
+            assert grad.tobytes() == runs[0][2].tobytes()
+            assert np.max(np.abs(grad - reference[2])) <= 1e-12 * np.max(np.abs(reference[2]))
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(block=st.integers(1, 5000), size=st.integers(1, 12_000))
+    def test_adam_bits_for_any_block_and_worker_count(self, block, size):
+        rng = np.random.default_rng(size)
+        start, grads = rng.standard_normal((2, size)), rng.standard_normal((3, size))
+
+        def three_steps():
+            param, target, grad = start[0].copy(), start[1].copy(), np.empty(size)
+            adam = Adam(param, grad, target, lr=1e-3, tau=0.01)
+            for g in grads:
+                grad[...] = g
+                adam.step()
+            return [a.tobytes() for a in (param, target, adam.m, adam.v)]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(neural, "WORKERS", 1)
+            reference = three_steps()
+            patch.setattr(Adam, "BLOCK", block)
+            for workers in (1, 2):
+                patch.setattr(neural, "WORKERS", workers)
+                assert three_steps() == reference
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 64])
+    def test_wide_dense_bits_at_every_batch(self, n, monkeypatch):
+        """A Dense wide enough to reach the split size at two rows stays inline below
+        four rows, where a part would hold one row, and gives one worker's bits."""
+        rng = np.random.default_rng(n)
+        dense = Dense(1 << 15, 64, rng)
+        x, dout = rng.standard_normal((n, 1 << 15)), rng.standard_normal((n, 64))
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(neural, "WORKERS", workers)
+            out = dense.forward(x)
+            runs.append([a.tobytes() for a in (out, dense.backward(dout), dense.d_weight,
+                                               dense.d_bias)])
+        assert runs[0] == runs[1]
+
+    def test_parts_cover_the_units_once(self, monkeypatch):
+        monkeypatch.setattr(neural, "WORKERS", 2)
+        for units, expected in ((0, [(0, 0, 0)]), (1, [(0, 0, 1)]), (2, [(0, 0, 1), (1, 1, 2)]),
+                                (7, [(0, 0, 4), (1, 4, 7)])):
+            calls = []
+            neural.split(units, lambda *call: calls.append(call))
+            assert sorted(calls) == expected
+        calls = []
+        neural.split(7, lambda *call: calls.append(call), worth=False)
+        assert calls == [(0, 0, 7)]
+
+    def test_a_part_error_reaches_the_caller_and_the_helper_goes_on(self, monkeypatch):
+        monkeypatch.setattr(neural, "WORKERS", 2)
+        monkeypatch.setattr(neural, "_HELPER", neural._Helper())
+
+        def fail(part, lo, hi):
+            if part == 1:
+                raise ValueError("part 1 failed")
+
+        with pytest.raises(ValueError, match="part 1 failed"):
+            neural.split(4, fail)
+        calls = []
+        neural.split(4, lambda *call: calls.append(call))
+        assert sorted(calls) == [(0, 0, 2), (1, 2, 4)]
+
+    def test_callers_on_several_threads_get_their_own_bits(self, monkeypatch):
+        """Four threads on two cores each train forward and backward on their own
+        network, switching often, and get the bits each gets alone: one loop at a
+        time uses the shared scratch buffers."""
+        monkeypatch.setattr(neural, "WORKERS", 2)
+        cases = []
+        for k in range(4):
+            rng = np.random.default_rng(k)
+            net = _net(k % 2 == 1, rng)
+            args = (rng.standard_normal((64, 4, 8, 40)),
+                    rng.uniform(-1, 1, (64, 8)) if k % 2 else None, rng.standard_normal((64, 5)))
+            cases.append((net, args, [a.tobytes() for a in _forward_backward(net, *args)]))
+        failures = []
+
+        def repeat(net, args, expected):
+            for _ in range(5):
+                if [a.tobytes() for a in _forward_backward(net, *args)] != expected:
+                    failures.append(net)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=repeat, args=case) for case in cases]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
 
 
 def unattached(net):
